@@ -1,8 +1,10 @@
 """Measure one workload in this process and print its result line.
 
 Untraced (``trace=0``), each round runs the workload's ``mtopt`` commands,
-then trains every cell again through the public functions with a stamped
-batch stream (set-up, per-iteration times, throughput). Traced
+then trains every cell again, ``stamped_passes`` times, through the public
+functions with a stamped batch stream (set-up, per-iteration times,
+throughput). Those timings are taken from samples in the host's usual state
+and scaled by the host-state probe (``hoststate.py``). Traced
 (``trace=1``), each round runs the commands untraced and then once more
 under a :class:`tracer.Tracer`, serially for a sweep, and derives the
 per-layer metrics from the spans. Rounds repeat until ``seconds`` have
@@ -25,6 +27,7 @@ from mtopt import cli
 from mtopt.config import parse_kv_text, validate_config
 
 from checks import CellChecks, digests, sweep_index_problems
+from hoststate import NOMINAL_MS, USUAL_MS
 from spec import END_TO_END, PER_LAYER, UNITS
 from stamped import run_cell
 from tracer import Tracer, assert_untraced, layer_metrics, write_spans
@@ -165,9 +168,21 @@ def _percentile(values, q):
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
+def _at_usual_speed(samples, what: str, least: int, rate: bool = False):
+    """(value, probe ms) samples taken in the host's usual state, scaled to the
+    nominal probe time; all samples, scaled, when fewer than ``least`` are
+    usual-state (README.md, "Noise on this host"). A rate scales inversely."""
+    kept = [(x, probe) for x, probe in samples if probe >= USUAL_MS]
+    print(f"info usual {what} {len(kept)} of {len(samples)}"
+          + ("" if len(kept) >= least else ", too few: all are used"))
+    if len(kept) < least:
+        kept = samples
+    return [x * probe / NOMINAL_MS if rate else x * NOMINAL_MS / probe for x, probe in kept]
+
+
 def measure_untraced(workload, seed, seconds, base, tally, update_digests):
     commands = workload.commands(seed)
-    run_s, rundir_mb, setup_s, intervals, rates = [], [], [], [], []
+    run_s, rundir_mb, setups, intervals, rates, probes = [], [], [], [], [], []
     first = None
     start = perf_counter()
     r = 0
@@ -182,13 +197,17 @@ def measure_untraced(workload, seed, seconds, base, tally, update_digests):
         passes = {}
         for cid, cell, _ in _cell_dirs(runs):
             for _ in range(SETUP_REPEATS):
-                setup_s.append(run_cell(cell.config, setup_only=True).setup_s)
-            cp = run_cell(cell.config)
-            setup_s.append(cp.setup_s)
-            intervals.extend(cp.intervals_ms)
-            rates.extend(1e3 * BLOCK / sum(cp.intervals_ms[i:i + BLOCK])
-                         for i in range(0, len(cp.intervals_ms) - BLOCK + 1, BLOCK))
-            tally.ops(cp.iterations)
+                sp = run_cell(cell.config, workload.probe_every, setup_only=True)
+                setups.append((sp.setup_s, sp.setup_probe_ms))
+            for _ in range(workload.stamped_passes):
+                cp = run_cell(cell.config, workload.probe_every)
+                setups.append((cp.setup_s, cp.setup_probe_ms))
+                intervals.extend(zip(cp.intervals_ms, cp.intervals_probe_ms))
+                rates.extend((1e3 * BLOCK / sum(cp.intervals_ms[i:i + BLOCK]),
+                              min(cp.intervals_probe_ms[i:i + BLOCK]))
+                             for i in range(0, len(cp.intervals_ms) - BLOCK + 1, BLOCK))
+                probes.extend(cp.probe_ms)
+                tally.ops(cp.iterations)
             passes[cid] = cp
         if first is None:
             first = (runs, passes, _digest_lines(workload.name, seed, runs, update_digests))
@@ -207,14 +226,22 @@ def measure_untraced(workload, seed, seconds, base, tally, update_digests):
     for cid, chk in checks_by_cell.items():
         chk.loss_checks(passes[cid])
     _finish(tally, checks_by_cell)
+
+    os.makedirs(os.path.join(OUT, "samples"), exist_ok=True)
+    with open(os.path.join(OUT, "samples", f"{workload.name}-s{seed}.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump({"setups": setups, "intervals": intervals, "rates": rates}, fh)
+    setup_s = _at_usual_speed(setups, "setups", 10)
+    iter_ms = _at_usual_speed(intervals, "iterations", 200)
+    rate = _at_usual_speed(rates, "10-iteration blocks", 20, rate=True)
     # Printed for reference; too unsteady on a host whose speed changes in phases
     # to gate a change (README.md, "Noise on this host").
     print(f"info run_s {statistics.median(run_s):.6g} s (median command time over rounds)")
-    print(f"info iter_ms_p50 {_percentile(intervals, 0.5):.6g} ms (median iteration)")
+    print(f"info probe_ms {statistics.median(probes):.4g} (median host-state probe)")
     return {
-        "setup_s": _percentile(setup_s, 0.9),
-        "iter_ms_p95": _percentile(intervals, 0.95),
-        "train_iters_per_s": _percentile(rates, 0.05),
+        "setup_s": statistics.median(setup_s),
+        "iter_ms_p95": _percentile(iter_ms, 0.95),
+        "train_iters_per_s": _percentile(rate, 0.05),
         "peak_rss_mb": peak,
         "rundir_mb": statistics.median(rundir_mb),
     }, {"rounds": r}

@@ -5,6 +5,12 @@ for the next batch, so the gap between two stamps is one training iteration
 as the loop sees it. Nothing in ``mtopt`` is wrapped: the stamps come from
 the input the loop is given. Set-up is timed from config parsing to the
 first pull; extra set-ups stop at that pull by raising out of the stream.
+
+Every ``probe_every`` pulls, and at the first and the last, the stream
+times the host-state probe (``hoststate.py``). That time is taken off the
+stamps. Each interval carries the lower of the probe readings around it,
+and a set-up the lower of those just before it and at the first pull;
+``measure.py`` keeps and scales samples by them.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from hoststate import probe_ms
 from mtopt.benchmarks import (QuadraticSpec, RegressionSuiteSpec, gen_quadratic_suite,
                               gen_regression_suite, triad_spec)
 from mtopt.config import parse_kv_text, validate_config
@@ -35,27 +42,70 @@ class Training:
 @dataclass
 class CellPass:
     setup_s: float = 0.0
+    setup_probe_ms: float = 0.0    # the lower probe reading around the set-up
     intervals_ms: list[float] = field(default_factory=list)
+    intervals_probe_ms: list[float] = field(default_factory=list)  # the same, per interval
+    probe_ms: list[float] = field(default_factory=list)
     iterations: int = 0
     trainings: list[Training] = field(default_factory=list)
     dataset: object = None
     cfg: object = None
 
 
-def _stamped(stream, stamps: list[float], on_first, abort: bool):
+class _Clock:
+    """Stamps of batch pulls with the probe timings (and ``on_first``) taken out."""
+
+    def __init__(self, every: int, start: float = 0.0):
+        self.every = every
+        self.stamps: list[float] = []
+        self.probes: list[tuple[int, float]] = []   # (pull index, probe ms)
+        self.paused = start
+
+    def now(self) -> float:
+        return perf_counter() - self.paused
+
+    def pause(self, fn):
+        t0 = perf_counter()
+        out = fn()
+        self.paused += perf_counter() - t0
+        return out
+
+    def pull(self):
+        self.stamps.append(self.now())
+        if (len(self.stamps) - 1) % self.every == 0:
+            self._probe()
+
+    def end(self):
+        """Probe after the last pull, unless that pull already did."""
+        if self.probes[-1][0] != len(self.stamps) - 1:
+            self._probe()
+
+    def _probe(self):
+        self.probes.append((len(self.stamps) - 1, self.pause(probe_ms)))
+
+    def intervals(self) -> tuple[list[float], list[float]]:
+        """Interval times in ms, and the lower of the probe readings around each."""
+        times, probes = [], []
+        for (i, pi), (j, pj) in zip(self.probes, self.probes[1:]):
+            times.extend(1e3 * (b - a) for a, b in zip(self.stamps[i:j], self.stamps[i + 1:j + 1]))
+            probes.extend([min(pi, pj)] * (j - i))
+        return times, probes
+
+
+def _stamped(stream, clock: _Clock, on_first, abort: bool):
     """Yield the stream's batches, stamping each pull; ``on_first`` sees batch 1
     after the first stamp, before the loop trains on it."""
     it = iter(stream)
     while True:
-        stamps.append(perf_counter())
+        clock.pull()
         if abort:
             raise _SetupDone
         try:
             batch = next(it)
         except StopIteration:
             return
-        if len(stamps) == 1:
-            on_first(batch)
+        if len(clock.stamps) == 1:
+            clock.pause(lambda: on_first(batch))
         yield batch
 
 
@@ -100,9 +150,10 @@ def _train_config(cfg, method, weights):
                        grouping_rule=cfg.grouping_rule, track_affinity=cfg.track_affinity)
 
 
-def run_cell(config_text: str, setup_only: bool = False) -> CellPass:
+def run_cell(config_text: str, probe_every: int, setup_only: bool = False) -> CellPass:
     """Set up and train one cell as ``mtopt run`` would, stamping each batch pull."""
     out = CellPass()
+    before = probe_ms()
     t0 = perf_counter()
     cfg = validate_config(parse_kv_text(config_text))
     out.cfg = cfg
@@ -121,7 +172,8 @@ def run_cell(config_text: str, setup_only: bool = False) -> CellPass:
         model = make()
         stream = (_quadratic_batches(cfg.iters) if dataset is None
                   else dataset.stream(cfg.batch_size, cfg.iters, cfg.seed))
-        stamps: list[float] = []
+        # On the first training the clock counts from t0, so its first stamp is the set-up time.
+        clock = _Clock(probe_every, start=0.0 if out.trainings else t0)
         tr = Training(eval_task, {}, None, model)
 
         def on_first(batch, tr=tr, model=model):
@@ -130,14 +182,20 @@ def run_cell(config_text: str, setup_only: bool = False) -> CellPass:
                                  for name in model.partition.block_ids(model.suite.ids)}
 
         try:
-            train(model, _stamped(stream, stamps, on_first, setup_only),
+            train(model, _stamped(stream, clock, on_first, setup_only),
                   _train_config(cfg, method, weights))
+            clock.end()  # train pulls exactly cfg.iters batches, so the stream never ends itself
         except _SetupDone:
-            out.setup_s = stamps[0] - t0
-            return out
+            pass
         if not out.trainings:
-            out.setup_s = stamps[0] - t0
-        out.intervals_ms.extend(1e3 * (b - a) for a, b in zip(stamps, stamps[1:]))
+            out.setup_s = clock.stamps[0]
+            out.setup_probe_ms = min(before, clock.probes[0][1])
+        if setup_only:
+            return out
+        times, probes = clock.intervals()
+        out.intervals_ms.extend(times)
+        out.intervals_probe_ms.extend(probes)
+        out.probe_ms.extend(p for _, p in clock.probes)
         out.iterations += cfg.iters
         out.trainings.append(tr)
     return out

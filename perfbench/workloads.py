@@ -75,6 +75,8 @@ class Workload:
     name: str
     why: str
     iters: int
+    probe_every: int   # batches between two host-state probes (hoststate.py)
+    stamped_passes: int  # stamped trainings per cell and round
 
     def commands(self, seed: int) -> list[Command]:
         head = self._head(seed)
@@ -110,16 +112,16 @@ class Workload:
 WORKLOADS = {w.name: w for w in [
     Workload("triad-selective",
              "the paper's method on a 3-task width-8 trunk; tape interpreter and per-forward bindings dominate",
-             2000),
+             2000, 20, stamped_passes=2),
     Workload("wide-joint",
              "JOINT with Adam on a width-256 batch-1024 trunk; BLAS-bound, the single-path baseline",
-             40),
+             40, 5, stamped_passes=5),
     Workload("quad8-selective",
              "SELECTIVE on four closed-form 8-task quadratics; affinity, grouping and run-log writes dominate",
-             300),
+             300, 20, stamped_passes=3),
     Workload("ablation-sweep",
              "the triad-ablation cells through mtopt sweep with 2 workers; SINGLE, SEPARATE and the pool",
-             200),
+             200, 20, stamped_passes=2),
 ]}
 
 SWEEP_WORKERS = 2
