@@ -1,0 +1,93 @@
+"""Pinned sha256 digests of the byte-compared files of short runs.
+
+Every case runs ``mtopt run`` on a short config and hashes steps.csv,
+affinity.csv, groups.csv and summary.json. The digests in
+``pinned_rundirs.json`` cover every method on a triad and a 4-task quadratic
+config plus the optimizer, order, tracking, repartition and preset variants,
+so a change to the training loop, the set-up path or a config default that
+moves one byte of a run directory fails here. Re-pin only for an intended
+change of run output.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from mtopt.cli import main
+
+PINNED_FILES = ("steps.csv", "affinity.csv", "groups.csv", "summary.json")
+
+TRIAD = {"benchmark.kind": "regression", "regression.preset": "triad",
+         "model.width": "8", "model.depth": "2", "batch.size": "16",
+         "iters": "30", "eta": "0.05", "beta": "0.01", "seed": "1", "log.verbosity": "0"}
+QUAD4 = {"benchmark.kind": "quadratic", "quadratic.k": "4",
+         "iters": "40", "eta": "0.05", "beta": "0.01", "seed": "2", "log.verbosity": "0"}
+
+TRIAD_METHODS = {
+    "SELECTIVE": {},
+    "JOINT": {},
+    "SEPARATE": {},
+    "FIXED": {"fixed.partition": "1,2|3"},
+    "RANDOM": {"random.groups": "2"},
+    "SINGLE": {},
+}
+QUAD4_METHODS = {
+    "SELECTIVE": {},
+    "JOINT": {},
+    "SEPARATE": {},
+    "FIXED": {"fixed.partition": "1,4|2|3"},
+    "RANDOM": {"random.groups": "2"},
+}
+
+
+def _cases() -> dict[str, dict[str, str]]:
+    cases = {}
+    for method, extra in TRIAD_METHODS.items():
+        cases[f"triad-{method}"] = dict(TRIAD, method=method, **extra)
+        cases[f"triad-adam-forward-{method}"] = dict(TRIAD, method=method, optimizer="adam",
+                                                     order="FORWARD", **extra)
+    for method, extra in QUAD4_METHODS.items():
+        cases[f"quad4-{method}"] = dict(QUAD4, method=method, **extra)
+    cases["triad-JOINT-tracked"] = dict(TRIAD, method="JOINT", **{"track.affinity": "true"})
+    cases["triad-SELECTIVE-untracked"] = dict(TRIAD, method="SELECTIVE",
+                                              **{"track.affinity": "false"})
+    cases["quad4-SELECTIVE-stride3-cliques-backward"] = dict(
+        QUAD4, method="SELECTIVE", order="BACKWARD",
+        **{"repartition.stride": "3", "grouping.rule": "cliques"})
+    no_preset = {k: v for k, v in TRIAD.items() if k != "regression.preset"}
+    cases["triad-no-preset-SELECTIVE"] = dict(no_preset, method="SELECTIVE")
+    return cases
+
+
+CASES = _cases()
+
+
+def rundir_digests(config: dict[str, str], workdir) -> dict[str, str]:
+    """Run one config through the CLI and hash its byte-compared files."""
+    cfg = os.path.join(workdir, "run.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in config.items()))
+    out = os.path.join(workdir, "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    digests = {}
+    for name in PINNED_FILES:
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def _pinned() -> dict[str, dict[str, str]]:
+    path = os.path.join(os.path.dirname(__file__), "pinned_rundirs.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_pins_cover_every_case():
+    assert sorted(_pinned()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rundir_bytes_match_pins(case, tmp_path):
+    assert rundir_digests(CASES[case], str(tmp_path)) == _pinned()[case]
