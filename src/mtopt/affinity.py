@@ -42,22 +42,19 @@ class Measurement:
 
 @dataclass
 class AffinityTracker:
-    """Instant and decay-averaged affinity for all ordered task pairs.
+    """Decay-averaged affinity for all ordered task pairs.
 
-    Matrices are (k, k), 0-indexed by task id - 1; diagonals are never read.
+    The matrix is (k, k), 0-indexed by task id - 1; the diagonal is never read.
     ``decayed`` starts at zero, which the partition rule treats as "separate".
     """
 
     k: int
     beta: float
-    instant: np.ndarray = field(init=False)
     decayed: np.ndarray = field(init=False)
-    last_update: dict[tuple[int, int], str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
             raise AffinityError(f"decay rate must be in (0,1), got {self.beta}")
-        self.instant = np.zeros((self.k, self.k))
         self.decayed = np.zeros((self.k, self.k))
 
     def decayed_pair(self, source: int, target: int) -> float:
@@ -121,7 +118,7 @@ def instant_intra_group(before: dict[int, float], after: dict[int, float],
 
 
 def decay_update(tracker: AffinityTracker, measurements: list[Measurement],
-                 verdicts: dict[frozenset, str], step_label: str) -> list[tuple]:
+                 verdicts: dict[frozenset, str]) -> list[tuple]:
     """Fold measurements into the tracker.
 
     Inter-group pairs and intra pairs judged POSITIVE take the standard
@@ -147,8 +144,6 @@ def decay_update(tracker: AffinityTracker, measurements: list[Measurement],
             tracker.decayed[s, t] = (1.0 - beta) * tracker.decayed[s, t] - beta * mag
         else:
             tracker.decayed[s, t] = (1.0 - beta) * tracker.decayed[s, t] + beta * m.value
-        tracker.instant[s, t] = m.value
-        tracker.last_update[(m.source, m.target)] = step_label
         rows.append((m.source, m.target, m.value, float(tracker.decayed[s, t]), verdict, False))
     return rows
 

@@ -162,7 +162,7 @@ class RegressionSuiteSpec:
     conflict: float = 1.0
     conflict_scale: float = 4.0
     nuisance: float = 0.8
-    noise: float = 0.05
+    noise: float = 0.1
     n_train: int = 512
     n_eval: int = 256
     seed: int = 0
@@ -237,11 +237,9 @@ def gen_regression_suite(spec: RegressionSuiteSpec) -> tuple[TabularDataset, Tas
 
 
 def triad_spec(seed: int = 0, **overrides) -> RegressionSuiteSpec:
-    """Preset: two aligned tasks plus one conflicting, amplitude-heavy task."""
-    base = dict(k=3, input_dim=8, hidden=8, conflict=1.0, conflict_scale=4.0,
-                nuisance=0.8, noise=0.1, n_train=512, n_eval=256, seed=seed)
-    base.update(overrides)
-    return RegressionSuiteSpec(**base)
+    """Preset: two aligned tasks plus one conflicting, amplitude-heavy task
+    (the spec defaults)."""
+    return RegressionSuiteSpec(seed=seed, **overrides)
 
 
 # -- CSV ingestion ------------------------------------------------------------

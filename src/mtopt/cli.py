@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .analysis import (SUITE_IDS, SUITE_TITLES, delta_m_from_losses,
                        run_property_suite)
-from .config import ConfigError, echo_dict, load_config, parse_kv_text, validate_config
+from .config import ConfigError, echo_dict, parse_kv_text, validate_config
 from .experiments import run_experiment
 from .optim import NumericAbort
 from .runio import (INDEX_HEADER, INDEX_SCHEMA, fmt, read_group_series,
@@ -78,11 +78,11 @@ def cmd_run(args) -> int:
         return _fail(str(e), EXIT_USAGE)
     try:
         result = run_experiment(cfg)
+        paths = write_run(args.out, result, echo_dict(cfg))
     except NumericAbort as e:
         return _fail(f"numeric failure: {e}", EXIT_NUMERIC)
-    except ConfigError as e:
+    except (OSError, ConfigError) as e:
         return _fail(str(e), EXIT_USAGE)
-    paths = write_run(args.out, result, echo_dict(cfg))
     if cfg.verbosity:
         losses = " ".join(f"{t}={fmt(v)}" for t, v in sorted(result.eval_losses.items()))
         print(f"run {cfg.method} seed={cfg.seed}: eval losses {losses}")
@@ -106,7 +106,7 @@ def _run_cell(base_raw: dict, overrides: dict, outdir: str) -> tuple[str, str]:
         return name, "ok"
     except NumericAbort as e:
         return name, f"numeric:{e.iteration}"
-    except (ConfigError, ValueError) as e:
+    except (OSError, ValueError) as e:
         return name, f"error:{e}"
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .benchmarks import QuadraticSpec, RegressionSuiteSpec
 from .grouping import GroupPartition, parse_groups
 from .optim import (METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM, METHOD_SELECTIVE,
                     METHOD_SEPARATE)
@@ -21,49 +22,6 @@ ALL_METHODS = (METHOD_SELECTIVE, METHOD_JOINT, METHOD_SEPARATE, METHOD_FIXED,
 
 class ConfigError(ValueError):
     pass
-
-
-KNOWN_KEYS = {
-    "method": "optimization method: " + "|".join(ALL_METHODS),
-    "order": "group update order: RANDOM|FORWARD|BACKWARD",
-    "eta": "learning rate (> 0)",
-    "beta": "affinity decay rate in (0,1)",
-    "iters": "training iterations (>= 1)",
-    "optimizer": "sgd|adam",
-    "seed": "base random seed (int)",
-    "weights": "comma-separated task loss weights",
-    "fixed.partition": "partition for FIXED, e.g. 1,2|3",
-    "random.groups": "group count for RANDOM",
-    "repartition.stride": "iterations between repartitions (>= 1)",
-    "grouping.rule": "components|cliques",
-    "track.affinity": "true|false, force affinity tracking on/off",
-    "benchmark.kind": "quadratic|regression|csv",
-    "quadratic.k": "task count",
-    "quadratic.shared_dim": "shared parameter dimension",
-    "quadratic.task_dim": "per-task parameter dimension",
-    "quadratic.rows": "residual rows",
-    "quadratic.rho": "pairwise target alignment in [-1,1]",
-    "quadratic.seed": "generator seed (defaults to seed)",
-    "regression.preset": "named preset: triad",
-    "regression.k": "task count",
-    "regression.input_dim": "input dimension",
-    "regression.hidden": "ground-truth latent width",
-    "regression.conflict": "conflict knob in [0,1]",
-    "regression.conflict_scale": "conflict task target amplitude (> 0)",
-    "regression.nuisance": "opposed nuisance amplitude in the aligned cluster",
-    "regression.noise": "target noise level",
-    "regression.train": "training sample count",
-    "regression.eval": "evaluation sample count",
-    "regression.seed": "generator seed (defaults to seed)",
-    "csv.path": "dataset file",
-    "csv.inputs": "comma-separated input columns",
-    "model.width": "trunk width",
-    "model.depth": "trunk depth",
-    "model.activation": "tanh|relu",
-    "batch.size": "minibatch size",
-    "log.verbosity": "0 (quiet) or 1",
-}
-# csv.targets.<task id> carries that task's target columns; validated separately.
 
 
 @dataclass
@@ -135,6 +93,94 @@ def _bool(text: str) -> bool:
     raise ValueError(text)
 
 
+# key: (ExperimentConfig attribute, parser, check, description);
+# the defaults are the ExperimentConfig field defaults
+SCALAR_KEYS = {
+    "method": ("method", str, lambda v: v in ALL_METHODS,
+               "optimization method: " + "|".join(ALL_METHODS)),
+    "order": ("order", str, lambda v: v in ("RANDOM", "FORWARD", "BACKWARD"),
+              "group update order: RANDOM|FORWARD|BACKWARD"),
+    "eta": ("eta", float, lambda v: v > 0, "learning rate (> 0)"),
+    "beta": ("beta", float, lambda v: 0 < v < 1, "affinity decay rate in (0,1)"),
+    "iters": ("iters", int, lambda v: v >= 1, "training iterations (>= 1)"),
+    "optimizer": ("optimizer", str, lambda v: v in ("sgd", "adam"), "sgd|adam"),
+    "seed": ("seed", int, None, "base random seed (int)"),
+    "random.groups": ("random_groups", int, lambda v: v >= 1, "group count for RANDOM"),
+    "repartition.stride": ("repartition_stride", int, lambda v: v >= 1,
+                           "iterations between repartitions (>= 1)"),
+    "grouping.rule": ("grouping_rule", str, lambda v: v in ("components", "cliques"),
+                      "components|cliques"),
+    "track.affinity": ("track_affinity", _bool, None, "true|false, force affinity tracking on/off"),
+    "benchmark.kind": ("benchmark_kind", str, lambda v: v in ("quadratic", "regression", "csv"),
+                       "quadratic|regression|csv"),
+    "model.width": ("model_width", int, lambda v: v >= 1, "trunk width"),
+    "model.depth": ("model_depth", int, lambda v: v >= 1, "trunk depth"),
+    "model.activation": ("model_activation", str, lambda v: v in ("tanh", "relu"), "tanh|relu"),
+    "batch.size": ("batch_size", int, lambda v: v >= 1, "minibatch size"),
+    "log.verbosity": ("verbosity", int, lambda v: v in (0, 1), "0 (quiet) or 1"),
+}
+# section: (generator spec, {key: (spec field, parser, check, description)});
+# the defaults are the spec defaults
+SECTIONS = {
+    "quadratic": (QuadraticSpec, {
+        "k": ("k", int, lambda v: v >= 2, "task count"),
+        "shared_dim": ("shared_dim", int, lambda v: v >= 1, "shared parameter dimension"),
+        "task_dim": ("task_dim", int, lambda v: v >= 0, "per-task parameter dimension"),
+        "rows": ("rows", int, lambda v: v >= 1, "residual rows"),
+        "rho": ("rho", float, lambda v: -1 <= v <= 1, "pairwise target alignment in [-1,1]"),
+    }),
+    "regression": (RegressionSuiteSpec, {
+        "k": ("k", int, lambda v: v >= 2, "task count"),
+        "input_dim": ("input_dim", int, lambda v: v >= 1, "input dimension"),
+        "hidden": ("hidden", int, lambda v: v >= 1, "ground-truth latent width"),
+        "conflict": ("conflict", float, lambda v: 0 <= v <= 1, "conflict knob in [0,1]"),
+        "conflict_scale": ("conflict_scale", float, lambda v: v > 0,
+                           "conflict task target amplitude (> 0)"),
+        "nuisance": ("nuisance", float, lambda v: v >= 0,
+                     "opposed nuisance amplitude in the aligned cluster"),
+        "noise": ("noise", float, lambda v: v >= 0, "target noise level"),
+        "train": ("n_train", int, lambda v: v >= 1, "training sample count"),
+        "eval": ("n_eval", int, lambda v: v >= 1, "evaluation sample count"),
+    }),
+}
+KNOWN_KEYS = {
+    **{key: entry[-1] for key, entry in SCALAR_KEYS.items()},
+    **{f"{name}.{key}": entry[-1]
+       for name, (_, keys) in SECTIONS.items() for key, entry in keys.items()},
+    "weights": "comma-separated task loss weights",
+    "fixed.partition": "partition for FIXED, e.g. 1,2|3",
+    "quadratic.seed": "generator seed (defaults to seed)",
+    "regression.seed": "generator seed (defaults to seed)",
+    "regression.preset": "named preset: triad (the regression defaults)",
+    "csv.path": "dataset file",
+    "csv.inputs": "comma-separated input columns",
+}
+# csv.targets.<task id> carries that task's target columns; validated separately.
+
+
+def _section(raw, name: str) -> dict:
+    spec_type, keys = SECTIONS[name]
+    defaults = spec_type()
+    out = {key: _want(raw, f"{name}.{key}", conv, getattr(defaults, attr), check, describe)
+           for key, (attr, conv, check, describe) in keys.items()}
+    out["seed"] = _want(raw, f"{name}.seed", int, None)
+    return out
+
+
+def generator_spec(cfg: ExperimentConfig) -> QuadraticSpec | RegressionSuiteSpec:
+    """The generator spec of a quadratic or regression benchmark."""
+    spec_type, keys = SECTIONS[cfg.benchmark_kind]
+    section = getattr(cfg, cfg.benchmark_kind)
+    seed = cfg.seed if section["seed"] is None else section["seed"]
+    return spec_type(seed=seed, **{entry[0]: section[key] for key, entry in keys.items()})
+
+
+def task_count(cfg: ExperimentConfig) -> int:
+    if cfg.benchmark_kind == "csv":
+        return len(cfg.csv_targets)
+    return getattr(cfg, cfg.benchmark_kind)["k"]
+
+
 def validate_config(raw: dict[str, str]) -> ExperimentConfig:
     for key in raw:
         if key in KNOWN_KEYS or key.startswith("csv.targets."):
@@ -142,16 +188,8 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"unknown config key '{key}'")
 
     cfg = ExperimentConfig(raw=dict(raw))
-    cfg.method = _want(raw, "method", str, cfg.method,
-                       lambda v: v in ALL_METHODS, KNOWN_KEYS["method"])
-    cfg.order = _want(raw, "order", str, cfg.order,
-                      lambda v: v in ("RANDOM", "FORWARD", "BACKWARD"), KNOWN_KEYS["order"])
-    cfg.eta = _want(raw, "eta", float, cfg.eta, lambda v: v > 0, KNOWN_KEYS["eta"])
-    cfg.beta = _want(raw, "beta", float, cfg.beta, lambda v: 0 < v < 1, KNOWN_KEYS["beta"])
-    cfg.iters = _want(raw, "iters", int, cfg.iters, lambda v: v >= 1, KNOWN_KEYS["iters"])
-    cfg.optimizer = _want(raw, "optimizer", str, cfg.optimizer,
-                          lambda v: v in ("sgd", "adam"), KNOWN_KEYS["optimizer"])
-    cfg.seed = _want(raw, "seed", int, cfg.seed, describe=KNOWN_KEYS["seed"])
+    for key, (attr, conv, check, describe) in SCALAR_KEYS.items():
+        setattr(cfg, attr, _want(raw, key, conv, getattr(cfg, attr), check, describe))
     if "weights" in raw:
         try:
             values = [float(x) for x in raw["weights"].split(",")]
@@ -165,50 +203,21 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
             cfg.fixed_partition = parse_groups(raw["fixed.partition"])
         except ValueError as e:
             raise ConfigError(f"field 'fixed.partition': {e}") from None
-    cfg.random_groups = _want(raw, "random.groups", int, None, lambda v: v >= 1,
-                              KNOWN_KEYS["random.groups"])
-    cfg.repartition_stride = _want(raw, "repartition.stride", int, 1, lambda v: v >= 1,
-                                   KNOWN_KEYS["repartition.stride"])
-    cfg.grouping_rule = _want(raw, "grouping.rule", str, "components",
-                              lambda v: v in ("components", "cliques"),
-                              KNOWN_KEYS["grouping.rule"])
-    cfg.track_affinity = _want(raw, "track.affinity", _bool, None, describe="true|false")
-    cfg.benchmark_kind = _want(raw, "benchmark.kind", str, cfg.benchmark_kind,
-                               lambda v: v in ("quadratic", "regression", "csv"),
-                               KNOWN_KEYS["benchmark.kind"])
     if cfg.method == METHOD_FIXED and cfg.fixed_partition is None:
         raise ConfigError("field 'fixed.partition': required for method FIXED")
     if cfg.method == METHOD_RANDOM and cfg.random_groups is None:
         raise ConfigError("field 'random.groups': required for method RANDOM")
 
-    cfg.quadratic = {
-        "k": _want(raw, "quadratic.k", int, 2, lambda v: v >= 2, "task count"),
-        "shared_dim": _want(raw, "quadratic.shared_dim", int, 6, lambda v: v >= 1, ""),
-        "task_dim": _want(raw, "quadratic.task_dim", int, 2, lambda v: v >= 0, ""),
-        "rows": _want(raw, "quadratic.rows", int, 8, lambda v: v >= 1, ""),
-        "rho": _want(raw, "quadratic.rho", float, None, lambda v: -1 <= v <= 1, ""),
-        "seed": _want(raw, "quadratic.seed", int, None),
-    }
-    cfg.regression = {
-        "preset": _want(raw, "regression.preset", str, None, lambda v: v == "triad",
-                        KNOWN_KEYS["regression.preset"]),
-        "k": _want(raw, "regression.k", int, 3, lambda v: v >= 2, ""),
-        "input_dim": _want(raw, "regression.input_dim", int, 8, lambda v: v >= 1, ""),
-        "hidden": _want(raw, "regression.hidden", int, 8, lambda v: v >= 1, ""),
-        "conflict": _want(raw, "regression.conflict", float, 1.0, lambda v: 0 <= v <= 1, ""),
-        "conflict_scale": _want(raw, "regression.conflict_scale", float, 4.0, lambda v: v > 0, ""),
-        "nuisance": _want(raw, "regression.nuisance", float, 0.8, lambda v: v >= 0, ""),
-        "noise": _want(raw, "regression.noise", float, 0.1, lambda v: v >= 0, ""),
-        "train": _want(raw, "regression.train", int, 512, lambda v: v >= 1, ""),
-        "eval": _want(raw, "regression.eval", int, 256, lambda v: v >= 1, ""),
-        "seed": _want(raw, "regression.seed", int, None),
-    }
-    cfg.model_width = _want(raw, "model.width", int, 16, lambda v: v >= 1, "")
-    cfg.model_depth = _want(raw, "model.depth", int, 2, lambda v: v >= 1, "")
-    cfg.model_activation = _want(raw, "model.activation", str, "tanh",
-                                 lambda v: v in ("tanh", "relu"), "")
-    cfg.batch_size = _want(raw, "batch.size", int, 32, lambda v: v >= 1, "")
-    cfg.verbosity = _want(raw, "log.verbosity", int, 1, lambda v: v in (0, 1), "")
+    cfg.quadratic = _section(raw, "quadratic")
+    cfg.regression = _section(raw, "regression")
+    cfg.regression["preset"] = _want(raw, "regression.preset", str, None, lambda v: v == "triad",
+                                     KNOWN_KEYS["regression.preset"])
+    if cfg.regression["preset"]:
+        # the triad preset is the spec defaults; only the seed may vary
+        for key in sorted(raw):
+            if key.startswith("regression.") and key not in ("regression.preset",
+                                                             "regression.seed"):
+                raise ConfigError(f"field '{key}': not allowed with regression.preset")
 
     cfg.csv_path = raw.get("csv.path")
     if "csv.inputs" in raw:
@@ -231,16 +240,18 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
         ids = sorted(cfg.csv_targets)
         if ids != list(range(1, len(ids) + 1)):
             raise ConfigError(f"field 'csv.targets': task ids must be contiguous from 1, got {ids}")
+
+    k = task_count(cfg)
+    if cfg.weights is not None and len(cfg.weights) != k:
+        raise ConfigError(f"field 'weights': {len(cfg.weights)} weights for {k} tasks")
+    if cfg.fixed_partition is not None and cfg.fixed_partition.k != k:
+        raise ConfigError(f"field 'fixed.partition': covers {cfg.fixed_partition.k} tasks, "
+                          f"the benchmark has {k}")
+    if cfg.random_groups is not None and cfg.random_groups > k:
+        raise ConfigError(f"field 'random.groups': {cfg.random_groups} groups for {k} tasks")
+    if cfg.method == METHOD_SINGLE and cfg.benchmark_kind == "quadratic":
+        raise ConfigError("method SINGLE needs a data benchmark (regression or csv)")
     return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    return validate_config(parse_kv_text(text))
 
 
 def echo_dict(cfg: ExperimentConfig) -> dict:

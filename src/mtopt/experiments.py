@@ -8,12 +8,10 @@ training that task alone.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .benchmarks import (QuadraticSpec, RegressionSuiteSpec, gen_quadratic_suite,
-                         gen_regression_suite, load_csv_dataset, triad_spec)
-from .config import METHOD_SINGLE, ConfigError, ExperimentConfig
+from .benchmarks import BenchmarkError, gen_quadratic_suite, gen_regression_suite, load_csv_dataset
+from .config import METHOD_SINGLE, ConfigError, ExperimentConfig, generator_spec, task_count
 from .models import Batch, build_shared_trunk
 from .optim import METHOD_JOINT, RunLog, TrainConfig, train
 
@@ -26,44 +24,27 @@ class RunResult:
     logs: dict[str, RunLog]
     final_losses: dict[int, float]
     eval_losses: dict[int, float]
-    config_echo: dict | None = None
-
-    @property
-    def main_log(self) -> RunLog:
-        return next(iter(self.logs.values()))
 
 
-def _quadratic_setup(cfg: ExperimentConfig):
-    q = cfg.quadratic
-    spec = QuadraticSpec(k=q["k"], shared_dim=q["shared_dim"], task_dim=q["task_dim"],
-                         rows=q["rows"], rho=q["rho"],
-                         seed=cfg.seed if q["seed"] is None else q["seed"])
-    model, batch = gen_quadratic_suite(spec)
+def _setup(cfg: ExperimentConfig):
+    """(model factory, batch-stream factory, eval batch); the data-free
+    quadratic benchmark has no eval batch."""
+    if cfg.benchmark_kind == "quadratic":
+        spec = generator_spec(cfg)
 
-    def batches(iters):
-        for it in range(1, iters + 1):
-            yield Batch(inputs=None, targets={}, sample_id=it)
+        def batches(iters):
+            for it in range(1, iters + 1):
+                yield Batch(inputs=None, targets={}, sample_id=it)
 
-    return model, batches, None
+        return (lambda: gen_quadratic_suite(spec)[0]), batches, None
 
-
-def _tabular_setup(cfg: ExperimentConfig):
     if cfg.benchmark_kind == "regression":
-        r = cfg.regression
-        seed = cfg.seed if r["seed"] is None else r["seed"]
-        if r["preset"] == "triad":
-            spec = triad_spec(seed=seed)
-        else:
-            spec = RegressionSuiteSpec(k=r["k"], input_dim=r["input_dim"], hidden=r["hidden"],
-                                       conflict=r["conflict"], conflict_scale=r["conflict_scale"],
-                                       nuisance=r["nuisance"], noise=r["noise"],
-                                       n_train=r["train"], n_eval=r["eval"], seed=seed)
-        dataset, suite = gen_regression_suite(spec)
+        dataset, suite = gen_regression_suite(generator_spec(cfg))
     else:
-        dataset, suite = load_csv_dataset(cfg.csv_path, cfg.csv_inputs, cfg.csv_targets)
-    if cfg.weights:
-        if sorted(cfg.weights) != list(suite.ids):
-            raise ConfigError(f"field 'weights': {len(cfg.weights)} weights for {suite.k} tasks")
+        try:
+            dataset, suite = load_csv_dataset(cfg.csv_path, cfg.csv_inputs, cfg.csv_targets)
+        except (OSError, BenchmarkError) as e:
+            raise ConfigError(f"field 'csv.path': {e}") from None
 
     def make_model():
         return build_shared_trunk(cfg.model_width, cfg.model_depth, suite,
@@ -75,51 +56,35 @@ def _tabular_setup(cfg: ExperimentConfig):
     def batches(iters):
         return dataset.stream(cfg.batch_size, iters, cfg.seed)
 
-    return make_model, batches, dataset
+    return make_model, batches, dataset.eval_batch()
 
 
-def _train_config(cfg: ExperimentConfig, method: str | None = None,
-                  weights: dict[int, float] | None = None) -> TrainConfig:
-    return TrainConfig(method=method or cfg.method, eta=cfg.eta, beta=cfg.beta,
-                       iters=cfg.iters, optimizer=cfg.optimizer, seed=cfg.seed,
-                       order_mode=cfg.order, weights=weights if weights is not None else cfg.weights,
-                       fixed_partition=cfg.fixed_partition, random_groups=cfg.random_groups,
-                       repartition_stride=cfg.repartition_stride,
-                       grouping_rule=cfg.grouping_rule, track_affinity=cfg.track_affinity)
+def _train(cfg: ExperimentConfig, setup, method: str, weights) -> RunLog:
+    make_model, batches, eval_batch = setup
+    model = make_model()
+    tc = TrainConfig(method=method, eta=cfg.eta, beta=cfg.beta, iters=cfg.iters,
+                     optimizer=cfg.optimizer, seed=cfg.seed, order_mode=cfg.order,
+                     weights=weights, fixed_partition=cfg.fixed_partition,
+                     random_groups=cfg.random_groups,
+                     repartition_stride=cfg.repartition_stride,
+                     grouping_rule=cfg.grouping_rule, track_affinity=cfg.track_affinity)
+    log = train(model, batches(cfg.iters), tc)
+    log.eval_losses = (dict(log.final_losses) if eval_batch is None
+                       else model.forward_all(eval_batch))
+    return log
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    if cfg.benchmark_kind == "quadratic":
-        if cfg.method == METHOD_SINGLE:
-            raise ConfigError("method SINGLE needs a data benchmark (regression or csv)")
-        model, batches, _ = _quadratic_setup(cfg)
-        tc = _train_config(cfg)
-        log = train(model, batches(cfg.iters), tc)
-        log.eval_losses = dict(log.final_losses)
-        return RunResult(cfg.method, cfg.seed, model.suite.k, {"main": log},
+    setup = _setup(cfg)
+    k = task_count(cfg)
+    if cfg.method != METHOD_SINGLE:
+        log = _train(cfg, setup, cfg.method, cfg.weights)
+        return RunResult(cfg.method, cfg.seed, k, {"main": log},
                          log.final_losses, log.eval_losses)
-
-    make_model, batches, dataset = _tabular_setup(cfg)
-    if cfg.method == METHOD_SINGLE:
-        logs: dict[str, RunLog] = {}
-        eval_losses: dict[int, float] = {}
-        final_losses: dict[int, float] = {}
-        probe = make_model()
-        for tid in probe.suite.ids:
-            model = make_model()
-            mask = {t: (1.0 if t == tid else 0.0) for t in model.suite.ids}
-            tc = _train_config(cfg, method=METHOD_JOINT, weights=mask)
-            log = train(model, batches(cfg.iters), tc)
-            log.eval_losses = model.forward_all(dataset.eval_batch())
-            logs[f"task{tid}"] = log
-            eval_losses[tid] = log.eval_losses[tid]
-            final_losses[tid] = log.final_losses[tid]
-        return RunResult(METHOD_SINGLE, cfg.seed, probe.suite.k, logs,
-                         final_losses, eval_losses)
-
-    model = make_model()
-    tc = _train_config(cfg)
-    log = train(model, batches(cfg.iters), tc)
-    log.eval_losses = model.forward_all(dataset.eval_batch())
-    return RunResult(cfg.method, cfg.seed, model.suite.k, {"main": log},
-                     log.final_losses, log.eval_losses)
+    logs = {tid: _train(cfg, setup, METHOD_JOINT,
+                        {t: (1.0 if t == tid else 0.0) for t in range(1, k + 1)})
+            for tid in range(1, k + 1)}
+    return RunResult(METHOD_SINGLE, cfg.seed, k,
+                     {f"task{tid}": log for tid, log in logs.items()},
+                     {tid: log.final_losses[tid] for tid, log in logs.items()},
+                     {tid: log.eval_losses[tid] for tid, log in logs.items()})

@@ -30,7 +30,6 @@ class TaskDef:
     tid: int
     loss_kind: str = "squared_error"  # squared_error | softmax_xent | quadratic
     weight: float = 1.0
-    lower_is_better: bool = True
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,6 @@ class MLPModel:
         self.in_dim = in_dim
         self.out_dims = out_dims
         self._forward_version: int | None = None
-        self._forward_sample: int | None = None
 
     def _bindings(self, batch: Batch) -> dict[str, np.ndarray]:
         b = dict(self.partition.all_blocks())
@@ -181,7 +179,6 @@ class MLPModel:
         except NonFiniteValue as e:
             raise NonFiniteValue(f"forward on batch {batch.sample_id}: {e}") from e
         self._forward_version = self.partition.version
-        self._forward_sample = batch.sample_id
         losses = {}
         for tid, nid in self.loss_nodes.items():
             val = float(outs[nid])
@@ -258,11 +255,9 @@ class QuadraticModel:
     """Tasks L_i = 0.5*||A_i s + C_i t_i - b_i||^2 with closed-form gradients.
 
     Data-free: the batch argument is accepted for interface compatibility and
-    ignored. ``analytic`` is True; the tape route is available through
-    :meth:`tape_graph` for cross-checking gradients.
+    ignored. The tape route is available through :meth:`tape_graph` for
+    cross-checking gradients.
     """
-
-    analytic = True
 
     def __init__(self, suite: TaskSuite, a: dict[int, np.ndarray], c: dict[int, np.ndarray],
                  b: dict[int, np.ndarray], shared_init: np.ndarray | None = None,

@@ -1,11 +1,13 @@
-"""Training steps: selective group updates, joint and separate baselines.
+"""Training: every method is one loop of per-group sequential sub-steps.
 
 One batch is processed as a sequence of per-group sub-steps. Each sub-step
 backpropagates the weighted loss sum of one group, steps exactly the shared
 blocks plus that group's task blocks, re-forwards, and feeds the loss ratios
-into the affinity tracker. The partition is re-derived from the tracked
-affinity after the batch. Joint descent is the degenerate single-group case
-without the trailing forward.
+into the affinity tracker. The methods differ only in their partition
+schedule: SELECTIVE re-derives the partition from the tracked affinity after
+the batch, SEPARATE keeps singletons, FIXED keeps a given partition, RANDOM
+draws a new one per batch, and JOINT keeps one group of all tasks and skips
+the trailing forward, so it neither measures nor tracks affinity.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import numpy as np
 
 from .affinity import (AffinityTracker, decay_update, instant_inter_group,
                        instant_intra_group)
-from .grouping import (GroupPartition, ORDER_FORWARD, ORDER_RANDOM, everything,
-                       make_partition, partition_tasks, serialize_partition,
-                       shuffle_order, singletons)
+from .grouping import (GroupPartition, ORDER_RANDOM, everything, make_partition,
+                       partition_tasks, serialize_partition, shuffle_order, singletons)
 from .models import Batch, ParamPartition
 from .tensor import NonFiniteValue
 
@@ -27,8 +28,6 @@ METHOD_JOINT = "JOINT"
 METHOD_SEPARATE = "SEPARATE"
 METHOD_FIXED = "FIXED"
 METHOD_RANDOM = "RANDOM"
-
-GROUPED_METHODS = (METHOD_SELECTIVE, METHOD_SEPARATE, METHOD_FIXED, METHOD_RANDOM)
 
 
 class TrainError(ValueError):
@@ -68,7 +67,8 @@ class TrainConfig:
             raise TrainError(f"beta must be in (0,1), got {self.beta}")
         if self.iters < 1:
             raise TrainError(f"iters must be >= 1, got {self.iters}")
-        if self.method not in (METHOD_JOINT,) + GROUPED_METHODS:
+        if self.method not in (METHOD_SELECTIVE, METHOD_JOINT, METHOD_SEPARATE, METHOD_FIXED,
+                               METHOD_RANDOM):
             raise TrainError(f"unknown method '{self.method}'")
         if self.method == METHOD_FIXED and self.fixed_partition is None:
             raise TrainError("FIXED method needs a partition")
@@ -182,7 +182,6 @@ class RunLog:
     partition_rows: list[tuple] = field(default_factory=list)  # (iter, serialized, m)
     final_losses: dict[int, float] = field(default_factory=dict)
     eval_losses: dict[int, float] | None = None
-    config_echo: dict | None = None
 
 
 def _grad_norms(model, group, grads) -> tuple[float, dict[int, float]]:
@@ -207,8 +206,11 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                          order_rng: np.random.Generator,
                          log: RunLog | None = None) -> tuple[StepReport, GroupPartition]:
     """One batch of per-group sequential sub-steps; returns the report and
-    the partition to use next (re-derived from the tracker when due)."""
+    the partition to use next (re-derived from the tracker when due).
+
+    JOINT skips the trailing forward, so it measures no affinity."""
     weights = config.weights or model.suite.weights()
+    joint = config.method == METHOD_JOINT
     part = shuffle_order(partition, order_rng, config.order_mode)
     losses0 = model.forward_all(batch)
     forwards, backwards, opt_steps = 1, 0, 0
@@ -220,15 +222,16 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
         backwards += 1
         optimizer.apply(model.partition, grads, config.eta)
         opt_steps += 1
-        after = model.forward_all(batch)
-        forwards += 1
+        after = None
+        if not joint:
+            after = model.forward_all(batch)
+            forwards += 1
         norm_shared, norm_task = _grad_norms(model, group, grads)
-        if tracker is not None:
+        if tracker is not None and after is not None:
             outside = [j for j in all_ids if j not in group]
             inter = instant_inter_group(current, after, group, outside)
             intra, verdicts = instant_intra_group(current, after, group)
-            label = f"{iteration}:{idx}/{part.m}"
-            rows = decay_update(tracker, inter + intra, verdicts, label)
+            rows = decay_update(tracker, inter + intra, verdicts)
             if log is not None:
                 log.affinity_rows.extend((iteration, idx) + row for row in rows)
         substeps.append(SubstepRecord(group, after, norm_shared, norm_task))
@@ -246,26 +249,9 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
 def joint_step(model, batch: Batch, config: TrainConfig, optimizer,
                iteration: int) -> StepReport:
     """All tasks in one backward and one optimizer step; no trailing forward."""
-    weights = config.weights or model.suite.weights()
-    part = everything(model.suite.k)
-    losses0 = model.forward_all(batch)
-    group = part.groups[0]
-    grads = model.backward_group(group, weights)
-    optimizer.apply(model.partition, grads, config.eta)
-    norm_shared, norm_task = _grad_norms(model, group, grads)
-    report = StepReport(iteration, METHOD_JOINT, part, losses0,
-                        [SubstepRecord(group, None, norm_shared, norm_task)], 1, 1, 1)
-    report.check_counts()
-    return report
-
-
-def separate_step(model, batch: Batch, config: TrainConfig, optimizer,
-                  iteration: int, order_rng: np.random.Generator,
-                  tracker=None, log=None) -> StepReport:
-    part = singletons(model.suite.k)
-    report, _ = selective_group_step(model, batch, part, config, optimizer,
-                                     tracker, iteration, order_rng, log)
-    return report
+    return selective_group_step(model, batch, everything(model.suite.k),
+                                replace(config, method=METHOD_JOINT), optimizer, None,
+                                iteration, np.random.default_rng(0))[0]
 
 
 def _random_partition(k: int, m: int, rng: np.random.Generator) -> GroupPartition:
@@ -295,19 +281,10 @@ def train(model, batches, config: TrainConfig) -> RunLog:
     if track is None:
         track = config.method == METHOD_SELECTIVE
     tracker = AffinityTracker(k, config.beta) if track else None
-
-    if config.method == METHOD_SELECTIVE:
-        partition = singletons(k)
-    elif config.method == METHOD_SEPARATE:
-        partition = singletons(k)
-    elif config.method == METHOD_FIXED:
-        partition = config.fixed_partition
-        if partition.k != k:
-            raise TrainError(f"fixed partition covers {partition.k} tasks, model has {k}")
-    elif config.method == METHOD_RANDOM:
-        partition = None  # resampled per iteration
-    else:
-        partition = everything(k)
+    partition = {METHOD_JOINT: everything(k),
+                 METHOD_FIXED: config.fixed_partition}.get(config.method, singletons(k))
+    if partition.k != k:
+        raise TrainError(f"fixed partition covers {partition.k} tasks, model has {k}")
 
     iteration = 0
     last_batch = None
@@ -319,15 +296,10 @@ def train(model, batches, config: TrainConfig) -> RunLog:
             except StopIteration:
                 raise TrainError(f"batch stream ended at iteration {iteration} of {config.iters}")
             last_batch = batch
-            if config.method == METHOD_JOINT:
-                report = joint_step(model, batch, config, optimizer, iteration)
-            else:
-                if config.method == METHOD_RANDOM:
-                    partition = _random_partition(k, config.random_groups, order_rng)
-                report, nxt = selective_group_step(model, batch, partition, config, optimizer,
-                                                   tracker, iteration, order_rng, log)
-                if config.method == METHOD_SELECTIVE:
-                    partition = nxt
+            if config.method == METHOD_RANDOM:
+                partition = _random_partition(k, config.random_groups, order_rng)
+            report, partition = selective_group_step(model, batch, partition, config, optimizer,
+                                                     tracker, iteration, order_rng, log)
             log.steps.append(report)
             log.partition_rows.append((iteration, serialize_partition(report.partition),
                                        report.partition.m))

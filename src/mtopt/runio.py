@@ -48,7 +48,7 @@ def _steps_lines(log) -> list[str]:
     return lines
 
 
-def write_run(outdir, result: RunResult, config_echo: dict) -> dict[str, str]:
+def write_run(outdir, result: RunResult, echo: dict) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
     paths = {}
 
@@ -94,7 +94,7 @@ def write_run(outdir, result: RunResult, config_echo: dict) -> dict[str, str]:
 
     paths["config"] = os.path.join(outdir, "config.json")
     with open(paths["config"], "w", encoding="utf-8") as fh:
-        json.dump({"schema": "mtopt.config.v1", "config": config_echo}, fh,
+        json.dump({"schema": "mtopt.config.v1", "config": echo}, fh,
                   indent=1, sort_keys=True)
         fh.write("\n")
     return paths

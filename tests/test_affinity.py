@@ -54,7 +54,7 @@ def test_intra_singleton_emits_no_pairs():
 def test_decay_hand_values():
     tracker = AffinityTracker(2, beta=0.001)
     ms = instant_inter_group({2: 0.5}, {2: 0.25}, (1,), (2,))  # B = 0.5
-    decay_update(tracker, ms, {}, "t1")
+    decay_update(tracker, ms, {})
     assert tracker.decayed_pair(1, 2) == pytest.approx(0.0005)
 
 
@@ -66,7 +66,7 @@ def test_decay_conflict_hand_value():
     by = _rows(ms)
     assert by[(1, 2)].value == pytest.approx(0.3)
     assert by[(2, 1)].value == pytest.approx(-0.4)
-    rows = decay_update(tracker, ms, verdicts, "t1")
+    rows = decay_update(tracker, ms, verdicts)
     assert tracker.decayed_pair(1, 2) == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert tracker.decayed_pair(2, 1) == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert all(r[4] == CONFLICT for r in rows)
@@ -76,7 +76,7 @@ def test_skipped_pairs_keep_previous_value():
     tracker = AffinityTracker(2, beta=0.5)
     tracker.decayed[0, 1] = 0.3
     ms = instant_inter_group({2: 1e-16}, {2: 0.0}, (1,), (2,))
-    rows = decay_update(tracker, ms, {}, "t1")
+    rows = decay_update(tracker, ms, {})
     assert tracker.decayed_pair(1, 2) == 0.3
     assert rows[0][5] is True
 
@@ -87,7 +87,7 @@ def test_decay_matches_geometric_closed_form(beta, c, n):
     tracker = AffinityTracker(2, beta=beta)
     for step in range(n):
         ms = instant_inter_group({2: 1.0}, {2: 1.0 - c}, (1,), (2,))
-        decay_update(tracker, ms, {}, str(step))
+        decay_update(tracker, ms, {})
     expected = c * (1.0 - (1.0 - beta) ** n)
     assert tracker.decayed_pair(1, 2) == pytest.approx(expected, abs=1e-12)
 

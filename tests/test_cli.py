@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import mtopt
 from mtopt.cli import main
 
 TRIAD_CFG = """\
@@ -172,3 +175,103 @@ def test_single_method_produces_per_task_baselines(tmp_path):
     assert summary["method"] == "SINGLE"
     assert sorted(summary["runs"]) == ["task1", "task2", "task3"]
     assert sorted(summary["eval_losses"]) == ["1", "2", "3"]
+
+
+QUAD_CFG = """\
+benchmark.kind = quadratic
+iters = 5
+eta = 0.05
+"""
+
+
+def usage_error(tmp_path, capsys, text):
+    """Run a config that must fail validation: exit 2, one stderr line, no run directory."""
+    out = tmp_path / "x"
+    code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("mtopt: "), err
+    assert not out.exists()
+    return err[0]
+
+
+def test_too_few_quadratic_weights_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, QUAD_CFG + "quadratic.k = 3\nweights = 1,2\n")
+    assert "weights" in err
+
+
+def test_too_many_quadratic_weights_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, QUAD_CFG + "quadratic.k = 2\nweights = 1,2,3\n")
+    assert "weights" in err
+
+
+def test_fixed_partition_over_wrong_task_count_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, QUAD_CFG + "quadratic.k = 2\nmethod = FIXED\n"
+                      "fixed.partition = 1,2|3\n")
+    assert "fixed.partition" in err
+
+
+def test_more_random_groups_than_tasks_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, QUAD_CFG + "quadratic.k = 2\nmethod = RANDOM\n"
+                      "random.groups = 3\n")
+    assert "random.groups" in err
+
+
+def test_single_on_quadratic_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, QUAD_CFG + "method = SINGLE\n")
+    assert "SINGLE" in err
+
+
+def test_triad_preset_rejects_other_regression_keys(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, TRIAD_CFG + "regression.k = 5\n")
+    assert "regression.k" in err
+
+
+def test_sweep_rejects_bad_cell_before_any_cell_runs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUAD_CFG + "quadratic.k = 3\nsweep.weights = 1,2\n", "sweep.cfg")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "weights" in err[0]
+    assert not out.exists()
+
+
+def csv_cfg(tmp_path, body):
+    data = tmp_path / "data.csv"
+    if body is not None:
+        data.write_text(body)
+    return ("benchmark.kind = csv\n"
+            f"csv.path = {data}\n"
+            "csv.inputs = x\n"
+            "csv.targets.1 = y1\n"
+            "csv.targets.2 = y2\n"
+            "iters = 3\n")
+
+
+def test_missing_csv_file_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, csv_cfg(tmp_path, None))
+    assert "csv.path" in err and "data.csv" in err
+
+
+def test_non_numeric_csv_cell_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, csv_cfg(tmp_path, "x,y1,y2\n1,2,3\n4,abc,6\n"))
+    assert "not numeric" in err
+
+
+def test_sweep_records_missing_csv_as_cell_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, csv_cfg(tmp_path, None) + "sweep.seed = 1,2\n", "sweep.cfg")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    with open(out / "index.csv") as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 2 + 2
+    assert all(",error:" in line for line in lines[2:])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(mtopt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "mtopt", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "usage: mtopt" in done.stdout
