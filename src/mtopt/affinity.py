@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import Batch, ParamSnapshot, restore, snapshot
+from .models import Batch, restore, snapshot
 
 EPS_LOSS = 1e-12  # ratios are undefined at (near-)zero loss; such pairs are skipped
 

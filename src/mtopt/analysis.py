@@ -64,9 +64,9 @@ def delta_m_from_losses(losses: dict[int, float], baseline: dict[int, float]) ->
 
 
 def mean_group_count(log: RunLog) -> float:
-    if not log.partition_rows:
+    if not log.steps:
         raise AnalysisError("run log has no partition history")
-    return float(np.mean([row[2] for row in log.partition_rows]))
+    return float(np.mean([report.partition.m for report in log.steps]))
 
 
 def grouping_frequency(log: RunLog) -> np.ndarray:
@@ -81,9 +81,9 @@ def grouping_frequency(log: RunLog) -> np.ndarray:
     return counts / max(1, len(log.steps))
 
 
-def summarize_run(log: RunLog, baseline: RunLog | None = None) -> dict:
-    """Pure summary of one run log (plus delta_m when a baseline is given)."""
-    out: dict = {
+def summarize_run(log: RunLog) -> dict:
+    """Pure summary of one run log."""
+    return {
         "method": log.method,
         "seed": log.seed,
         "k": log.k,
@@ -99,11 +99,6 @@ def summarize_run(log: RunLog, baseline: RunLog | None = None) -> dict:
             "opt_steps": sum(s.opt_steps for s in log.steps),
         },
     }
-    if baseline is not None:
-        mine = log.eval_losses or log.final_losses
-        theirs = baseline.eval_losses or baseline.final_losses
-        out["delta_m_vs_baseline"] = delta_m_from_losses(mine, theirs)
-    return out
 
 
 # -- analytic property suites -------------------------------------------------

@@ -9,11 +9,11 @@ the regression family is the desk-scale stand-in for real task suites.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch, ModelError, QuadraticModel, TaskSuite, make_suite
+from .models import Batch, QuadraticModel, TaskSuite, make_suite
 
 
 class BenchmarkError(ValueError):
@@ -107,9 +107,8 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
     return model, Batch(inputs=None, targets={}, sample_id=0)
 
 
-def property_instance(k: int, seed: int, align: tuple[int, ...] | None = None,
-                      shared_dim: int = 6, task_dim: int = 2, rows: int = 8,
-                      ) -> tuple[QuadraticModel, Batch]:
+def property_instance(k: int, seed: int,
+                      align: tuple[int, ...] | None = None) -> tuple[QuadraticModel, Batch]:
     """Normalized quadratic instance for the analytic check suites.
 
     ``align`` gives required signs of each leading task's shared-gradient dot
@@ -117,9 +116,7 @@ def property_instance(k: int, seed: int, align: tuple[int, ...] | None = None,
     to enforce it, resampling the rare exactly-orthogonal draw.
     """
     for attempt in range(32):
-        spec = QuadraticSpec(k=k, shared_dim=shared_dim, task_dim=task_dim,
-                             rows=rows, seed=seed * 1000 + attempt)
-        model, batch = gen_quadratic_suite(spec)
+        model, batch = gen_quadratic_suite(QuadraticSpec(k=k, seed=seed * 1000 + attempt))
         model.forward_all(batch)
         grads = {tid: model.backward_group((tid,), model.suite.weights())["shared.theta"]
                  for tid in model.suite.ids}

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ from .config import ConfigError, echo_dict, parse_kv_text, validate_config
 from .experiments import run_experiment
 from .optim import NumericAbort
 from .runio import (INDEX_HEADER, INDEX_SCHEMA, fmt, read_group_series,
-                    read_summary, write_run)
+                    read_summary, write_json, write_lines, write_run)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -162,8 +161,7 @@ def cmd_sweep(args) -> int:
     results.sort()
     lines = [INDEX_SCHEMA, INDEX_HEADER]
     lines += [f'{name},{os.path.join(args.out, name)},{status}' for name, status in results]
-    with open(os.path.join(args.out, "index.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(os.path.join(args.out, "index.csv"), lines)
     bad = [r for r in results if r[1].startswith(("numeric", "error"))]
     for name, status in bad:
         print(f"mtopt: cell {name}: {status}", file=sys.stderr)
@@ -189,14 +187,11 @@ def cmd_verify(args) -> int:
         print(f"{s} [{SUITE_TITLES[s]}]: {status}, {rep.instances} instances, "
               f"max residual {rep.max_residual:.3e}")
     if args.out:
-        payload = {"schema": "mtopt.verify.v1",
-                   "seed": args.seed,
-                   "suites": {r.suite: {"instances": r.instances, "violations": r.violations,
-                                        "max_residual": r.max_residual, "regime": r.regime}
-                              for r in reports}}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, {
+            "schema": "mtopt.verify.v1", "seed": args.seed,
+            "suites": {r.suite: {"instances": r.instances, "violations": r.violations,
+                                 "max_residual": r.max_residual, "regime": r.regime}
+                       for r in reports}})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
@@ -227,8 +222,7 @@ def cmd_report(args) -> int:
         print(f"{method:10s} seed={seed} {d}: delta_m {dm:+.3f}%{extra}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_lines(os.path.join(args.out, "report.csv"), lines)
         series = ["# schema=mtopt.groupseries.v1", "dir,iter,m"]
         freq = ["# schema=mtopt.groupfreq.v1", "dir,task_i,task_j,frequency"]
         for d in args.rundirs:
@@ -241,10 +235,8 @@ def cmd_report(args) -> int:
                 for i, row in enumerate(mat, start=1):
                     freq.extend(f"{d},{i},{j},{fmt(float(v))}"
                                 for j, v in enumerate(row, start=1))
-        with open(os.path.join(args.out, "group_series.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(series) + "\n")
-        with open(os.path.join(args.out, "group_frequency.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(freq) + "\n")
+        write_lines(os.path.join(args.out, "group_series.csv"), series)
+        write_lines(os.path.join(args.out, "group_frequency.csv"), freq)
     return EXIT_OK
 
 

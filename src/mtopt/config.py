@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .benchmarks import QuadraticSpec, RegressionSuiteSpec
-from .grouping import GroupPartition, parse_groups
-from .optim import (METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM, METHOD_SELECTIVE,
-                    METHOD_SEPARATE)
+from .grouping import GROUPING_RULES, ORDERS, GroupPartition, parse_groups
+from .models import ACTIVATIONS
+from .optim import METHOD_FIXED, METHOD_RANDOM, METHODS, OPTIMIZERS, TrainConfig
 
 METHOD_SINGLE = "SINGLE"  # per-task baselines trained independently
 
-ALL_METHODS = (METHOD_SELECTIVE, METHOD_JOINT, METHOD_SEPARATE, METHOD_FIXED,
-               METHOD_RANDOM, METHOD_SINGLE)
+ALL_METHODS = METHODS + (METHOD_SINGLE,)
 
 
 class ConfigError(ValueError):
@@ -26,18 +25,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    method: str = METHOD_SELECTIVE
-    order: str = "RANDOM"
-    eta: float = 0.05
-    beta: float = 0.001
-    iters: int = 100
-    optimizer: str = "sgd"
-    seed: int = 0
+    # training fields: the TrainConfig defaults
+    method: str = TrainConfig.method
+    order: str = TrainConfig.order_mode
+    eta: float = TrainConfig.eta
+    beta: float = TrainConfig.beta
+    iters: int = TrainConfig.iters
+    optimizer: str = TrainConfig.optimizer
+    seed: int = TrainConfig.seed
     weights: dict[int, float] | None = None
     fixed_partition: GroupPartition | None = None
     random_groups: int | None = None
-    repartition_stride: int = 1
-    grouping_rule: str = "components"
+    repartition_stride: int = TrainConfig.repartition_stride
+    grouping_rule: str = TrainConfig.grouping_rule
     track_affinity: bool | None = None
     benchmark_kind: str = "regression"
     quadratic: dict = field(default_factory=dict)
@@ -47,7 +47,7 @@ class ExperimentConfig:
     csv_targets: dict[int, list[str]] = field(default_factory=dict)
     model_width: int = 16
     model_depth: int = 2
-    model_activation: str = "tanh"
+    model_activation: str = ACTIVATIONS[0]
     batch_size: int = 32
     verbosity: int = 1
     raw: dict[str, str] = field(default_factory=dict)
@@ -98,24 +98,24 @@ def _bool(text: str) -> bool:
 SCALAR_KEYS = {
     "method": ("method", str, lambda v: v in ALL_METHODS,
                "optimization method: " + "|".join(ALL_METHODS)),
-    "order": ("order", str, lambda v: v in ("RANDOM", "FORWARD", "BACKWARD"),
-              "group update order: RANDOM|FORWARD|BACKWARD"),
+    "order": ("order", str, lambda v: v in ORDERS, "group update order: " + "|".join(ORDERS)),
     "eta": ("eta", float, lambda v: v > 0, "learning rate (> 0)"),
     "beta": ("beta", float, lambda v: 0 < v < 1, "affinity decay rate in (0,1)"),
     "iters": ("iters", int, lambda v: v >= 1, "training iterations (>= 1)"),
-    "optimizer": ("optimizer", str, lambda v: v in ("sgd", "adam"), "sgd|adam"),
+    "optimizer": ("optimizer", str, lambda v: v in OPTIMIZERS, "|".join(OPTIMIZERS)),
     "seed": ("seed", int, None, "base random seed (int)"),
     "random.groups": ("random_groups", int, lambda v: v >= 1, "group count for RANDOM"),
     "repartition.stride": ("repartition_stride", int, lambda v: v >= 1,
                            "iterations between repartitions (>= 1)"),
-    "grouping.rule": ("grouping_rule", str, lambda v: v in ("components", "cliques"),
-                      "components|cliques"),
+    "grouping.rule": ("grouping_rule", str, lambda v: v in GROUPING_RULES,
+                      "|".join(GROUPING_RULES)),
     "track.affinity": ("track_affinity", _bool, None, "true|false, force affinity tracking on/off"),
     "benchmark.kind": ("benchmark_kind", str, lambda v: v in ("quadratic", "regression", "csv"),
                        "quadratic|regression|csv"),
     "model.width": ("model_width", int, lambda v: v >= 1, "trunk width"),
     "model.depth": ("model_depth", int, lambda v: v >= 1, "trunk depth"),
-    "model.activation": ("model_activation", str, lambda v: v in ("tanh", "relu"), "tanh|relu"),
+    "model.activation": ("model_activation", str, lambda v: v in ACTIVATIONS,
+                         "|".join(ACTIVATIONS)),
     "batch.size": ("batch_size", int, lambda v: v >= 1, "minibatch size"),
     "log.verbosity": ("verbosity", int, lambda v: v in (0, 1), "0 (quiet) or 1"),
 }

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .benchmarks import BenchmarkError, gen_quadratic_suite, gen_regression_suite, load_csv_dataset
 from .config import METHOD_SINGLE, ConfigError, ExperimentConfig, generator_spec, task_count
 from .models import Batch, build_shared_trunk
-from .optim import METHOD_JOINT, RunLog, TrainConfig, train
+from .optim import METHOD_JOINT, NumericAbort, RunLog, TrainConfig, train
+from .tensor import NonFiniteValue
 
 
 @dataclass
@@ -28,15 +29,18 @@ class RunResult:
 
 def _setup(cfg: ExperimentConfig):
     """(model factory, batch-stream factory, eval batch); the data-free
-    quadratic benchmark has no eval batch."""
+    quadratic benchmark has no eval batch and trains one model."""
     if cfg.benchmark_kind == "quadratic":
-        spec = generator_spec(cfg)
+        try:
+            model = gen_quadratic_suite(generator_spec(cfg))[0]
+        except BenchmarkError as e:
+            raise ConfigError(f"quadratic benchmark: {e}") from None
 
         def batches(iters):
             for it in range(1, iters + 1):
                 yield Batch(inputs=None, targets={}, sample_id=it)
 
-        return (lambda: gen_quadratic_suite(spec)[0]), batches, None
+        return (lambda: model), batches, None
 
     if cfg.benchmark_kind == "regression":
         dataset, suite = gen_regression_suite(generator_spec(cfg))
@@ -69,8 +73,11 @@ def _train(cfg: ExperimentConfig, setup, method: str, weights) -> RunLog:
                      repartition_stride=cfg.repartition_stride,
                      grouping_rule=cfg.grouping_rule, track_affinity=cfg.track_affinity)
     log = train(model, batches(cfg.iters), tc)
-    log.eval_losses = (dict(log.final_losses) if eval_batch is None
-                       else model.forward_all(eval_batch))
+    try:
+        log.eval_losses = (dict(log.final_losses) if eval_batch is None
+                           else model.forward_all(eval_batch))
+    except NonFiniteValue as e:
+        raise NumericAbort.after(log, f"eval {e}") from e
     return log
 
 

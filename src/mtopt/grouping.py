@@ -11,6 +11,8 @@ from .affinity import AffinityTracker
 ORDER_RANDOM = "RANDOM"
 ORDER_FORWARD = "FORWARD"
 ORDER_BACKWARD = "BACKWARD"
+ORDERS = (ORDER_RANDOM, ORDER_FORWARD, ORDER_BACKWARD)
+GROUPING_RULES = ("components", "cliques")
 
 
 class GroupingError(ValueError):

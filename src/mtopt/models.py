@@ -8,17 +8,19 @@ Two model families share one interface:
   closed-form gradients, the workhorse for every analytic property check.
 
 Both expose ``forward_all`` / ``backward_group`` and support exact
-snapshot/restore of selected parameter blocks (plus optimizer state), which
-the slow affinity oracles rely on.
+snapshot/restore of selected parameter blocks, which the slow affinity
+oracles rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import Graph, NonFiniteValue, backward, evaluate
+
+ACTIVATIONS = ("tanh", "relu")
 
 
 class ModelError(ValueError):
@@ -130,36 +132,24 @@ class ParamPartition:
         self.version += 1
 
 
-@dataclass
-class ParamSnapshot:
-    blocks: dict[str, np.ndarray]
-    opt_state: dict[str, object] | None = None
+def snapshot(model, block_ids) -> dict[str, np.ndarray]:
+    return {name: model.partition.block(name).copy() for name in block_ids}
 
 
-def snapshot(model, block_ids, optimizer=None) -> ParamSnapshot:
-    blocks = {name: model.partition.block(name).copy() for name in block_ids}
-    opt_state = optimizer.state_copy(block_ids) if optimizer is not None else None
-    return ParamSnapshot(blocks=blocks, opt_state=opt_state)
-
-
-def restore(model, snap: ParamSnapshot, optimizer=None):
-    for name, value in snap.blocks.items():
+def restore(model, snap: dict[str, np.ndarray]):
+    for name, value in snap.items():
         model.partition.set_block(name, value)
-    if optimizer is not None and snap.opt_state is not None:
-        optimizer.state_restore(snap.opt_state)
 
 
 class MLPModel:
     """Shared MLP trunk + one affine head per task, evaluated on the tape."""
 
     def __init__(self, suite: TaskSuite, partition: ParamPartition, graph: Graph,
-                 loss_nodes: dict[int, int], in_dim: int, out_dims: dict[int, int]):
+                 loss_nodes: dict[int, int]):
         self.suite = suite
         self.partition = partition
         self.graph = graph
         self.loss_nodes = loss_nodes
-        self.in_dim = in_dim
-        self.out_dims = out_dims
         self._forward_version: int | None = None
 
     def _bindings(self, batch: Batch) -> dict[str, np.ndarray]:
@@ -209,7 +199,7 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
     """
     if width < 1 or depth < 1:
         raise ModelError("width and depth must be >= 1")
-    if activation not in ("tanh", "relu"):
+    if activation not in ACTIVATIONS:
         raise ModelError(f"unknown activation '{activation}'")
     in_dim = width if in_dim is None else in_dim
     out_dims = out_dims or {tid: 1 for tid in suite.ids}
@@ -248,7 +238,7 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
         else:
             raise ModelError(f"task {tid}: loss kind '{kind}' not supported by the MLP model")
         loss_nodes[tid] = g.mark_output(loss)
-    return MLPModel(suite, partition, g, loss_nodes, in_dim, out_dims)
+    return MLPModel(suite, partition, g, loss_nodes)
 
 
 class QuadraticModel:
@@ -260,8 +250,7 @@ class QuadraticModel:
     """
 
     def __init__(self, suite: TaskSuite, a: dict[int, np.ndarray], c: dict[int, np.ndarray],
-                 b: dict[int, np.ndarray], shared_init: np.ndarray | None = None,
-                 task_init: dict[int, np.ndarray] | None = None):
+                 b: dict[int, np.ndarray]):
         self.suite = suite
         d = None
         for tid in suite.ids:
@@ -276,13 +265,9 @@ class QuadraticModel:
             elif ai.shape[1] != d:
                 raise ModelError(f"task {tid}: shared dim {ai.shape[1]} != {d}")
         self.a, self.c, self.b = a, c, b
-        shared = {"shared.theta": (np.zeros(d) if shared_init is None else shared_init.astype(np.float64).copy())}
-        per_task = {}
-        for tid in suite.ids:
-            p = c[tid].shape[1]
-            init = np.zeros(p) if task_init is None else task_init[tid].astype(np.float64).copy()
-            per_task[tid] = {f"task.{tid}.theta": init}
-        self.partition = ParamPartition(shared=shared, per_task=per_task)
+        self.partition = ParamPartition(
+            shared={"shared.theta": np.zeros(d)},
+            per_task={tid: {f"task.{tid}.theta": np.zeros(c[tid].shape[1])} for tid in suite.ids})
         self._residuals: dict[int, np.ndarray] | None = None
         self._forward_version: int | None = None
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .affinity import (AffinityTracker, decay_update, instant_inter_group,
                        instant_intra_group)
-from .grouping import (GroupPartition, ORDER_RANDOM, everything, make_partition,
-                       partition_tasks, serialize_partition, shuffle_order, singletons)
+from .grouping import (GROUPING_RULES, GroupPartition, ORDER_RANDOM, everything,
+                       make_partition, partition_tasks, shuffle_order, singletons)
 from .models import Batch, ParamPartition
 from .tensor import NonFiniteValue
 
@@ -28,6 +28,7 @@ METHOD_JOINT = "JOINT"
 METHOD_SEPARATE = "SEPARATE"
 METHOD_FIXED = "FIXED"
 METHOD_RANDOM = "RANDOM"
+METHODS = (METHOD_SELECTIVE, METHOD_JOINT, METHOD_SEPARATE, METHOD_FIXED, METHOD_RANDOM)
 
 
 class TrainError(ValueError):
@@ -35,29 +36,41 @@ class TrainError(ValueError):
 
 
 class NumericAbort(ArithmeticError):
-    """A loss or gradient went non-finite; training stops loudly."""
+    """A loss or gradient went non-finite; training stops loudly.
 
-    def __init__(self, iteration: int, substep: int, detail: str, log=None):
-        super().__init__(f"iteration {iteration}, substep {substep}: {detail}")
+    ``substep`` is 0 for the batch's first forward and i for the backward,
+    update and trailing forward of the i-th group in update order; a forward
+    after training counts as the last sub-step of the last iteration.
+    """
+
+    def __init__(self, iteration: int, substep: int, group: tuple[int, ...] | None,
+                 detail: str):
+        where = "" if group is None else f", group {' '.join(map(str, group))}"
+        super().__init__(f"iteration {iteration}, substep {substep}{where}: {detail}")
         self.iteration = iteration
         self.substep = substep
-        self.log = log
+
+    @classmethod
+    def after(cls, log: RunLog, detail: str) -> NumericAbort:
+        """A failure in a forward at the state the last sub-step left."""
+        last = log.steps[-1]
+        return cls(last.iteration, len(last.substeps), last.substeps[-1].group, detail)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     method: str = METHOD_SELECTIVE
-    eta: float = 1e-2
+    eta: float = 0.05
     beta: float = 1e-3
-    iters: int = 1
-    optimizer: str = "sgd"            # sgd | adam
+    iters: int = 100
+    optimizer: str = "sgd"
     seed: int = 0
     order_mode: str = ORDER_RANDOM
     weights: dict[int, float] | None = None
     fixed_partition: GroupPartition | None = None
     random_groups: int | None = None
     repartition_stride: int = 1
-    grouping_rule: str = "components"
+    grouping_rule: str = GROUPING_RULES[0]
     track_affinity: bool | None = None  # None: on for SELECTIVE only
 
     def __post_init__(self):
@@ -67,14 +80,13 @@ class TrainConfig:
             raise TrainError(f"beta must be in (0,1), got {self.beta}")
         if self.iters < 1:
             raise TrainError(f"iters must be >= 1, got {self.iters}")
-        if self.method not in (METHOD_SELECTIVE, METHOD_JOINT, METHOD_SEPARATE, METHOD_FIXED,
-                               METHOD_RANDOM):
+        if self.method not in METHODS:
             raise TrainError(f"unknown method '{self.method}'")
         if self.method == METHOD_FIXED and self.fixed_partition is None:
             raise TrainError("FIXED method needs a partition")
         if self.method == METHOD_RANDOM and not self.random_groups:
             raise TrainError("RANDOM method needs a group count")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise TrainError(f"unknown optimizer '{self.optimizer}'")
 
 
@@ -84,12 +96,6 @@ class PlainSGD:
     def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
         for name in sorted(grads):
             partition.set_block(name, partition.block(name) - eta * grads[name])
-
-    def state_copy(self, block_ids):
-        return {}
-
-    def state_restore(self, state):
-        pass
 
 
 class Adam:
@@ -118,27 +124,8 @@ class Adam:
             vhat = v / (1.0 - self.beta2 ** t)
             partition.set_block(name, partition.block(name) - eta * mhat / (np.sqrt(vhat) + self.eps))
 
-    def state_copy(self, block_ids):
-        out = {}
-        for name in block_ids:
-            entry = self.moments.get(name)
-            out[name] = None if entry is None else (entry[0].copy(), entry[1].copy(), entry[2])
-        return out
 
-    def state_restore(self, state):
-        for name, entry in state.items():
-            if entry is None:
-                self.moments.pop(name, None)
-            else:
-                self.moments[name] = (entry[0].copy(), entry[1].copy(), entry[2])
-
-
-def make_optimizer(kind: str):
-    if kind == "sgd":
-        return PlainSGD()
-    if kind == "adam":
-        return Adam()
-    raise TrainError(f"unknown optimizer '{kind}'")
+OPTIMIZERS = {PlainSGD.kind: PlainSGD, Adam.kind: Adam}
 
 
 @dataclass
@@ -179,7 +166,6 @@ class RunLog:
     k: int
     steps: list[StepReport] = field(default_factory=list)
     affinity_rows: list[tuple] = field(default_factory=list)  # (iter, substep, src, tgt, inst, decayed, verdict, skipped)
-    partition_rows: list[tuple] = field(default_factory=list)  # (iter, serialized, m)
     final_losses: dict[int, float] = field(default_factory=dict)
     eval_losses: dict[int, float] | None = None
 
@@ -212,30 +198,34 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
     weights = config.weights or model.suite.weights()
     joint = config.method == METHOD_JOINT
     part = shuffle_order(partition, order_rng, config.order_mode)
-    losses0 = model.forward_all(batch)
-    forwards, backwards, opt_steps = 1, 0, 0
-    current = losses0
-    substeps: list[SubstepRecord] = []
-    all_ids = model.suite.ids
-    for idx, group in enumerate(part.ordered_groups(), start=1):
-        grads = model.backward_group(group, weights)
-        backwards += 1
-        optimizer.apply(model.partition, grads, config.eta)
-        opt_steps += 1
-        after = None
-        if not joint:
-            after = model.forward_all(batch)
-            forwards += 1
-        norm_shared, norm_task = _grad_norms(model, group, grads)
-        if tracker is not None and after is not None:
-            outside = [j for j in all_ids if j not in group]
-            inter = instant_inter_group(current, after, group, outside)
-            intra, verdicts = instant_intra_group(current, after, group)
-            rows = decay_update(tracker, inter + intra, verdicts)
-            if log is not None:
-                log.affinity_rows.extend((iteration, idx) + row for row in rows)
-        substeps.append(SubstepRecord(group, after, norm_shared, norm_task))
-        current = after
+    idx, group = 0, None
+    try:
+        losses0 = model.forward_all(batch)
+        forwards, backwards, opt_steps = 1, 0, 0
+        current = losses0
+        substeps: list[SubstepRecord] = []
+        all_ids = model.suite.ids
+        for idx, group in enumerate(part.ordered_groups(), start=1):
+            grads = model.backward_group(group, weights)
+            backwards += 1
+            optimizer.apply(model.partition, grads, config.eta)
+            opt_steps += 1
+            after = None
+            if not joint:
+                after = model.forward_all(batch)
+                forwards += 1
+            norm_shared, norm_task = _grad_norms(model, group, grads)
+            if tracker is not None and after is not None:
+                outside = [j for j in all_ids if j not in group]
+                inter = instant_inter_group(current, after, group, outside)
+                intra, verdicts = instant_intra_group(current, after, group)
+                rows = decay_update(tracker, inter + intra, verdicts)
+                if log is not None:
+                    log.affinity_rows.extend((iteration, idx) + row for row in rows)
+            substeps.append(SubstepRecord(group, after, norm_shared, norm_task))
+            current = after
+    except NonFiniteValue as e:
+        raise NumericAbort(iteration, idx, group, str(e)) from e
     report = StepReport(iteration, config.method, part, losses0, substeps,
                         forwards, backwards, opt_steps)
     report.check_counts()
@@ -257,13 +247,8 @@ def joint_step(model, batch: Batch, config: TrainConfig, optimizer,
 def _random_partition(k: int, m: int, rng: np.random.Generator) -> GroupPartition:
     if not 1 <= m <= k:
         raise TrainError(f"random group count must be in 1..{k}, got {m}")
-    ids = list(rng.permutation(np.arange(1, k + 1)))
-    sizes = [len(chunk) for chunk in np.array_split(np.arange(k), m)]
-    groups, at = [], 0
-    for size in sizes:
-        groups.append(tuple(int(t) for t in ids[at:at + size]))
-        at += size
-    return make_partition(groups)
+    return make_partition(tuple(int(t) for t in chunk)
+                          for chunk in np.array_split(rng.permutation(np.arange(1, k + 1)), m))
 
 
 def train(model, batches, config: TrainConfig) -> RunLog:
@@ -271,11 +256,12 @@ def train(model, batches, config: TrainConfig) -> RunLog:
 
     The stream must yield batches deterministically; the update-order rng is
     derived from the seed on a separate stream, so runs are reproducible
-    end to end.
+    end to end. Overflow is not warned about: it surfaces as a non-finite
+    loss, which raises :class:`NumericAbort`.
     """
     k = model.suite.k
     log = RunLog(method=config.method, seed=config.seed, k=k)
-    optimizer = make_optimizer(config.optimizer)
+    optimizer = OPTIMIZERS[config.optimizer]()
     order_rng = np.random.default_rng([config.seed, 1])
     track = config.track_affinity
     if track is None:
@@ -286,26 +272,22 @@ def train(model, batches, config: TrainConfig) -> RunLog:
     if partition.k != k:
         raise TrainError(f"fixed partition covers {partition.k} tasks, model has {k}")
 
-    iteration = 0
-    last_batch = None
     stream = iter(batches)
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, config.iters + 1):
             try:
                 batch = next(stream)
             except StopIteration:
                 raise TrainError(f"batch stream ended at iteration {iteration} of {config.iters}")
-            last_batch = batch
             if config.method == METHOD_RANDOM:
                 partition = _random_partition(k, config.random_groups, order_rng)
             report, partition = selective_group_step(model, batch, partition, config, optimizer,
                                                      tracker, iteration, order_rng, log)
             log.steps.append(report)
-            log.partition_rows.append((iteration, serialize_partition(report.partition),
-                                       report.partition.m))
-    except NonFiniteValue as e:
-        raise NumericAbort(iteration, -1, str(e), log=log) from e
-    log.final_losses = model.forward_all(last_batch)
+        try:
+            log.final_losses = model.forward_all(batch)
+        except NonFiniteValue as e:
+            raise NumericAbort.after(log, str(e)) from e
     return log
 
 
@@ -351,15 +333,15 @@ def check_descent(model, partition: GroupPartition, eta: float, steps: int,
     checks: list[SubstepCheck] = []
     violations = 0
     optimizer = PlainSGD()
+    shared = sorted(model.partition.shared)
+    losses = model.forward_all(batch)
     for iteration in range(1, steps + 1):
         for idx, group in enumerate(partition.ordered_groups(), start=1):
-            losses = model.forward_all(batch)
             total_before = sum(weights[t] * losses[t] for t in model.suite.ids)
-            shared_grads = {}
-            for g in partition.groups:
-                gr = model.backward_group(g, weights)
-                shared_grads[g] = np.concatenate([gr[n].ravel() for n in sorted(model.partition.shared)])
-            grads = model.backward_group(group, weights)
+            all_grads = {g: model.backward_group(g, weights) for g in partition.groups}
+            shared_grads = {g: np.concatenate([gr[n].ravel() for n in shared])
+                            for g, gr in all_grads.items()}
+            grads = all_grads[group]
             gs = shared_grads[group]
             gsum = np.sum(list(shared_grads.values()), axis=0)
             ts = [grads[n].ravel() for tid in sorted(group) for n in sorted(model.partition.per_task[tid])]
@@ -377,4 +359,5 @@ def check_descent(model, partition: GroupPartition, eta: float, steps: int,
             dominant = "cross" if abs(cross) >= abs(ts_term) else "task_specific"
             checks.append(SubstepCheck(iteration, idx, group, lhs, rhs, holds,
                                        cross, ts_term, dominant))
+            losses = losses_after
     return DescentReport(eta, h, bound, regime, checks, violations)

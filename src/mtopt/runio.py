@@ -48,36 +48,31 @@ def _steps_lines(log) -> list[str]:
     return lines
 
 
+def write_lines(path, lines: list[str]):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload: dict):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_run(outdir, result: RunResult, echo: dict) -> dict[str, str]:
     os.makedirs(outdir, exist_ok=True)
-    paths = {}
-
+    logs = [result.logs[label] for label in sorted(result.logs)]
     steps = [STEPS_SCHEMA, STEPS_HEADER]
-    for label in sorted(result.logs):
-        steps.extend(_steps_lines(result.logs[label]))
-    paths["steps"] = os.path.join(outdir, "steps.csv")
-    with open(paths["steps"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(steps) + "\n")
-
     affinity = [AFFINITY_SCHEMA, AFFINITY_HEADER]
-    for label in sorted(result.logs):
-        for row in result.logs[label].affinity_rows:
-            it, sub, src, tgt, inst, dec, verdict, skipped = row
+    groups = [GROUPS_SCHEMA, GROUPS_HEADER]
+    for log in logs:
+        steps.extend(_steps_lines(log))
+        for it, sub, src, tgt, inst, dec, verdict, skipped in log.affinity_rows:
             affinity.append(",".join([str(it), str(sub), str(src), str(tgt),
                                       fmt(float(inst)), fmt(float(dec)), verdict,
                                       "1" if skipped else "0"]))
-    paths["affinity"] = os.path.join(outdir, "affinity.csv")
-    with open(paths["affinity"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(affinity) + "\n")
-
-    groups = [GROUPS_SCHEMA, GROUPS_HEADER]
-    for label in sorted(result.logs):
-        for it, serialized, m in result.logs[label].partition_rows:
-            groups.append(f'{it},"{serialized}",{m}')
-    paths["groups"] = os.path.join(outdir, "groups.csv")
-    with open(paths["groups"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(groups) + "\n")
-
+        groups.extend(f'{report.iteration},"{serialize_partition(report.partition)}",'
+                      f'{report.partition.m}' for report in log.steps)
     summary = {
         "schema": "mtopt.summary.v1",
         "method": result.method,
@@ -87,16 +82,14 @@ def write_run(outdir, result: RunResult, echo: dict) -> dict[str, str]:
         "eval_losses": {str(t): v for t, v in sorted(result.eval_losses.items())},
         "runs": {label: summarize_run(result.logs[label]) for label in sorted(result.logs)},
     }
+    paths = {name: os.path.join(outdir, f"{name}.csv") for name in ("steps", "affinity", "groups")}
+    write_lines(paths["steps"], steps)
+    write_lines(paths["affinity"], affinity)
+    write_lines(paths["groups"], groups)
     paths["summary"] = os.path.join(outdir, "summary.json")
-    with open(paths["summary"], "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
+    write_json(paths["summary"], summary)
     paths["config"] = os.path.join(outdir, "config.json")
-    with open(paths["config"], "w", encoding="utf-8") as fh:
-        json.dump({"schema": "mtopt.config.v1", "config": echo}, fh,
-                  indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["config"], {"schema": "mtopt.config.v1", "config": echo})
     return paths
 
 

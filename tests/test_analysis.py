@@ -62,12 +62,6 @@ def quad_log(method, **kw):
     return log
 
 
-def test_summary_of_run_against_itself_has_zero_delta_m():
-    log = quad_log("JOINT")
-    out = summarize_run(log, baseline=log)
-    assert out["delta_m_vs_baseline"] == 0.0
-
-
 def test_separate_run_mean_group_count_is_k():
     log = quad_log("SEPARATE")
     assert mean_group_count(log) == 3.0

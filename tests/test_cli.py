@@ -275,3 +275,46 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True)
     assert done.returncode == 0
     assert "usage: mtopt" in done.stdout
+
+
+@pytest.mark.parametrize("extra, needle", [
+    ("quadratic.k = 3\nquadratic.rho = -1\n", "infeasible"),
+    ("quadratic.k = 4\nquadratic.rows = 2\nquadratic.rho = 0.5\n", "target rows"),
+    ("quadratic.k = 6\nquadratic.shared_dim = 5\nquadratic.task_dim = 0\nquadratic.rows = 1\n"
+     "seed = 4\n", "non-degenerate"),
+], ids=["infeasible-rho", "too-few-rows", "degenerate-target"])
+def test_quadratic_suite_the_generator_cannot_build_is_usage_error(tmp_path, capsys, extra,
+                                                                   needle):
+    err = usage_error(tmp_path, capsys, QUAD_CFG + extra)
+    assert "quadratic" in err and needle in err
+
+
+def numeric_failure(tmp_path, text):
+    """Run a config in a fresh interpreter that must go non-finite: exit 3 and
+    exactly one stderr line, with no numpy warnings."""
+    src = os.path.dirname(os.path.dirname(mtopt.__file__))
+    done = subprocess.run([sys.executable, "-m", "mtopt", "run", "--config",
+                           write_cfg(tmp_path, text), "--out", str(tmp_path / "x")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    err = done.stderr.splitlines()
+    assert done.returncode == 3, done.stderr
+    assert len(err) == 1 and err[0].startswith("mtopt: numeric failure: "), err
+    return err[0]
+
+
+def test_non_finite_final_forward_is_numeric_failure(tmp_path):
+    err = numeric_failure(tmp_path, "benchmark.kind = quadratic\nquadratic.k = 3\n"
+                                    "method = JOINT\neta = 1e200\niters = 1\n")
+    assert "iteration 1, substep 1, group 1 2 3:" in err
+
+
+def test_overflowing_quadratic_is_numeric_failure_without_warnings(tmp_path):
+    err = numeric_failure(tmp_path, "benchmark.kind = quadratic\nmethod = SEPARATE\n"
+                                    "eta = 1e9\n")
+    assert "quadratic loss is non-finite" in err
+
+
+def test_numeric_failure_names_substep_and_group(tmp_path):
+    err = numeric_failure(tmp_path, TRIAD_CFG.replace("eta = 0.05", "eta = 1e6")
+                          .replace("iters = 25", "iters = 300"))
+    assert ", group " in err and "substep -1" not in err

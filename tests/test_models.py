@@ -4,7 +4,6 @@ import pytest
 from mtopt.models import (Batch, ModelError, ParamPartition, QuadraticModel,
                           TaskDef, TaskSuite, build_shared_trunk, make_suite,
                           restore, snapshot)
-from mtopt.optim import Adam
 from mtopt.tensor import backward, evaluate
 
 
@@ -163,30 +162,11 @@ def test_snapshot_scoped_to_shared_leaves_heads_alone():
     assert model.partition.block("head.1.w") == pytest.approx(head_before + 1.0)
 
 
-def test_snapshot_round_trips_optimizer_moments():
-    suite = make_suite(2)
-    model = build_shared_trunk(4, 1, suite, seed=11, in_dim=2)
-    opt = Adam()
-    batch = Batch(np.ones((2, 2)), {1: np.ones((2, 1)), 2: np.ones((2, 1))}, 0)
-    model.forward_all(batch)
-    grads = model.backward_group((1, 2), {1: 1.0, 2: 1.0})
-    opt.apply(model.partition, grads, 0.1)
-    blocks = model.partition.block_ids((1, 2))
-    snap = snapshot(model, blocks, opt)
-    saved = {k: (v[0].copy(), v[1].copy(), v[2]) for k, v in opt.moments.items()}
-    model.forward_all(batch)
-    opt.apply(model.partition, model.backward_group((1, 2), {1: 1.0, 2: 1.0}), 0.1)
-    restore(model, snap, opt)
-    for name, (m, v, t) in saved.items():
-        m2, v2, t2 = opt.moments[name]
-        assert t2 == t and m2.tobytes() == m.tobytes() and v2.tobytes() == v.tobytes()
-
-
 def test_restore_onto_mismatched_blocks_fails():
     suite = make_suite(2)
     model = build_shared_trunk(4, 1, suite, seed=12, in_dim=2)
     snap = snapshot(model, ["trunk.0.w"])
-    snap.blocks["nope"] = np.zeros(2)
+    snap["nope"] = np.zeros(2)
     with pytest.raises(ModelError, match="unknown parameter block"):
         restore(model, snap)
 

@@ -122,7 +122,7 @@ def test_selective_with_hostile_affinity_degenerates_to_separate():
         log = train(model, quad_batches(50), cfg)
         final[method] = _final_bytes(model)
         if method == METHOD_SELECTIVE:
-            assert all(row[2] == 2 for row in log.partition_rows)  # M stays K
+            assert all(s.partition.m == 2 for s in log.steps)  # M stays K
     assert final[METHOD_SELECTIVE] == final[METHOD_SEPARATE]
 
 
@@ -143,7 +143,7 @@ def test_two_runs_same_seed_are_identical():
     a, b = logs
     assert [s.initial_losses for s in a.steps] == [s.initial_losses for s in b.steps]
     assert a.affinity_rows == b.affinity_rows
-    assert a.partition_rows == b.partition_rows
+    assert [s.partition for s in a.steps] == [s.partition for s in b.steps]
     assert a.final_losses == b.final_losses
 
 
@@ -151,7 +151,7 @@ def test_random_method_uses_requested_group_count():
     model, _ = fresh_quadratic(seed=13)
     cfg = TrainConfig(method=METHOD_RANDOM, eta=1e-3, iters=10, seed=1, random_groups=2)
     log = train(model, quad_batches(10), cfg)
-    assert all(row[2] == 2 for row in log.partition_rows)
+    assert all(s.partition.m == 2 for s in log.steps)
     for report in log.steps:
         assert (report.forwards, report.backwards, report.opt_steps) == (3, 2, 2)
 
@@ -210,3 +210,15 @@ def test_descent_out_of_regime_is_tagged_not_failed():
     h = model.hessian_bound()
     report = check_descent(model, singletons(2), eta=10.0 / h, steps=5, batch=batch)
     assert report.regime == "OUT_OF_REGIME"
+
+
+def test_numeric_abort_names_substep_and_group():
+    model, _ = fresh_quadratic(seed=18)
+    cfg = TrainConfig(method=METHOD_SEPARATE, eta=1e200, iters=1, order_mode="FORWARD")
+    with pytest.raises(NumericAbort, match="substep 1, group 1:") as err:
+        train(model, quad_batches(1), cfg)
+    assert (err.value.iteration, err.value.substep) == (1, 1)
+
+    model, _ = fresh_quadratic(seed=18)  # JOINT meets the overflow at the next first forward
+    with pytest.raises(NumericAbort, match="iteration 2, substep 0:"):
+        train(model, quad_batches(2), TrainConfig(method=METHOD_JOINT, eta=1e200, iters=2))
