@@ -7,6 +7,7 @@ run directory always carries its exact inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .benchmarks import QuadraticSpec, RegressionSuiteSpec
@@ -84,6 +85,14 @@ def _want(raw, key, conv, default=None, check=None, describe=""):
     return value
 
 
+def _float(text: str) -> float:
+    """A finite float: infinities and NaN are refused where they are parsed."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _bool(text: str) -> bool:
     t = text.lower()
     if t in ("true", "1", "yes"):
@@ -99,8 +108,8 @@ SCALAR_KEYS = {
     "method": ("method", str, lambda v: v in ALL_METHODS,
                "optimization method: " + "|".join(ALL_METHODS)),
     "order": ("order", str, lambda v: v in ORDERS, "group update order: " + "|".join(ORDERS)),
-    "eta": ("eta", float, lambda v: v > 0, "learning rate (> 0)"),
-    "beta": ("beta", float, lambda v: 0 < v < 1, "affinity decay rate in (0,1)"),
+    "eta": ("eta", _float, lambda v: v > 0, "learning rate (> 0)"),
+    "beta": ("beta", _float, lambda v: 0 < v < 1, "affinity decay rate in (0,1)"),
     "iters": ("iters", int, lambda v: v >= 1, "training iterations (>= 1)"),
     "optimizer": ("optimizer", str, lambda v: v in OPTIMIZERS, "|".join(OPTIMIZERS)),
     "seed": ("seed", int, None, "base random seed (int)"),
@@ -127,18 +136,18 @@ SECTIONS = {
         "shared_dim": ("shared_dim", int, lambda v: v >= 1, "shared parameter dimension"),
         "task_dim": ("task_dim", int, lambda v: v >= 0, "per-task parameter dimension"),
         "rows": ("rows", int, lambda v: v >= 1, "residual rows"),
-        "rho": ("rho", float, lambda v: -1 <= v <= 1, "pairwise target alignment in [-1,1]"),
+        "rho": ("rho", _float, lambda v: -1 <= v <= 1, "pairwise target alignment in [-1,1]"),
     }),
     "regression": (RegressionSuiteSpec, {
         "k": ("k", int, lambda v: v >= 2, "task count"),
         "input_dim": ("input_dim", int, lambda v: v >= 1, "input dimension"),
         "hidden": ("hidden", int, lambda v: v >= 1, "ground-truth latent width"),
-        "conflict": ("conflict", float, lambda v: 0 <= v <= 1, "conflict knob in [0,1]"),
-        "conflict_scale": ("conflict_scale", float, lambda v: v > 0,
+        "conflict": ("conflict", _float, lambda v: 0 <= v <= 1, "conflict knob in [0,1]"),
+        "conflict_scale": ("conflict_scale", _float, lambda v: v > 0,
                            "conflict task target amplitude (> 0)"),
-        "nuisance": ("nuisance", float, lambda v: v >= 0,
+        "nuisance": ("nuisance", _float, lambda v: v >= 0,
                      "opposed nuisance amplitude in the aligned cluster"),
-        "noise": ("noise", float, lambda v: v >= 0, "target noise level"),
+        "noise": ("noise", _float, lambda v: v >= 0, "target noise level"),
         "train": ("n_train", int, lambda v: v >= 1, "training sample count"),
         "eval": ("n_eval", int, lambda v: v >= 1, "evaluation sample count"),
     }),
@@ -192,7 +201,7 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
         setattr(cfg, attr, _want(raw, key, conv, getattr(cfg, attr), check, describe))
     if "weights" in raw:
         try:
-            values = [float(x) for x in raw["weights"].split(",")]
+            values = [_float(x) for x in raw["weights"].split(",")]
         except ValueError:
             raise ConfigError(f"field 'weights': cannot parse {raw['weights']!r}") from None
         if any(w <= 0 for w in values):

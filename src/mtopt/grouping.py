@@ -35,6 +35,8 @@ class GroupPartition:
         for g in self.groups:
             if not g:
                 raise GroupingError("empty task group")
+            if len(set(g)) != len(g):
+                raise GroupingError(f"group {g} lists a task more than once")
             if tuple(sorted(g)) != g:
                 raise GroupingError(f"group {g} is not sorted")
             overlap = seen & set(g)

@@ -151,9 +151,10 @@ class MLPModel:
         self.graph = graph
         self.loss_nodes = loss_nodes
         self._forward_version: int | None = None
+        self._forward_batch: int | None = None
 
     def _bindings(self, batch: Batch) -> dict[str, np.ndarray]:
-        b = dict(self.partition.all_blocks())
+        b = self.partition.all_blocks()
         if batch.inputs is None:
             raise ModelError("MLP model needs batch inputs")
         b["input"] = batch.inputs
@@ -169,6 +170,7 @@ class MLPModel:
         except NonFiniteValue as e:
             raise NonFiniteValue(f"forward on batch {batch.sample_id}: {e}") from e
         self._forward_version = self.partition.version
+        self._forward_batch = batch.sample_id
         losses = {}
         for tid, nid in self.loss_nodes.items():
             val = float(outs[nid])
@@ -186,7 +188,10 @@ class MLPModel:
             raise ModelError("backward_group without a fresh forward")
         seeds = {self.loss_nodes[tid]: weights[tid] for tid in sorted(group)}
         wanted = set(self.partition.block_ids(group))
-        return backward(self.graph, seeds, wanted)
+        try:
+            return backward(self.graph, seeds, wanted)
+        except NonFiniteValue as e:
+            raise NonFiniteValue(f"backward on batch {self._forward_batch}: {e}") from e
 
 
 def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,

@@ -175,14 +175,14 @@ def _grad_norms(model, group, grads) -> tuple[float, dict[int, float]]:
     for name in model.partition.shared:
         g = grads.get(name)
         if g is not None:
-            shared_sq += float(np.sum(g * g))
+            shared_sq += float((g * g).sum())
     per_task = {}
     for tid in group:
         sq = 0.0
         for name in model.partition.per_task[tid]:
             g = grads.get(name)
             if g is not None:
-                sq += float(np.sum(g * g))
+                sq += float((g * g).sum())
         per_task[tid] = float(np.sqrt(sq))
     return float(np.sqrt(shared_sq)), per_task
 

@@ -217,6 +217,20 @@ def test_more_random_groups_than_tasks_is_usage_error(tmp_path, capsys):
     assert "random.groups" in err
 
 
+def test_fixed_partition_repeating_a_task_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, "benchmark.kind = quadratic\nmethod = FIXED\n"
+                                        "fixed.partition = 1,1\niters = 3\n")
+    assert "fixed.partition" in err and "more than once" in err
+
+
+@pytest.mark.parametrize("extra, field", [("eta = inf\n", "eta"), ("weights = nan,1\n", "weights"),
+                                          ("regression.noise = inf\n", "regression.noise")])
+def test_non_finite_number_is_usage_error(tmp_path, capsys, extra, field):
+    base = QUAD_CFG.replace("eta = 0.05\n", "") if field == "eta" else QUAD_CFG
+    err = usage_error(tmp_path, capsys, base.replace("iters = 5", "iters = 3") + extra)
+    assert f"field '{field}'" in err
+
+
 def test_single_on_quadratic_is_usage_error(tmp_path, capsys):
     err = usage_error(tmp_path, capsys, QUAD_CFG + "method = SINGLE\n")
     assert "SINGLE" in err

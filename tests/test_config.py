@@ -1,4 +1,6 @@
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtopt.config import KNOWN_KEYS, ConfigError, ExperimentConfig, parse_kv_text, validate_config
@@ -9,7 +11,8 @@ VALUES = st.one_of(
     st.floats(-2.0, 2.0).map(str),
     st.sampled_from(["SELECTIVE", "JOINT", "SEPARATE", "FIXED", "RANDOM", "SINGLE", "FORWARD",
                      "adam", "cliques", "relu", "quadratic", "regression", "csv", "triad",
-                     "true", "no", "1,2|3", "1,2", "2,1,1", "1e9", "nan", "inf", "x,y", ""]),
+                     "true", "no", "1,2|3", "1,2", "2,1,1", "1,1", "1e9", "x,y", ""]),
+    st.sampled_from(["inf", "-inf", "nan", "1e999", "0.5,inf", "nan,1"]),
     st.text(max_size=12),
 )
 JUNK = st.one_of(st.just(""), st.text(max_size=20),
@@ -18,6 +21,9 @@ JUNK = st.one_of(st.just(""), st.text(max_size=20),
 
 @settings(max_examples=400, deadline=None)
 @given(st.dictionaries(KEYS, VALUES, max_size=8), JUNK)
+@example({"eta": "inf"}, "")
+@example({"weights": "1,nan,1"}, "")
+@example({"fixed.partition": "1,1|2"}, "")
 def test_parse_then_validate_returns_a_config_or_raises_config_error(pairs, junk):
     text = "\n".join([f"{key} = {value}" for key, value in pairs.items()] + [junk])
     try:
@@ -25,3 +31,10 @@ def test_parse_then_validate_returns_a_config_or_raises_config_error(pairs, junk
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+    floats = [cfg.eta, cfg.beta, *(cfg.weights or {}).values(),
+              *(v for section in (cfg.quadratic, cfg.regression) for v in section.values()
+                if isinstance(v, float))]
+    assert all(math.isfinite(v) for v in floats), floats
+    if cfg.fixed_partition is not None:
+        tasks = [t for group in cfg.fixed_partition.groups for t in group]
+        assert len(tasks) == len(set(tasks)), tasks

@@ -106,3 +106,10 @@ def test_partition_validation():
         GroupPartition(((1,), (3,)), (0, 1))
     with pytest.raises(GroupingError, match="permutation"):
         GroupPartition(((1,), (2,)), (0, 0))
+
+
+def test_partition_rejects_a_task_repeated_inside_a_group():
+    with pytest.raises(GroupingError, match=r"group \(1, 1\) lists a task more than once"):
+        parse_groups("1,1")
+    with pytest.raises(GroupingError, match="more than once"):
+        make_partition([(1, 2, 2), (3,)])

@@ -3,7 +3,7 @@ import pytest
 
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
 from mtopt.grouping import everything, make_partition, singletons
-from mtopt.models import Batch, build_shared_trunk
+from mtopt.models import Batch, build_shared_trunk, make_suite
 from mtopt.optim import (Adam, METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM,
                          METHOD_SELECTIVE, METHOD_SEPARATE, NumericAbort,
                          PlainSGD, TrainConfig, TrainError, check_descent,
@@ -222,3 +222,19 @@ def test_numeric_abort_names_substep_and_group():
     model, _ = fresh_quadratic(seed=18)  # JOINT meets the overflow at the next first forward
     with pytest.raises(NumericAbort, match="iteration 2, substep 0:"):
         train(model, quad_batches(2), TrainConfig(method=METHOD_JOINT, eta=1e200, iters=2))
+
+
+def test_numeric_abort_names_the_backward_that_overflowed():
+    # a dead relu unit hides a huge head weight from the forward, but the head
+    # matmul's adjoint to the trunk overflows
+    model = build_shared_trunk(4, 1, make_suite(2), seed=0, activation="relu")
+    model.partition.set_block("trunk.0.b", np.full(4, -1e3))
+    model.partition.set_block("head.1.w", np.full((4, 1), 1e308))
+    rng = np.random.default_rng(0)
+    batch = Batch(rng.standard_normal((8, 4)), {1: np.full((8, 1), 1e3), 2: np.zeros((8, 1))}, 5)
+    cfg = TrainConfig(method=METHOD_SEPARATE, eta=1e-3, iters=1, order_mode="FORWARD")
+    with pytest.raises(NumericAbort, match=r"^iteration 1, substep 1, group 1: backward on batch 5: "
+                                           r"backward through op 'matmul' \(node \d+\) produced a "
+                                           r"non-finite gradient$") as err:
+        train(model, [batch], cfg)
+    assert (err.value.iteration, err.value.substep) == (1, 1)

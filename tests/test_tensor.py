@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from mtopt import tensor
+from mtopt.models import build_shared_trunk, make_suite
 from mtopt.tensor import (Graph, GraphError, NonFiniteValue, ShapeMismatch,
-                          backward, evaluate, finite_difference_grad)
+                          backward, evaluate, finite_difference_grad, interpret,
+                          interpret_backward)
 
 
 def scalar_square():
@@ -206,3 +211,153 @@ def test_unbound_leaf_rejected():
 def test_finite_difference_requires_positive_h():
     with pytest.raises(ValueError):
         finite_difference_grad(lambda b: 0.0, {"x": np.array(1.0)}, 0.0)
+
+
+def test_overflowing_gradient_names_the_backward_op():
+    g = Graph()
+    loss = g.mark_output(g.scale(g.reduce_sum(g.matmul(g.leaf("a"), g.leaf("b"))), 1e300))
+    bindings = {"a": np.array([[1e-300]]), "b": np.array([[1e300]])}
+    assert float(evaluate(g, bindings)[loss]) == 1e300  # the forward is finite
+    with pytest.raises(NonFiniteValue, match=r"^backward through op 'matmul' \(node 2\) produced a "
+                                             r"non-finite gradient$"):
+        backward(g, loss, {"a", "b"})
+
+
+# -- the compiled plan against the interpreter, bitwise ------------------------
+
+
+def refuse(*args):
+    raise AssertionError("the plan fell back to the interpreter")
+
+
+def assert_bitwise(xs, ys):
+    assert len(xs) == len(ys)
+    for x, y in zip(xs, ys):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_plan_matches_interpreter(g, bindings, sweeps, monkeypatch):
+    """Forward values and every (seeds, wanted) gradient of the plan equal the
+    interpreter's; the leaf shapes must already be known to the plan, which
+    must not fall back to the interpreter."""
+    interpret(g, bindings)
+    want_vals = list(g.values)
+    want_grads = [interpret_backward(g, seeds, wanted) for seeds, wanted in sweeps]
+    with monkeypatch.context() as m:
+        m.setattr(tensor, "interpret", refuse)
+        m.setattr(tensor, "interpret_backward", refuse)
+        evaluate(g, bindings)
+        assert_bitwise(g.values, want_vals)
+        for (seeds, wanted), want in zip(sweeps, want_grads):
+            got = backward(g, seeds, wanted)
+            assert list(got) == list(want)
+            assert_bitwise(list(got.values()), list(want.values()))
+
+
+@pytest.mark.parametrize("case", range(100))
+def test_plan_matches_interpreter_on_every_op_kind(case, monkeypatch):
+    kind = ALL_KINDS[case % len(ALL_KINDS)]
+    g, loss, bindings = _op_case(kind, np.random.default_rng(1000 + case))
+    evaluate(g, bindings)
+    sweeps = [(loss, set(bindings))] + [({loss: 0.5}, {name}) for name in bindings]
+    assert_plan_matches_interpreter(g, bindings, sweeps, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_plan_matches_interpreter_on_two_layer_mlp(seed, monkeypatch):
+    g, loss, bindings = _two_layer_mlp(np.random.default_rng(seed))
+    evaluate(g, bindings)
+    wanted = {"w0", "b0", "w1", "b1"}
+    sweeps = [(loss, wanted), (loss, {"b1"}), (loss, {"x", "t"})]
+    assert_plan_matches_interpreter(g, bindings, sweeps, monkeypatch)
+
+
+def triad(loss_kind, activation, rows, seed=0):
+    """A three-task trunk as the triad runs build it, with a batch of ``rows``."""
+    model = build_shared_trunk(8, 2, make_suite(3, loss_kind), seed=seed, activation=activation)
+    rng = np.random.default_rng(seed + rows)
+    bindings = model.partition.all_blocks()
+    bindings["input"] = rng.standard_normal((rows, 8))
+    for tid in model.suite.ids:
+        t = rng.uniform(0.1, 1.0, size=(rows, 1))
+        bindings[f"target.{tid}"] = t / t.sum(axis=1, keepdims=True) if loss_kind == "softmax_xent" else t
+    return model, bindings
+
+
+@pytest.mark.parametrize("loss_kind", ["squared_error", "softmax_xent"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_pruned_sweep_matches_reference_for_every_loss_subset(loss_kind, activation, monkeypatch):
+    model, bindings = triad(loss_kind, activation, rows=32)
+    evaluate(model.graph, bindings)
+    sweeps = []
+    for r in (1, 2, 3):
+        for group in itertools.combinations(model.suite.ids, r):
+            seeds = {model.loss_nodes[tid]: 0.5 + tid for tid in group}
+            sweeps.append((seeds, set(model.partition.block_ids(group))))
+            sweeps.append((seeds, set(bindings)))
+    assert_plan_matches_interpreter(model.graph, bindings, sweeps, monkeypatch)
+
+
+def test_plan_follows_the_train_and_eval_batch_sizes(monkeypatch):
+    model, train_batch = triad("squared_error", "tanh", rows=32)
+    _, eval_batch = triad("squared_error", "tanh", rows=256)
+    sweeps = [({model.loss_nodes[1]: 1.0}, set(model.partition.block_ids((1,))))]
+    for bindings in (train_batch, eval_batch):
+        evaluate(model.graph, bindings)  # new leaf shapes: the interpreter checks them
+        assert_plan_matches_interpreter(model.graph, bindings, sweeps, monkeypatch)
+    assert_plan_matches_interpreter(model.graph, train_batch, sweeps, monkeypatch)
+
+
+def error_of(run, *args):
+    with pytest.raises((GraphError, ShapeMismatch, NonFiniteValue)) as err:
+        run(*args)
+    return type(err.value), str(err.value)
+
+
+def assert_same_error(g, bindings):
+    """evaluate, after the plan has seen the graph, fails as the interpreter does."""
+    want = error_of(interpret, g, bindings)
+    assert error_of(evaluate, g, bindings) == want
+    return want
+
+
+def test_unbound_leaf_error_matches_interpreter():
+    g, loss, bindings = _two_layer_mlp(np.random.default_rng(3))
+    evaluate(g, bindings)
+    del bindings["b1"]
+    assert assert_same_error(g, bindings) == (GraphError, "leaf 'b1' is unbound")
+
+
+def test_shape_mismatch_error_matches_interpreter():
+    g, loss, bindings = _two_layer_mlp(np.random.default_rng(3))
+    evaluate(g, bindings)
+    bindings["w1"] = np.ones((4, 2))
+    assert assert_same_error(g, bindings) == (
+        ShapeMismatch, "matmul: inner extents differ: (4, 5) @ (4, 2)")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_non_finite_input_error_matches_interpreter(kind, bad):
+    g, loss, bindings = _op_case(kind, np.random.default_rng(7))
+    evaluate(g, bindings)
+    bindings["a"] = bindings["a"].copy()
+    bindings["a"][0, 0] = bad
+    assert assert_same_error(g, bindings) == (
+        NonFiniteValue, "op 'leaf' (node 0) produced a non-finite value")
+
+
+def test_overflow_hidden_by_tanh_is_caught():
+    g, loss, bindings = _two_layer_mlp(np.random.default_rng(3))
+    evaluate(g, bindings)
+    bindings["w0"] = bindings["w0"] * 1e308  # the first matmul overflows; tanh maps inf to 1
+    assert assert_same_error(g, bindings) == (
+        NonFiniteValue, "op 'matmul' (node 2) produced a non-finite value")
+
+
+def test_plan_is_rebuilt_when_nodes_are_added():
+    g, y = scalar_square()
+    evaluate(g, {"x": np.array(3.0)})
+    z = g.mark_output(g.scale(y, 2.0))
+    assert float(evaluate(g, {"x": np.array(3.0)})[z]) == 18.0
+    assert float(backward(g, z, {"x"})["x"]) == 12.0
