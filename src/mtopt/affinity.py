@@ -1,26 +1,28 @@
-"""Inter-task affinity: instantaneous measurements, a decayed tracker, and
-slow exact oracles.
+"""Inter-task affinity: instantaneous ratios, a decayed tracker, and slow
+exact oracles.
 
-An affinity from source to target is the relative loss reduction of the
-target after a hypothetical (or actual) gradient step:
+An affinity toward a target is the target's relative loss reduction after a
+hypothetical (or actual) gradient step:
 
     1 - loss_after / loss_before
 
-measured on the same batch at both states. During training the measurements
-come for free from the per-group sub-steps; the oracles here redo the probe
-explicitly with snapshot/restore so properties can be checked against an
-independent reference path.
+measured on the same batch at both states. During training each sub-step
+yields one such ratio per target, shared by every member of the updated
+group, at no extra cost; the oracles here redo the probe explicitly with
+snapshot/restore so properties can be checked against an independent
+reference path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .models import Batch, restore, snapshot
 
-EPS_LOSS = 1e-12  # ratios are undefined at (near-)zero loss; such pairs are skipped
+EPS_LOSS = 1e-12  # ratios are undefined at (near-)zero loss; such targets are skipped
 
 POSITIVE = "POSITIVE"
 CONFLICT = "CONFLICT"
@@ -29,15 +31,6 @@ NO_VERDICT = "NONE"
 
 class AffinityError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Measurement:
-    source: int
-    target: int
-    value: float
-    intra: bool
-    skipped: bool = False
 
 
 @dataclass
@@ -61,90 +54,68 @@ class AffinityTracker:
         return float(self.decayed[source - 1, target - 1])
 
 
-def instant_inter_group(before: dict[int, float], after: dict[int, float],
-                        group, targets, eps: float = EPS_LOSS) -> list[Measurement]:
-    """Affinity from an updated group to tasks outside it (their heads untouched).
+def _ratio(before: dict[int, float], after: dict[int, float], j: int, eps: float) -> float:
+    return float("nan") if before[j] < eps else 1.0 - after[j] / before[j]
 
-    The one measured ratio per target is assigned to every ordered pair
-    (member -> target).
+
+def instant_inter_group(before: dict[int, float], after: dict[int, float],
+                        group, targets, eps: float = EPS_LOSS) -> dict[int, float]:
+    """Ratio of each task outside the updated group (its head untouched).
+
+    Every member shares a target's one ratio; it is NaN where the loss
+    before is below ``eps``.
     """
-    out: list[Measurement] = []
-    members = sorted(group)
-    for j in sorted(targets):
+    for j in targets:
         if j in group:
             raise AffinityError(f"target {j} is inside the updated group")
-        denom = before[j]
-        if denom < eps:
-            out.extend(Measurement(i, j, float("nan"), intra=False, skipped=True) for i in members)
-            continue
-        val = 1.0 - after[j] / denom
-        out.extend(Measurement(i, j, val, intra=False) for i in members)
-    return out
+    return {j: _ratio(before, after, j, eps) for j in sorted(targets)}
 
 
 def instant_intra_group(before: dict[int, float], after: dict[int, float],
-                        group, eps: float = EPS_LOSS) -> tuple[list[Measurement], dict[frozenset, str]]:
-    """Affinity between members of the updated group, with sign verdicts.
+                        group, eps: float = EPS_LOSS) -> tuple[dict[int, float], dict[tuple, str]]:
+    """Ratio of each member of the updated group, with sign verdicts.
 
-    A pair's verdict needs both directions; if either denominator is below
-    ``eps`` the whole pair is recorded as skipped.
+    A member's ratio is shared by every other member, as toward an outside
+    target. A pair's verdict, kept under both orders, needs both ratios;
+    a pair with a NaN ratio gets none.
     """
-    members = sorted(group)
-    ratio: dict[int, float] = {}
-    bad: set[int] = set()
-    for j in members:
-        if before[j] < eps:
-            bad.add(j)
-        else:
-            ratio[j] = 1.0 - after[j] / before[j]
-    measurements: list[Measurement] = []
-    verdicts: dict[frozenset, str] = {}
-    for i in members:
-        for j in members:
-            if i == j:
-                continue
-            if i in bad or j in bad:
-                measurements.append(Measurement(i, j, float("nan"), intra=True, skipped=True))
-            else:
-                measurements.append(Measurement(i, j, ratio[j], intra=True))
-    for ai in range(len(members)):
-        for bi in range(ai + 1, len(members)):
-            i, j = members[ai], members[bi]
-            if i in bad or j in bad:
-                continue
-            both_ok = ratio[j] >= 0.0 and ratio[i] >= 0.0
-            verdicts[frozenset((i, j))] = POSITIVE if both_ok else CONFLICT
-    return measurements, verdicts
+    ratios = {j: _ratio(before, after, j, eps) for j in sorted(group)}
+    verdicts: dict[tuple, str] = {}
+    for i, ri in ratios.items():
+        for j, rj in ratios.items():
+            if i != j and not (math.isnan(ri) or math.isnan(rj)):
+                verdicts[i, j] = POSITIVE if ri >= 0.0 and rj >= 0.0 else CONFLICT
+    return ratios, verdicts
 
 
-def decay_update(tracker: AffinityTracker, measurements: list[Measurement],
-                 verdicts: dict[frozenset, str]) -> list[tuple]:
-    """Fold measurements into the tracker.
+def decay_update(tracker: AffinityTracker, group, ratios: dict[int, float],
+                 verdicts: dict[tuple, str]) -> list[tuple]:
+    """Fold a sub-step's ratios into the tracker, member by member.
 
-    Inter-group pairs and intra pairs judged POSITIVE take the standard
-    exponential average; CONFLICT pairs are pushed down by the larger of the
-    two magnitudes, symmetrically in both directions. Skipped pairs keep
-    their previous tracked value. Returns log rows
-    (source, target, instant, decayed, verdict, skipped).
+    Each pair (member -> other task) takes the target's ratio. Pairs toward
+    outside targets and pairs judged POSITIVE take the standard exponential
+    average; CONFLICT pairs are pushed down by the larger of the two members'
+    magnitudes, symmetrically in both directions. Skipped pairs (a NaN ratio
+    on the target, or on either member) keep their previous tracked value.
+    Returns log rows (source, target, instant, decayed, verdict, skipped) in
+    (source, target) order.
     """
-    beta = tracker.beta
-    by_pair = {(m.source, m.target): m for m in measurements}
+    beta, decayed = tracker.beta, tracker.decayed
+    targets = sorted(ratios)
     rows: list[tuple] = []
-    for m in sorted(measurements, key=lambda m: (m.source, m.target)):
-        s, t = m.source - 1, m.target - 1
-        verdict = NO_VERDICT
-        if m.intra and not m.skipped:
-            verdict = verdicts[frozenset((m.source, m.target))]
-        if m.skipped:
-            rows.append((m.source, m.target, float("nan"), float(tracker.decayed[s, t]), verdict, True))
-            continue
-        if verdict == CONFLICT:
-            other = by_pair[(m.target, m.source)]
-            mag = max(abs(m.value), abs(other.value))
-            tracker.decayed[s, t] = (1.0 - beta) * tracker.decayed[s, t] - beta * mag
-        else:
-            tracker.decayed[s, t] = (1.0 - beta) * tracker.decayed[s, t] + beta * m.value
-        rows.append((m.source, m.target, m.value, float(tracker.decayed[s, t]), verdict, False))
+    for s in sorted(group):
+        for t in targets:
+            if t == s:
+                continue
+            r, cell = ratios[t], (s - 1, t - 1)
+            verdict = verdicts.get((s, t), NO_VERDICT)
+            if math.isnan(r) or (t in group and verdict == NO_VERDICT):
+                rows.append((s, t, float("nan"), float(decayed[cell]), NO_VERDICT, True))
+                continue
+            # x - y is x + (-y) in IEEE arithmetic, so one update serves both cases
+            push = -max(abs(r), abs(ratios[s])) if verdict == CONFLICT else r
+            decayed[cell] = (1.0 - beta) * decayed[cell] + beta * push
+            rows.append((s, t, r, float(decayed[cell]), verdict, False))
     return rows
 
 

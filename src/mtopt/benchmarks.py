@@ -9,6 +9,7 @@ the regression family is the desk-scale stand-in for real task suites.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,28 +248,32 @@ def triad_spec(seed: int = 0, **overrides) -> RegressionSuiteSpec:
 
 def load_csv_dataset(path, input_cols: list[str],
                      target_cols: dict[int, list[str]]) -> tuple[TabularDataset, TaskSuite]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise BenchmarkError(f"{path}: empty file") from None
-        index = {name: i for i, name in enumerate(header)}
-        needed = list(input_cols) + [c for cols in target_cols.values() for c in cols]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except UnicodeDecodeError as e:
+        raise BenchmarkError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    if not lines:
+        raise BenchmarkError(f"{path}: empty file")
+    header = lines[0]
+    index = {name: i for i, name in enumerate(header)}
+    needed = list(input_cols) + [c for cols in target_cols.values() for c in cols]
+    for name in needed:
+        if name not in index:
+            raise BenchmarkError(f"{path}: missing column '{name}' (header: {header})")
+    rows = []
+    for rnum, row in enumerate(lines[1:], start=2):
+        parsed = {}
         for name in needed:
-            if name not in index:
-                raise BenchmarkError(f"{path}: missing column '{name}' (header: {header})")
-        rows = []
-        for rnum, row in enumerate(reader, start=2):
-            parsed = {}
-            for name in needed:
-                cell = row[index[name]] if index[name] < len(row) else ""
-                try:
-                    parsed[name] = float(cell)
-                except ValueError:
-                    raise BenchmarkError(
-                        f"{path}: row {rnum}, column '{name}': not numeric ({cell!r})") from None
-            rows.append(parsed)
+            cell = row[index[name]] if index[name] < len(row) else ""
+            try:
+                parsed[name] = float(cell)
+            except ValueError:
+                raise BenchmarkError(
+                    f"{path}: row {rnum}, column '{name}': not numeric ({cell!r})") from None
+            if not math.isfinite(parsed[name]):
+                raise BenchmarkError(f"{path}: row {rnum}, column '{name}': not finite ({cell!r})")
+        rows.append(parsed)
     if not rows:
         raise BenchmarkError(f"{path}: no data rows")
     x = np.array([[r[c] for c in input_cols] for r in rows])

@@ -12,12 +12,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .analysis import (SUITE_IDS, SUITE_TITLES, delta_m_from_losses,
+from .analysis import (SUITE_IDS, SUITE_TITLES, AnalysisError, delta_m_from_losses,
                        run_property_suite)
-from .config import ConfigError, echo_dict, parse_kv_text, validate_config
+from .config import ConfigError, echo_dict, parse_kv_text, read_kv_file, validate_config
 from .experiments import run_experiment
 from .optim import NumericAbort
-from .runio import (INDEX_HEADER, INDEX_SCHEMA, fmt, read_group_series,
+from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunDirError, fmt, read_group_series,
                     read_summary, write_json, write_lines, write_run)
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _apply_overrides(raw: dict[str, str], args) -> dict[str, str]:
 
 def cmd_run(args) -> int:
     try:
-        raw = parse_kv_text(open(args.config, encoding="utf-8").read())
+        raw = read_kv_file(args.config)
         raw = _apply_overrides(raw, args)
         cfg = validate_config(raw)
     except (OSError, ConfigError) as e:
@@ -131,7 +131,7 @@ def cmd_sweep(args) -> int:
         else:
             if not args.config:
                 raise ConfigError("sweep needs --config or --preset")
-            raw = parse_kv_text(open(args.config, encoding="utf-8").read())
+            raw = read_kv_file(args.config)
             base, cells = _expand_grid(raw)
         if args.seed is not None:
             base["seed"] = str(args.seed)
@@ -196,16 +196,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    for d in [args.baseline] + args.rundirs:
-        if not os.path.isfile(os.path.join(d, "summary.json")):
-            return _fail(f"missing run directory (no summary.json): {d}", EXIT_USAGE)
-    base = read_summary(args.baseline)
-    base_losses = {int(t): v for t, v in base["eval_losses"].items()}
+    try:
+        base = read_summary(args.baseline)
+        summaries = [(d, read_summary(d)) for d in args.rundirs]
+    except (OSError, RunDirError) as e:
+        return _fail(str(e), EXIT_USAGE)
     rows = []
-    for d in args.rundirs:
-        s = read_summary(d)
-        losses = {int(t): v for t, v in s["eval_losses"].items()}
-        dm = delta_m_from_losses(losses, base_losses)
+    for d, s in summaries:
+        try:
+            dm = delta_m_from_losses(s["eval_losses"], base["eval_losses"])
+        except AnalysisError as e:
+            return _fail(f"{d} against baseline {args.baseline}: {e}", EXIT_USAGE)
         mean_m = None
         runs = s.get("runs", {})
         if "main" in runs:
@@ -225,8 +226,7 @@ def cmd_report(args) -> int:
         write_lines(os.path.join(args.out, "report.csv"), lines)
         series = ["# schema=mtopt.groupseries.v1", "dir,iter,m"]
         freq = ["# schema=mtopt.groupfreq.v1", "dir,task_i,task_j,frequency"]
-        for d in args.rundirs:
-            s = read_summary(d)
+        for d, s in summaries:
             if os.path.exists(os.path.join(d, "groups.csv")):
                 series.extend(f"{d},{it},{m}" for it, m in read_group_series(d))
             main = s.get("runs", {}).get("main")

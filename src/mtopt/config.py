@@ -73,6 +73,15 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
+def read_kv_file(path) -> dict[str, str]:
+    """:func:`parse_kv_text` of a UTF-8 file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_kv_text(fh.read())
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def _want(raw, key, conv, default=None, check=None, describe=""):
     if key not in raw:
         return default
@@ -239,6 +248,8 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
             except ValueError:
                 raise ConfigError(f"field '{key}': task id '{tail}' is not an integer") from None
             cfg.csv_targets[tid] = [c.strip() for c in value.split(",") if c.strip()]
+            if not cfg.csv_targets[tid]:
+                raise ConfigError(f"field '{key}': names no column")
     if cfg.benchmark_kind == "csv":
         if not cfg.csv_path:
             raise ConfigError("field 'csv.path': required for csv benchmarks")

@@ -115,7 +115,9 @@ class Adam:
     def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
         for name in sorted(grads):
             g = grads[name]
-            m, v, t = self.moments.get(name, (np.zeros_like(g), np.zeros_like(g), 0))
+            if name not in self.moments:
+                self.moments[name] = (np.zeros_like(g), np.zeros_like(g), 0)
+            m, v, t = self.moments[name]
             t += 1
             m = self.beta1 * m + (1.0 - self.beta1) * g
             v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
@@ -219,7 +221,7 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                 outside = [j for j in all_ids if j not in group]
                 inter = instant_inter_group(current, after, group, outside)
                 intra, verdicts = instant_intra_group(current, after, group)
-                rows = decay_update(tracker, inter + intra, verdicts)
+                rows = decay_update(tracker, group, inter | intra, verdicts)
                 if log is not None:
                     log.affinity_rows.extend((iteration, idx) + row for row in rows)
             substeps.append(SubstepRecord(group, after, norm_shared, norm_task))

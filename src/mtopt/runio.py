@@ -22,6 +22,7 @@ GROUPS_SCHEMA = "# schema=mtopt.groups.v1"
 GROUPS_HEADER = "iter,partition,m"
 INDEX_SCHEMA = "# schema=mtopt.index.v1"
 INDEX_HEADER = "cell,dir,status"
+SUMMARY_SCHEMA = "mtopt.summary.v1"
 
 
 def fmt(x) -> str:
@@ -74,7 +75,7 @@ def write_run(outdir, result: RunResult, echo: dict) -> dict[str, str]:
         groups.extend(f'{report.iteration},"{serialize_partition(report.partition)}",'
                       f'{report.partition.m}' for report in log.steps)
     summary = {
-        "schema": "mtopt.summary.v1",
+        "schema": SUMMARY_SCHEMA,
         "method": result.method,
         "seed": result.seed,
         "k": result.k,
@@ -93,10 +94,30 @@ def write_run(outdir, result: RunResult, echo: dict) -> dict[str, str]:
     return paths
 
 
+class RunDirError(ValueError):
+    pass
+
+
 def read_summary(rundir) -> dict:
+    """A run directory's summary.json, checked for its schema, with its loss
+    maps keyed by task id."""
     path = os.path.join(rundir, "summary.json")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    if not os.path.isfile(path):
+        raise RunDirError(f"missing run directory (no summary.json): {rundir}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except ValueError:
+        raise RunDirError(f"{rundir}: summary.json is not JSON") from None
+    try:
+        ok = summary["schema"] == SUMMARY_SCHEMA and {"method", "seed"} <= summary.keys()
+        for key in ("final_losses", "eval_losses"):
+            summary[key] = {int(t): float(v) for t, v in summary[key].items()}
+    except (AttributeError, KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise RunDirError(f"{rundir}: summary.json is not a {SUMMARY_SCHEMA} summary with losses")
+    return summary
 
 
 def read_group_series(rundir) -> list[tuple[int, int]]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,61 +14,61 @@ from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, property_instan
 from tests.test_models import scalar_pair
 
 
-def _rows(measurements):
-    return {(m.source, m.target): m for m in measurements}
-
-
 def test_inter_group_hand_value():
-    ms = instant_inter_group({3: 0.5}, {3: 0.405}, group=(1, 2), targets=(3,))
-    by = _rows(ms)
-    assert by[(1, 3)].value == pytest.approx(0.19)
-    assert by[(2, 3)].value == pytest.approx(0.19)
+    ratios = instant_inter_group({3: 0.5}, {3: 0.405}, group=(1, 2), targets=(3,))
+    assert ratios[3] == pytest.approx(0.19)
+    rows = decay_update(AffinityTracker(3, beta=0.5), (1, 2), ratios, {})
+    assert [(r[0], r[1]) for r in rows] == [(1, 3), (2, 3)]
+    assert rows[0][2] == rows[1][2] == ratios[3]
 
 
 def test_inter_group_unchanged_and_eliminated():
-    ms = instant_inter_group({2: 0.5, 3: 0.4}, {2: 0.5, 3: 0.0}, (1,), (2, 3))
-    by = _rows(ms)
-    assert by[(1, 2)].value == 0.0
-    assert by[(1, 3)].value == 1.0
+    ratios = instant_inter_group({2: 0.5, 3: 0.4}, {2: 0.5, 3: 0.0}, (1,), (2, 3))
+    assert ratios[2] == 0.0
+    assert ratios[3] == 1.0
 
 
 def test_inter_group_tiny_denominator_is_skipped():
-    ms = instant_inter_group({2: 1e-15}, {2: 0.0}, (1,), (2,))
-    assert ms[0].skipped
+    ratios = instant_inter_group({2: 1e-15}, {2: 0.0}, (1,), (2,))
+    assert math.isnan(ratios[2])
+
+
+def test_inter_group_rejects_member_target():
+    with pytest.raises(AffinityError, match="inside the updated group"):
+        instant_inter_group({1: 0.5, 2: 0.5}, {1: 0.4, 2: 0.4}, (1, 2), (2,))
 
 
 def test_intra_group_verdicts():
     # losses: task 1 improves (0.5 -> 0.35), task 2 worsens (0.5 -> 0.7)
-    ms, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.35, 2: 0.7}, (1, 2))
-    by = _rows(ms)
-    assert by[(1, 2)].value == pytest.approx(1 - 0.7 / 0.5)
-    assert by[(2, 1)].value == pytest.approx(1 - 0.35 / 0.5)
-    assert verdicts[frozenset((1, 2))] == CONFLICT
-    ms, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.35, 2: 0.45}, (1, 2))
-    assert verdicts[frozenset((1, 2))] == POSITIVE
+    ratios, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.35, 2: 0.7}, (1, 2))
+    assert ratios[2] == pytest.approx(1 - 0.7 / 0.5)  # pair 1 -> 2
+    assert ratios[1] == pytest.approx(1 - 0.35 / 0.5)  # pair 2 -> 1
+    assert verdicts[1, 2] == verdicts[2, 1] == CONFLICT
+    ratios, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.35, 2: 0.45}, (1, 2))
+    assert verdicts[1, 2] == verdicts[2, 1] == POSITIVE
 
 
 def test_intra_singleton_emits_no_pairs():
-    ms, verdicts = instant_intra_group({1: 0.5}, {1: 0.4}, (1,))
-    assert ms == [] and verdicts == {}
+    ratios, verdicts = instant_intra_group({1: 0.5}, {1: 0.4}, (1,))
+    assert verdicts == {}
+    assert decay_update(AffinityTracker(1, beta=0.5), (1,), ratios, verdicts) == []
 
 
 def test_decay_hand_values():
     tracker = AffinityTracker(2, beta=0.001)
-    ms = instant_inter_group({2: 0.5}, {2: 0.25}, (1,), (2,))  # B = 0.5
-    decay_update(tracker, ms, {})
+    ratios = instant_inter_group({2: 0.5}, {2: 0.25}, (1,), (2,))  # B = 0.5
+    decay_update(tracker, (1,), ratios, {})
     assert tracker.decayed_pair(1, 2) == pytest.approx(0.0005)
 
 
 def test_decay_conflict_hand_value():
     tracker = AffinityTracker(2, beta=0.1)
     tracker.decayed[:] = 0.2
-    # intra measurements with B(1->2)=0.3, B(2->1)=-0.4
-    ms, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.7, 2: 0.35}, (1, 2))
-    by = _rows(ms)
-    assert by[(1, 2)].value == pytest.approx(0.3)
-    assert by[(2, 1)].value == pytest.approx(-0.4)
-    rows = decay_update(tracker, ms, verdicts)
+    # intra ratios with B(1->2)=0.3, B(2->1)=-0.4
+    ratios, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.7, 2: 0.35}, (1, 2))
+    assert ratios[2] == pytest.approx(0.3)
+    assert ratios[1] == pytest.approx(-0.4)
+    rows = decay_update(tracker, (1, 2), ratios, verdicts)
     assert tracker.decayed_pair(1, 2) == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert tracker.decayed_pair(2, 1) == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert all(r[4] == CONFLICT for r in rows)
@@ -75,10 +77,21 @@ def test_decay_conflict_hand_value():
 def test_skipped_pairs_keep_previous_value():
     tracker = AffinityTracker(2, beta=0.5)
     tracker.decayed[0, 1] = 0.3
-    ms = instant_inter_group({2: 1e-16}, {2: 0.0}, (1,), (2,))
-    rows = decay_update(tracker, ms, {})
+    ratios = instant_inter_group({2: 1e-16}, {2: 0.0}, (1,), (2,))
+    rows = decay_update(tracker, (1,), ratios, {})
     assert tracker.decayed_pair(1, 2) == 0.3
     assert rows[0][5] is True
+
+
+def test_intra_pair_with_tiny_member_loss_is_skipped_both_ways():
+    tracker = AffinityTracker(3, beta=0.5)
+    before, after = {1: 1e-15, 2: 0.5, 3: 0.5}, {1: 0.0, 2: 0.25, 3: 0.25}
+    ratios, verdicts = instant_intra_group(before, after, (1, 2))
+    ratios |= instant_inter_group(before, after, (1, 2), (3,))
+    rows = decay_update(tracker, (1, 2), ratios, verdicts)
+    assert [(r[0], r[1], r[5]) for r in rows] == [(1, 2, True), (1, 3, False),
+                                                  (2, 1, True), (2, 3, False)]
+    assert tracker.decayed_pair(1, 3) == tracker.decayed_pair(2, 3) == 0.25
 
 
 @given(st.floats(0.001, 0.5), st.floats(-1.0, 1.0), st.integers(1, 1000))
@@ -86,8 +99,8 @@ def test_skipped_pairs_keep_previous_value():
 def test_decay_matches_geometric_closed_form(beta, c, n):
     tracker = AffinityTracker(2, beta=beta)
     for step in range(n):
-        ms = instant_inter_group({2: 1.0}, {2: 1.0 - c}, (1,), (2,))
-        decay_update(tracker, ms, {})
+        ratios = instant_inter_group({2: 1.0}, {2: 1.0 - c}, (1,), (2,))
+        decay_update(tracker, (1,), ratios, {})
     expected = c * (1.0 - (1.0 - beta) ** n)
     assert tracker.decayed_pair(1, 2) == pytest.approx(expected, abs=1e-12)
 

@@ -142,6 +142,51 @@ def test_report_missing_directory_exits_2(tmp_path, capsys):
     assert main(["report", out, "--baseline", str(tmp_path / "nope")]) == 2
 
 
+def quad_run(tmp_path, name, k):
+    out = str(tmp_path / name)
+    cfg = write_cfg(tmp_path, QUAD_CFG + f"quadratic.k = {k}\n", f"{name}.cfg")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    return out
+
+
+def report_error(capsys, rundir, baseline):
+    """Report a bad pair of run directories: exit 2 and one stderr line."""
+    capsys.readouterr()
+    assert main(["report", rundir, "--baseline", baseline]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mtopt: "), err
+    return err[0]
+
+
+def test_report_task_set_mismatch_exits_2(tmp_path, capsys):
+    base, run = quad_run(tmp_path, "base", 2), quad_run(tmp_path, "run", 3)
+    err = report_error(capsys, run, base)
+    assert "task sets differ" in err and run in err
+
+
+def test_report_summary_not_json_exits_2(tmp_path, capsys):
+    base, run = quad_run(tmp_path, "base", 2), quad_run(tmp_path, "run", 2)
+    with open(os.path.join(run, "summary.json"), "w") as fh:
+        fh.write("{not json")
+    err = report_error(capsys, run, base)
+    assert "not JSON" in err and run in err
+
+
+@pytest.mark.parametrize("losses", [None, {"x": 1.0, "y": 2.0}, {"1": "abc", "2": 1.0}],
+                         ids=["missing", "not-task-ids", "not-numbers"])
+def test_report_summary_with_bad_eval_losses_exits_2(tmp_path, capsys, losses):
+    base, run = quad_run(tmp_path, "base", 2), quad_run(tmp_path, "run", 2)
+    path = os.path.join(base, "summary.json")
+    summary = json.load(open(path))
+    del summary["eval_losses"]
+    if losses is not None:
+        summary["eval_losses"] = losses
+    with open(path, "w") as fh:
+        json.dump(summary, fh)
+    err = report_error(capsys, run, base)
+    assert "mtopt.summary.v1" in err and base in err
+
+
 def test_verify_small_instances_pass(tmp_path, capsys):
     rep = str(tmp_path / "verify.json")
     code = main(["verify", "--suites", "T1,T3,A1", "--instances", "10",
@@ -270,6 +315,39 @@ def test_missing_csv_file_is_usage_error(tmp_path, capsys):
 def test_non_numeric_csv_cell_is_usage_error(tmp_path, capsys):
     err = usage_error(tmp_path, capsys, csv_cfg(tmp_path, "x,y1,y2\n1,2,3\n4,abc,6\n"))
     assert "not numeric" in err
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+def test_non_finite_csv_cell_is_usage_error(tmp_path, capsys, cell):
+    body = f"x,y1,y2\n1,2,3\n4,{cell},6\n7,8,9\n1,2,3\n"
+    err = usage_error(tmp_path, capsys, csv_cfg(tmp_path, body) + "batch.size = 2\n")
+    assert "csv.path" in err and "data.csv" in err and "row 3, column 'y1'" in err
+
+
+@pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
+def test_csv_target_list_naming_no_column_is_usage_error(tmp_path, capsys, value):
+    text = csv_cfg(tmp_path, "x,y1,y2\n1,2,3\n4,5,6\n").replace("csv.targets.2 = y2",
+                                                                 f"csv.targets.2 = {value}")
+    err = usage_error(tmp_path, capsys, text)
+    assert "csv.targets.2" in err
+
+
+def test_non_utf8_csv_is_usage_error(tmp_path, capsys):
+    text = csv_cfg(tmp_path, None)
+    (tmp_path / "data.csv").write_bytes(b"x,y1,y2\n1,2,3\n4,\xff,6\n")
+    err = usage_error(tmp_path, capsys, text)
+    assert "data.csv" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("cmd, axes", [("run", b""), ("sweep", b"sweep.seed = 1,2\n")])
+def test_non_utf8_config_is_usage_error(tmp_path, capsys, cmd, axes):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(QUAD_CFG.encode() + axes + b"# \xff\n")
+    out = tmp_path / "x"
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mtopt: ") and "bad.cfg" in err[0], err
+    assert not out.exists()
 
 
 def test_sweep_records_missing_csv_as_cell_error(tmp_path, capsys):

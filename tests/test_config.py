@@ -24,6 +24,7 @@ JUNK = st.one_of(st.just(""), st.text(max_size=20),
 @example({"eta": "inf"}, "")
 @example({"weights": "1,nan,1"}, "")
 @example({"fixed.partition": "1,1|2"}, "")
+@example({"csv.targets.1": ","}, "")
 def test_parse_then_validate_returns_a_config_or_raises_config_error(pairs, junk):
     text = "\n".join([f"{key} = {value}" for key, value in pairs.items()] + [junk])
     try:
@@ -38,3 +39,4 @@ def test_parse_then_validate_returns_a_config_or_raises_config_error(pairs, junk
     if cfg.fixed_partition is not None:
         tasks = [t for group in cfg.fixed_partition.groups for t in group]
         assert len(tasks) == len(set(tasks)), tasks
+    assert all(cfg.csv_targets.values()), cfg.csv_targets

@@ -177,6 +177,20 @@ def test_adam_shared_moments_advance_per_substep():
     assert opt.moments["task.1.theta"][2] == 1
 
 
+def test_adam_allocates_moments_once_per_block(monkeypatch):
+    model, batch = fresh_quadratic(seed=14)
+    opt = Adam()
+    cfg = TrainConfig(method=METHOD_SEPARATE, eta=1e-3, iters=1, optimizer="adam",
+                      order_mode="FORWARD")
+    calls = []
+    zeros_like = np.zeros_like
+    monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a.shape) or zeros_like(a))
+    for it in (1, 2):
+        selective_group_step(model, batch, singletons(3), cfg, opt, None, it,
+                             np.random.default_rng(0))
+    assert len(calls) == 2 * len(opt.moments)  # m and v of each block, once
+
+
 def test_descent_holds_for_singletons_within_regime():
     model, batch = fresh_quadratic(seed=15, k=2)
     report = check_descent(model, singletons(2), eta=0.05, steps=50, batch=batch)

@@ -5,8 +5,9 @@ affinity.csv, groups.csv and summary.json. The digests in
 ``pinned_rundirs.json`` cover every method on a triad and a 4-task quadratic
 config plus the optimizer, order, tracking, repartition and preset variants,
 so a change to the training loop, the set-up path or a config default that
-moves one byte of a run directory fails here. Re-pin only for an intended
-change of run output.
+moves one byte of a run directory fails here. The JSON report of
+``mtopt verify`` at its default instances is pinned the same way. Re-pin only
+for an intended change of output.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import pytest
 from mtopt.cli import main
 
 PINNED_FILES = ("steps.csv", "affinity.csv", "groups.csv", "summary.json")
+VERIFY_REPORT_SHA256 = "202caa6fa5d928887f39e1c4249ae08e3a8e03176139ace5dca6b3392bfc3d37"
 
 TRIAD = {"benchmark.kind": "regression", "regression.preset": "triad",
          "model.width": "8", "model.depth": "2", "batch.size": "16",
@@ -91,3 +93,10 @@ def test_pins_cover_every_case():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_rundir_bytes_match_pins(case, tmp_path):
     assert rundir_digests(CASES[case], str(tmp_path)) == _pinned()[case]
+
+
+def test_verify_report_bytes_match_pin(tmp_path, capsys):
+    out = str(tmp_path / "verify.json")
+    assert main(["verify", "--out", out]) == 0
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == VERIFY_REPORT_SHA256
