@@ -5,9 +5,11 @@ affinity.csv, groups.csv and summary.json. The digests in
 ``pinned_rundirs.json`` cover every method on a triad and a 4-task quadratic
 config plus the optimizer, order, tracking, repartition and preset variants,
 so a change to the training loop, the set-up path or a config default that
-moves one byte of a run directory fails here. The JSON report of
-``mtopt verify`` at its default instances is pinned the same way. Re-pin only
-for an intended change of output.
+moves one byte of a run directory fails here. The JSON report and stdout of
+``mtopt verify`` at its default instances are pinned the same way, and so are
+the JSON reports of two runs whose tightened margins make suites fail, which
+pin the violation counts and residuals of T3, T4 and T5. Re-pin only for an
+intended change of output.
 """
 
 import hashlib
@@ -20,6 +22,21 @@ from mtopt.cli import main
 
 PINNED_FILES = ("steps.csv", "affinity.csv", "groups.csv", "summary.json")
 VERIFY_REPORT_SHA256 = "202caa6fa5d928887f39e1c4249ae08e3a8e03176139ace5dca6b3392bfc3d37"
+VERIFY_STDOUT = """\
+T1 [affinity ordering implies gradient-alignment ordering]: pass, 200 instances, max residual 0.000e+00
+T2 [gradient alignment ordering implies post-update loss ordering]: pass, 200 instances, max residual 0.000e+00
+T3 [self-inclusion gap equals eta*||g||^2/loss to second order]: pass, 100 instances, max residual 1.018e-03
+T4 [per-sub-step descent inequality inside step-size regime]: pass, 50 instances, max residual 0.000e+00
+T5 [two-step vs joint update comparison]: pass, 100 instances, max residual 0.000e+00
+A1 [task-update probes dominate shared-only probes]: pass, 100 instances, max residual 0.000e+00
+"""
+# (extra verify arguments, sha256 of the JSON report); both exit 1
+FAILING_VERIFY_REPORTS = {
+    "T3-T4-fail": (["--margin-scale", "0.3", "--instances", "10"],
+                   "1a8e59eaf54ff50ad0bb6ba8659d0513c4c85abe59c9d9d610b279dcd7d7b797"),
+    "T3-T5-fail": (["--suites", "T1,T2,T3,T5,A1", "--margin-scale", "1e-4", "--instances", "10"],
+                   "78b778d6dba97ea13e8ca7e558ba46c5ab6e3f8c5cd9bca335cb870e4390d652"),
+}
 
 TRIAD = {"benchmark.kind": "regression", "regression.preset": "triad",
          "model.width": "8", "model.depth": "2", "batch.size": "16",
@@ -95,8 +112,21 @@ def test_rundir_bytes_match_pins(case, tmp_path):
     assert rundir_digests(CASES[case], str(tmp_path)) == _pinned()[case]
 
 
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def test_verify_report_bytes_match_pin(tmp_path, capsys):
     out = str(tmp_path / "verify.json")
     assert main(["verify", "--out", out]) == 0
-    with open(out, "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == VERIFY_REPORT_SHA256
+    assert _sha256(out) == VERIFY_REPORT_SHA256
+    assert capsys.readouterr().out == VERIFY_STDOUT
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_VERIFY_REPORTS))
+def test_failing_verify_report_bytes_match_pin(case, tmp_path, capsys):
+    args, digest = FAILING_VERIFY_REPORTS[case]
+    out = str(tmp_path / "verify.json")
+    assert main(["verify", *args, "--out", out]) == 1
+    assert _sha256(out) == digest
