@@ -122,21 +122,20 @@ def decay_update(tracker: AffinityTracker, group, ratios: dict[int, float],
 # -- slow oracles ----------------------------------------------------------
 
 
-def _probe(model, batch: Batch, target: int, eta: float, group,
-           include_task_update: bool) -> float:
-    weights = model.suite.weights()
+def _probe(model, batch: Batch, target: int, steps) -> float:
+    """Relative loss change of ``target`` after one SGD step per
+    (group, eta, shared_only), each from the state the one before left,
+    with every touched block restored afterwards."""
     before = model.forward_all(batch)[target]
     if before < EPS_LOSS:
         raise AffinityError(f"target {target} loss {before} too small for an affinity ratio")
-    grads = model.backward_group(group, weights)
-    block_ids = model.partition.block_ids(group)
-    snap = snapshot(model, block_ids)
-    shared = set(model.partition.shared)
-    for name, g in grads.items():
-        if not include_task_update and name not in shared:
-            continue
-        model.partition.set_block(name, model.partition.block(name) - eta * g)
-    after = model.forward_all(batch)[target]
+    weights = model.suite.weights()
+    snap = snapshot(model, model.partition.block_ids({t for group, _, _ in steps for t in group}))
+    for group, eta, shared_only in steps:
+        for name, g in model.backward_group(group, weights).items():
+            if not (shared_only and name not in model.partition.shared):
+                model.partition.set_block(name, model.partition.block(name) - eta * g)
+        after = model.forward_all(batch)[target]
     restore(model, snap)
     return 1.0 - after / before
 
@@ -144,18 +143,18 @@ def _probe(model, batch: Batch, target: int, eta: float, group,
 def inter_task_affinity(model, batch: Batch, source: int, target: int, eta: float) -> float:
     """Relative loss change of ``target`` after a shared-only step along
     ``source``'s gradient (the classic pairwise probe)."""
-    return _probe(model, batch, target, eta, (source,), include_task_update=False)
+    return _probe(model, batch, target, [((source,), eta, True)])
 
 
 def group_shared_affinity(model, batch: Batch, group, target: int, eta: float) -> float:
     """Group probe that moves only the shared parameters (task heads frozen)."""
-    return _probe(model, batch, target, eta, tuple(group), include_task_update=False)
+    return _probe(model, batch, target, [(tuple(group), eta, True)])
 
 
 def group_update_affinity(model, batch: Batch, group, target: int, eta: float) -> float:
     """Group probe that also steps the members' task-specific parameters —
     exactly what a live sub-step does, hence trackable during optimization."""
-    return _probe(model, batch, target, eta, tuple(group), include_task_update=True)
+    return _probe(model, batch, target, [(tuple(group), eta, False)])
 
 
 def two_step_affinity(model, batch: Batch, first, second, target: int, eta: float,
@@ -166,21 +165,5 @@ def two_step_affinity(model, batch: Batch, first, second, target: int, eta: floa
     The second step's gradients are taken at the state the first step left
     behind. Groups may overlap (a repeated singleton composes with itself).
     """
-    first, second = tuple(first), tuple(second)
-    eta2 = eta if eta2 is None else eta2
-    weights = model.suite.weights()
-    before = model.forward_all(batch)[target]
-    if before < EPS_LOSS:
-        raise AffinityError(f"target {target} loss {before} too small for an affinity ratio")
-    block_ids = model.partition.block_ids(sorted(set(first) | set(second)))
-    snap = snapshot(model, block_ids)
-    grads = model.backward_group(first, weights)
-    for name, g in grads.items():
-        model.partition.set_block(name, model.partition.block(name) - eta * g)
-    model.forward_all(batch)
-    grads = model.backward_group(second, weights)
-    for name, g in grads.items():
-        model.partition.set_block(name, model.partition.block(name) - eta2 * g)
-    after = model.forward_all(batch)[target]
-    restore(model, snap)
-    return 1.0 - after / before
+    return _probe(model, batch, target, [(tuple(first), eta, False),
+                                         (tuple(second), eta if eta2 is None else eta2, False)])

@@ -12,17 +12,21 @@ seeded convex quadratic instances, where every quantity has a closed form:
         other way
 * A1 — group probes with task updates dominate shared-only probes; the
         singleton probe towards an outside target is exactly the pairwise one
+
+The ``SUITES`` table owns each suite's title, default eta, default instance count and runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .affinity import (group_shared_affinity, group_update_affinity,
                        inter_task_affinity, two_step_affinity)
-from .benchmarks import QuadraticSpec, gen_quadratic_suite, property_instance
+from .benchmarks import QuadraticSpec, gen_quadratic_suite, property_instance, shared_grads
 from .grouping import make_partition
 from .optim import RunLog, check_descent
 
@@ -103,19 +107,6 @@ def summarize_run(log: RunLog) -> dict:
 
 # -- analytic property suites -------------------------------------------------
 
-SUITE_IDS = ("T1", "T2", "T3", "T4", "T5", "A1")
-
-SUITE_TITLES = {
-    "T1": "affinity ordering implies gradient-alignment ordering",
-    "T2": "gradient alignment ordering implies post-update loss ordering",
-    "T3": "self-inclusion gap equals eta*||g||^2/loss to second order",
-    "T4": "per-sub-step descent inequality inside step-size regime",
-    "T5": "two-step vs joint update comparison",
-    "A1": "task-update probes dominate shared-only probes",
-}
-
-DEFAULT_ETA = {"T1": 1e-4, "T2": 1e-4, "T3": 1e-3, "T4": None, "T5": 1e-3, "A1": 1e-3}
-
 
 @dataclass
 class SuiteReport:
@@ -130,116 +121,106 @@ class SuiteReport:
         return self.violations == 0
 
 
-def _shared_grads(model) -> dict[int, np.ndarray]:
-    w = model.suite.weights()
-    model.forward_all(None)
-    return {tid: model.backward_group((tid,), w)["shared.theta"] for tid in model.suite.ids}
+Checks = tuple[dict, list[tuple[bool, float]]]
 
 
-def _suite_t1_t2(suite: str, instances: int, eta: float, seed: int, margin_scale: float) -> SuiteReport:
+def _suite_t1_t2(t2: bool, instances: int, eta: float, seed: int, margin_scale: float) -> Checks:
     margin = 10.0 * eta * eta * margin_scale
-    violations = 0
-    worst = 0.0
+    checks = []
     for n in range(instances):
         model, batch = property_instance(3, seed + n)
-        g = _shared_grads(model)
-        dot_i = float(g[1] @ g[3])
-        dot_j = float(g[2] @ g[3])
-        aff_i = group_shared_affinity(model, batch, (1, 3), 3, eta)
-        aff_j = group_shared_affinity(model, batch, (2, 3), 3, eta)
-        for (a_hi, a_lo, d_hi, d_lo) in ((aff_i, aff_j, dot_i, dot_j),
-                                         (aff_j, aff_i, dot_j, dot_i)):
-            if suite == "T1":
-                if a_hi >= a_lo + margin:
-                    slack = d_hi - d_lo
-                    worst = min(worst, slack)
-                    if slack < 0.0:
-                        violations += 1
-            else:
-                # post-update losses compare exactly as the affinities do
-                # (same denominator), so the conclusion is an affinity order
-                if d_hi >= d_lo + margin:
-                    slack = a_hi - a_lo
-                    worst = min(worst, slack)
-                    if slack < -1e-15:
-                        violations += 1
-    return SuiteReport(suite, instances, violations, abs(worst),
-                       {"eta": eta, "margin": margin})
+        g = shared_grads(model)
+        dots = (float(g[1] @ g[3]), float(g[2] @ g[3]))
+        affs = (group_shared_affinity(model, batch, (1, 3), 3, eta),
+                group_shared_affinity(model, batch, (2, 3), 3, eta))
+        # T2: post-update losses compare exactly as the affinities do (same
+        # denominator), so its conclusion is an affinity order
+        premise, conclusion, tol = (dots, affs, -1e-15) if t2 else (affs, dots, 0.0)
+        for hi, lo in ((0, 1), (1, 0)):
+            if premise[hi] >= premise[lo] + margin:
+                slack = conclusion[hi] - conclusion[lo]
+                checks.append((slack < tol, -slack))
+    return {"eta": eta, "margin": margin}, checks
 
 
-def _suite_t3(instances: int, eta: float, seed: int, margin_scale: float) -> SuiteReport:
+def _suite_t3(instances: int, eta: float, seed: int, margin_scale: float) -> Checks:
     tol = (0.002 if eta <= 1e-3 else 2.0 * eta) * margin_scale
-    violations = 0
-    worst = 0.0
+    checks = []
     for n in range(instances):
         model, batch = property_instance(2, seed + n)
         losses = model.forward_all(batch)
-        g = _shared_grads(model)
+        g = shared_grads(model)
         gap = (group_shared_affinity(model, batch, (1, 2), 2, eta)
                - inter_task_affinity(model, batch, 1, 2, eta))
         predicted = eta * float(g[2] @ g[2]) / losses[2]
         rel = abs(gap - predicted) / predicted
-        worst = max(worst, rel)
-        if rel >= tol:
-            violations += 1
-    return SuiteReport("T3", instances, violations, worst, {"eta": eta, "rel_tol": tol})
+        checks.append((rel >= tol, rel))
+    return {"eta": eta, "rel_tol": tol}, checks
 
 
-def _suite_t4(instances: int, seed: int, margin_scale: float) -> SuiteReport:
-    violations = 0
-    worst = 0.0
+def _suite_t4(instances: int, _eta: float | None, seed: int, margin_scale: float) -> Checks:
     steps = 200
     partition = make_partition([(1, 2), (3,)])
+    checks = []
     for n in range(instances):
         model, batch = gen_quadratic_suite(QuadraticSpec(k=3, seed=seed + n, rho=0.95))
         h = model.hessian_bound()
         eta = 0.9 * min(2.0 / (h * 3), 1.0 / (h * 2)) / margin_scale
         report = check_descent(model, partition, eta, steps, batch)
-        violations += report.violations
-        for c in report.checks:
-            worst = max(worst, c.lhs - c.rhs)
-    return SuiteReport("T4", instances, violations, worst,
-                       {"steps": steps, "partition": "1,2|3"})
+        checks.extend((not c.holds, c.lhs - c.rhs) for c in report.checks)
+    return {"steps": steps, "partition": "1,2|3"}, checks
 
 
-def _suite_t5(instances: int, eta: float, seed: int, margin_scale: float) -> SuiteReport:
-    violations = 0
-    worst = 0.0
+def _suite_t5(instances: int, eta: float, seed: int, margin_scale: float) -> Checks:
     tol_pair = 10.0 * eta * eta * margin_scale
+    checks = []
     for n in range(instances):
         model, batch = property_instance(3, seed + n, align=(1, -1))
-        losses = model.forward_all(batch)
-        scale = max(1.0, 1.0 / losses[3])
+        scale = max(1.0, 1.0 / model.forward_all(batch)[3])
         joint = group_update_affinity(model, batch, (1, 2, 3), 3, eta)
         pair_first = two_step_affinity(model, batch, (1, 3), (2,), 3, eta)
         pair_last = two_step_affinity(model, batch, (2,), (1, 3), 3, eta)
         near = abs(joint - pair_first)
-        worst = max(worst, near - tol_pair * scale, joint - tol_pair - pair_last)
-        if near >= tol_pair * scale:
-            violations += 1
-        if pair_last < joint - tol_pair:
-            violations += 1
-    return SuiteReport("T5", instances, violations, worst,
-                       {"eta": eta, "tol": tol_pair})
+        checks.append((near >= tol_pair * scale, near - tol_pair * scale))
+        checks.append((pair_last < joint - tol_pair, joint - tol_pair - pair_last))
+    return {"eta": eta, "tol": tol_pair}, checks
 
 
-def _suite_a1(instances: int, eta: float, seed: int, margin_scale: float) -> SuiteReport:
-    violations = 0
-    worst = 0.0
+def _suite_a1(instances: int, eta: float, seed: int, margin_scale: float) -> Checks:
+    checks = []
     for n in range(instances):
         model, batch = property_instance(2, seed + n)
         plain = inter_task_affinity(model, batch, 1, 2, eta)
         single = group_update_affinity(model, batch, (1,), 2, eta)
-        if single != plain:  # exact: the target's loss ignores the source's head
-            violations += 1
-            worst = max(worst, abs(single - plain))
+        # exact: the target's loss ignores the source's head
+        checks.append((single != plain, abs(single - plain)))
         with_updates = group_update_affinity(model, batch, (1, 2), 2, eta)
         shared_only = group_shared_affinity(model, batch, (1, 2), 2, eta)
         slack = with_updates - shared_only
-        worst = max(worst, -slack)
-        if slack < -1e-15 * margin_scale:
-            violations += 1
-    return SuiteReport("A1", instances, violations, worst, {"eta": eta})
+        checks.append((slack < -1e-15 * margin_scale, -slack))
+    return {"eta": eta}, checks
+
+
+class Suite(NamedTuple):
+    """A suite's title and defaults. ``run(instances, eta, seed, margin_scale)``
+    returns the regime dict and one (violated, residual) pair per check."""
+
+    title: str
+    eta: float | None  # T4 derives its step size from each instance's Hessian
+    instances: int
+    run: Callable[[int, float | None, int, float], Checks]
+
+
+SUITES = {
+    "T1": Suite("affinity ordering implies gradient-alignment ordering",
+                1e-4, 200, partial(_suite_t1_t2, False)),
+    "T2": Suite("gradient alignment ordering implies post-update loss ordering",
+                1e-4, 200, partial(_suite_t1_t2, True)),
+    "T3": Suite("self-inclusion gap equals eta*||g||^2/loss to second order", 1e-3, 100, _suite_t3),
+    "T4": Suite("per-sub-step descent inequality inside step-size regime", None, 50, _suite_t4),
+    "T5": Suite("two-step vs joint update comparison", 1e-3, 100, _suite_t5),
+    "A1": Suite("task-update probes dominate shared-only probes", 1e-3, 100, _suite_a1),
+}
 
 
 def run_property_suite(suite: str, instances: int, seed: int = 0,
@@ -249,17 +230,11 @@ def run_property_suite(suite: str, instances: int, seed: int = 0,
     ``margin_scale`` tightens (or loosens) the stated margins; it exists so
     the failure path of the verification command can be exercised.
     """
-    if suite not in SUITE_IDS:
-        raise AnalysisError(f"unknown suite '{suite}' (have {', '.join(SUITE_IDS)})")
+    if suite not in SUITES:
+        raise AnalysisError(f"unknown suite '{suite}' (have {', '.join(SUITES)})")
     if instances < 1:
         raise AnalysisError("instances must be >= 1")
-    eta = DEFAULT_ETA[suite] if eta is None else eta
-    if suite in ("T1", "T2"):
-        return _suite_t1_t2(suite, instances, eta, seed, margin_scale)
-    if suite == "T3":
-        return _suite_t3(instances, eta, seed, margin_scale)
-    if suite == "T4":
-        return _suite_t4(instances, seed, margin_scale)
-    if suite == "T5":
-        return _suite_t5(instances, eta, seed, margin_scale)
-    return _suite_a1(instances, eta, seed, margin_scale)
+    spec = SUITES[suite]
+    regime, checks = spec.run(instances, spec.eta if eta is None else eta, seed, margin_scale)
+    worst = max([0.0, *(residual for _, residual in checks)])  # NaN residuals drop out
+    return SuiteReport(suite, instances, sum(violated for violated, _ in checks), worst, regime)

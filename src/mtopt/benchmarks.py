@@ -108,6 +108,13 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
     return model, Batch(inputs=None, targets={}, sample_id=0)
 
 
+def shared_grads(model: QuadraticModel) -> dict[int, np.ndarray]:
+    """Each task's gradient of its own loss with respect to the shared block."""
+    weights = model.suite.weights()
+    model.forward_all(None)
+    return {tid: model.backward_group((tid,), weights)["shared.theta"] for tid in model.suite.ids}
+
+
 def property_instance(k: int, seed: int,
                       align: tuple[int, ...] | None = None) -> tuple[QuadraticModel, Batch]:
     """Normalized quadratic instance for the analytic check suites.
@@ -118,9 +125,7 @@ def property_instance(k: int, seed: int,
     """
     for attempt in range(32):
         model, batch = gen_quadratic_suite(QuadraticSpec(k=k, seed=seed * 1000 + attempt))
-        model.forward_all(batch)
-        grads = {tid: model.backward_group((tid,), model.suite.weights())["shared.theta"]
-                 for tid in model.suite.ids}
+        grads = shared_grads(model)
         if align is None:
             return model, batch
         anchor = grads[k]

@@ -12,8 +12,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .analysis import (SUITE_IDS, SUITE_TITLES, AnalysisError, delta_m_from_losses,
-                       run_property_suite)
+from .analysis import SUITES, AnalysisError, delta_m_from_losses, run_property_suite
 from .config import ConfigError, echo_dict, parse_kv_text, read_kv_file, validate_config
 from .experiments import run_experiment
 from .optim import NumericAbort
@@ -24,8 +23,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-SUITE_DEFAULT_INSTANCES = {"T1": 200, "T2": 200, "T3": 100, "T4": 50, "T5": 100, "A1": 100}
 
 TRIAD_ABLATION_BASE = """\
 # triad ablation preset: grouping method and update order on the
@@ -172,19 +169,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = [s.strip() for s in args.suites.split(",")] if args.suites else list(SUITE_IDS)
+    suites = [s.strip() for s in args.suites.split(",")] if args.suites else list(SUITES)
     for s in suites:
-        if s not in SUITE_IDS:
-            return _fail(f"unknown suite '{s}' (have {', '.join(SUITE_IDS)})", EXIT_USAGE)
+        if s not in SUITES:
+            return _fail(f"unknown suite '{s}' (have {', '.join(SUITES)})", EXIT_USAGE)
     if args.instances is not None and args.instances < 1:
         return _fail("instances must be >= 1", EXIT_USAGE)
     reports = []
     for s in suites:
-        n = args.instances or SUITE_DEFAULT_INSTANCES[s]
+        n = args.instances or SUITES[s].instances
         rep = run_property_suite(s, n, seed=args.seed, margin_scale=args.margin_scale)
         reports.append(rep)
         status = "pass" if rep.passed else f"FAIL ({rep.violations} violations)"
-        print(f"{s} [{SUITE_TITLES[s]}]: {status}, {rep.instances} instances, "
+        print(f"{s} [{SUITES[s].title}]: {status}, {rep.instances} instances, "
               f"max residual {rep.max_residual:.3e}")
     if args.out:
         write_json(args.out, {
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=cmd_sweep)
 
     pv = sub.add_parser("verify", help="run the analytic property suites")
-    pv.add_argument("--suites", help=f"comma list from {','.join(SUITE_IDS)} (default all)")
+    pv.add_argument("--suites", help=f"comma list from {','.join(SUITES)} (default all)")
     pv.add_argument("--instances", type=int, help="instances per suite (default per-suite)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--margin-scale", type=float, default=1.0,
