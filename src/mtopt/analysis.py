@@ -234,7 +234,10 @@ def run_property_suite(suite: str, instances: int, seed: int = 0,
         raise AnalysisError(f"unknown suite '{suite}' (have {', '.join(SUITES)})")
     if instances < 1:
         raise AnalysisError("instances must be >= 1")
+    if not 0.0 < margin_scale < np.inf:
+        raise AnalysisError(f"margin scale must be finite and > 0, got {margin_scale}")
     spec = SUITES[suite]
-    regime, checks = spec.run(instances, spec.eta if eta is None else eta, seed, margin_scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises NonFiniteValue
+        regime, checks = spec.run(instances, spec.eta if eta is None else eta, seed, margin_scale)
     worst = max([0.0, *(residual for _, residual in checks)])  # NaN residuals drop out
     return SuiteReport(suite, instances, sum(violated for violated, _ in checks), worst, regime)

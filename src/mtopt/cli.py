@@ -18,6 +18,7 @@ from .experiments import run_experiment
 from .optim import NumericAbort
 from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunDirError, fmt, read_group_series,
                     read_summary, write_json, write_lines, write_run)
+from .tensor import NonFiniteValue
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -173,22 +174,28 @@ def cmd_verify(args) -> int:
     for s in suites:
         if s not in SUITES:
             return _fail(f"unknown suite '{s}' (have {', '.join(SUITES)})", EXIT_USAGE)
-    if args.instances is not None and args.instances < 1:
-        return _fail("instances must be >= 1", EXIT_USAGE)
     reports = []
     for s in suites:
-        n = args.instances or SUITES[s].instances
-        rep = run_property_suite(s, n, seed=args.seed, margin_scale=args.margin_scale)
+        n = SUITES[s].instances if args.instances is None else args.instances
+        try:  # a bad instance count or margin scale is refused before the first suite runs
+            rep = run_property_suite(s, n, seed=args.seed, margin_scale=args.margin_scale)
+        except AnalysisError as e:
+            return _fail(str(e), EXIT_USAGE)
+        except NonFiniteValue as e:
+            return _fail(f"numeric failure: suite {s}: {e}", EXIT_NUMERIC)
         reports.append(rep)
         status = "pass" if rep.passed else f"FAIL ({rep.violations} violations)"
         print(f"{s} [{SUITES[s].title}]: {status}, {rep.instances} instances, "
               f"max residual {rep.max_residual:.3e}")
     if args.out:
-        write_json(args.out, {
-            "schema": "mtopt.verify.v1", "seed": args.seed,
-            "suites": {r.suite: {"instances": r.instances, "violations": r.violations,
-                                 "max_residual": r.max_residual, "regime": r.regime}
-                       for r in reports}})
+        try:
+            write_json(args.out, {
+                "schema": "mtopt.verify.v1", "seed": args.seed,
+                "suites": {r.suite: {"instances": r.instances, "violations": r.violations,
+                                     "max_residual": r.max_residual, "regime": r.regime}
+                           for r in reports}})
+        except OSError as e:
+            return _fail(str(e), EXIT_USAGE)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
@@ -196,6 +203,10 @@ def cmd_report(args) -> int:
     try:
         base = read_summary(args.baseline)
         summaries = [(d, read_summary(d)) for d in args.rundirs]
+        series = ["# schema=mtopt.groupseries.v1", "dir,iter,m"]
+        for d in args.rundirs if args.out else []:
+            if os.path.exists(os.path.join(d, "groups.csv")):
+                series.extend(f"{d},{it},{m}" for it, m in read_group_series(d))
     except (OSError, RunDirError) as e:
         return _fail(str(e), EXIT_USAGE)
     rows = []
@@ -219,21 +230,21 @@ def cmd_report(args) -> int:
         extra = "" if mean_m is None else f", mean groups {mean_m:.2f}"
         print(f"{method:10s} seed={seed} {d}: delta_m {dm:+.3f}%{extra}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_lines(os.path.join(args.out, "report.csv"), lines)
-        series = ["# schema=mtopt.groupseries.v1", "dir,iter,m"]
         freq = ["# schema=mtopt.groupfreq.v1", "dir,task_i,task_j,frequency"]
         for d, s in summaries:
-            if os.path.exists(os.path.join(d, "groups.csv")):
-                series.extend(f"{d},{it},{m}" for it, m in read_group_series(d))
             main = s.get("runs", {}).get("main")
             if main and main.get("grouping_frequency"):
                 mat = main["grouping_frequency"]
                 for i, row in enumerate(mat, start=1):
                     freq.extend(f"{d},{i},{j},{fmt(float(v))}"
                                 for j, v in enumerate(row, start=1))
-        write_lines(os.path.join(args.out, "group_series.csv"), series)
-        write_lines(os.path.join(args.out, "group_frequency.csv"), freq)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            write_lines(os.path.join(args.out, "report.csv"), lines)
+            write_lines(os.path.join(args.out, "group_series.csv"), series)
+            write_lines(os.path.join(args.out, "group_frequency.csv"), freq)
+        except OSError as e:
+            return _fail(str(e), EXIT_USAGE)
     return EXIT_OK
 
 
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--instances", type=int, help="instances per suite (default per-suite)")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--margin-scale", type=float, default=1.0,
-                    help="margin multiplier (test hook; <1 tightens)")
+                    help="margin multiplier, finite and > 0 (test hook; <1 tightens)")
     pv.add_argument("--out", help="write a JSON report here")
     pv.set_defaults(fn=cmd_verify)
 

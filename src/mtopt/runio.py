@@ -122,12 +122,16 @@ def read_summary(rundir) -> dict:
 
 def read_group_series(rundir) -> list[tuple[int, int]]:
     """(iteration, group count) pairs from groups.csv."""
-    path = os.path.join(rundir, "groups.csv")
+    try:
+        with open(os.path.join(rundir, "groups.csv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise RunDirError(f"{rundir}: groups.csv is not UTF-8 text") from None
     out = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for line in lines[2:]:
-        parts = line.rsplit(",", 1)
-        it = int(line.split(",", 1)[0])
-        out.append((it, int(parts[1])))
+    for n, line in enumerate(lines[2:], start=3):
+        try:
+            out.append((int(line.split(",", 1)[0]), int(line.rsplit(",", 1)[1])))
+        except (IndexError, ValueError):
+            raise RunDirError(f"{rundir}: groups.csv line {n} is not iter,partition,m: "
+                              f"{line!r}") from None
     return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mtopt.analysis import (AnalysisError, TaskResult, delta_m,
 from mtopt.benchmarks import gen_quadratic_suite, QuadraticSpec
 from mtopt.optim import TrainConfig, train
 from mtopt.models import Batch
+from mtopt.tensor import NonFiniteValue
 from tests import metric_fixtures as fx
 
 
@@ -116,3 +119,16 @@ def test_unknown_suite_and_bad_instance_count():
         run_property_suite("T9", 10)
     with pytest.raises(AnalysisError):
         run_property_suite("T1", 0)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+def test_margin_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(AnalysisError, match="margin scale"):
+        run_property_suite("T4", 1, margin_scale=scale)
+
+
+def test_non_finite_suite_value_raises_without_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="quadratic loss is non-finite"):
+            run_property_suite("T4", 3, margin_scale=0.1)

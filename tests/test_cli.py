@@ -212,6 +212,56 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "--suites", "T7"]) == 2
 
 
+def cli_error(capsys, argv, code=2):
+    """Run the CLI in process on bad input: the exit code and one stderr line."""
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mtopt: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+def test_verify_bad_margin_scale_is_usage_error_before_any_suite(capsys, scale):
+    err = cli_error(capsys, ["verify", "--instances", "2", "--margin-scale", scale])
+    assert "margin scale must be finite and > 0" in err
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_non_finite_suite_value_is_numeric_failure_without_warnings():
+    done = run_cli_process("verify", "--suites", "T4", "--instances", "3",
+                           "--margin-scale", "0.1")
+    err = done.stderr.splitlines()
+    assert done.returncode == 3, done.stderr
+    assert err == ["mtopt: numeric failure: suite T4: task 1 quadratic loss is non-finite"]
+
+
+def test_verify_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "dir" / "x.json")
+    assert out in cli_error(capsys, ["verify", "--suites", "T1", "--instances", "2",
+                                     "--out", out])
+
+
+def test_report_out_on_existing_file_is_usage_error(tmp_path, capsys):
+    run = quad_run(tmp_path, "run", 2)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert str(afile) in cli_error(capsys, ["report", run, "--baseline", run,
+                                            "--out", str(afile)])
+
+
+@pytest.mark.parametrize("row", [b'1,"1;order=1",zz', b"7", b'1,"\xe9",1'],
+                         ids=["bad-m", "one-field", "not-utf8"])
+def test_report_malformed_groups_csv_is_usage_error(tmp_path, capsys, row):
+    run = quad_run(tmp_path, "run", 2)
+    with open(os.path.join(run, "groups.csv"), "ab") as fh:
+        fh.write(row + b"\n")
+    rep = str(tmp_path / "rep")
+    err = cli_error(capsys, ["report", run, "--baseline", run, "--out", rep])
+    assert run in err and "groups.csv" in err
+    assert not os.path.exists(rep)
+
+
 def test_single_method_produces_per_task_baselines(tmp_path):
     cfg = write_cfg(tmp_path, TRIAD_CFG.replace("method = SELECTIVE", "method = SINGLE"))
     out = str(tmp_path / "single")
@@ -381,13 +431,18 @@ def test_quadratic_suite_the_generator_cannot_build_is_usage_error(tmp_path, cap
     assert "quadratic" in err and needle in err
 
 
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, where numpy warnings reach stderr."""
+    src = os.path.dirname(os.path.dirname(mtopt.__file__))
+    return subprocess.run([sys.executable, "-m", "mtopt", *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
 def numeric_failure(tmp_path, text):
     """Run a config in a fresh interpreter that must go non-finite: exit 3 and
     exactly one stderr line, with no numpy warnings."""
-    src = os.path.dirname(os.path.dirname(mtopt.__file__))
-    done = subprocess.run([sys.executable, "-m", "mtopt", "run", "--config",
-                           write_cfg(tmp_path, text), "--out", str(tmp_path / "x")],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    done = run_cli_process("run", "--config", write_cfg(tmp_path, text),
+                           "--out", str(tmp_path / "x"))
     err = done.stderr.splitlines()
     assert done.returncode == 3, done.stderr
     assert len(err) == 1 and err[0].startswith("mtopt: numeric failure: "), err
