@@ -149,13 +149,18 @@ def quad_run(tmp_path, name, k):
     return out
 
 
-def report_error(capsys, rundir, baseline):
-    """Report a bad pair of run directories: exit 2 and one stderr line."""
+def cli_error(capsys, argv, code=2):
+    """Run the CLI in process on bad input: the exit code and one stderr line."""
     capsys.readouterr()
-    assert main(["report", rundir, "--baseline", baseline]) == 2
+    assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mtopt: "), err
     return err[0]
+
+
+def report_error(capsys, rundir, baseline):
+    """Report a bad pair of run directories: exit 2 and one stderr line."""
+    return cli_error(capsys, ["report", rundir, "--baseline", baseline])
 
 
 def test_report_task_set_mismatch_exits_2(tmp_path, capsys):
@@ -210,15 +215,6 @@ def test_verify_corrupted_margin_exits_1(capsys):
 
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert main(["verify", "--suites", "T7"]) == 2
-
-
-def cli_error(capsys, argv, code=2):
-    """Run the CLI in process on bad input: the exit code and one stderr line."""
-    capsys.readouterr()
-    assert main(argv) == code
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("mtopt: "), err
-    return err[0]
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
@@ -282,12 +278,9 @@ eta = 0.05
 def usage_error(tmp_path, capsys, text):
     """Run a config that must fail validation: exit 2, one stderr line, no run directory."""
     out = tmp_path / "x"
-    code = main(["run", "--config", write_cfg(tmp_path, text), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 2
-    assert len(err) == 1 and err[0].startswith("mtopt: "), err
+    err = cli_error(capsys, ["run", "--config", write_cfg(tmp_path, text), "--out", str(out)])
     assert not out.exists()
-    return err[0]
+    return err
 
 
 def test_too_few_quadratic_weights_is_usage_error(tmp_path, capsys):
