@@ -50,36 +50,33 @@ class AffinityTracker:
             raise AffinityError(f"decay rate must be in (0,1), got {self.beta}")
         self.decayed = np.zeros((self.k, self.k))
 
-    def decayed_pair(self, source: int, target: int) -> float:
-        return float(self.decayed[source - 1, target - 1])
 
-
-def _ratio(before: dict[int, float], after: dict[int, float], j: int, eps: float) -> float:
-    return float("nan") if before[j] < eps else 1.0 - after[j] / before[j]
+def _ratio(before: dict[int, float], after: dict[int, float], j: int) -> float:
+    return float("nan") if before[j] < EPS_LOSS else 1.0 - after[j] / before[j]
 
 
 def instant_inter_group(before: dict[int, float], after: dict[int, float],
-                        group, targets, eps: float = EPS_LOSS) -> dict[int, float]:
+                        group, targets) -> dict[int, float]:
     """Ratio of each task outside the updated group (its head untouched).
 
     Every member shares a target's one ratio; it is NaN where the loss
-    before is below ``eps``.
+    before is below ``EPS_LOSS``.
     """
     for j in targets:
         if j in group:
             raise AffinityError(f"target {j} is inside the updated group")
-    return {j: _ratio(before, after, j, eps) for j in sorted(targets)}
+    return {j: _ratio(before, after, j) for j in sorted(targets)}
 
 
 def instant_intra_group(before: dict[int, float], after: dict[int, float],
-                        group, eps: float = EPS_LOSS) -> tuple[dict[int, float], dict[tuple, str]]:
+                        group) -> tuple[dict[int, float], dict[tuple, str]]:
     """Ratio of each member of the updated group, with sign verdicts.
 
     A member's ratio is shared by every other member, as toward an outside
     target. A pair's verdict, kept under both orders, needs both ratios;
     a pair with a NaN ratio gets none.
     """
-    ratios = {j: _ratio(before, after, j, eps) for j in sorted(group)}
+    ratios = {j: _ratio(before, after, j) for j in sorted(group)}
     verdicts: dict[tuple, str] = {}
     for i, ri in ratios.items():
         for j, rj in ratios.items():
@@ -157,13 +154,11 @@ def group_update_affinity(model, batch: Batch, group, target: int, eta: float) -
     return _probe(model, batch, target, [(tuple(group), eta, False)])
 
 
-def two_step_affinity(model, batch: Batch, first, second, target: int, eta: float,
-                      eta2: float | None = None) -> float:
+def two_step_affinity(model, batch: Batch, first, second, target: int, eta: float) -> float:
     """Composition of two sequential group probes toward one target:
     1 - (1 - B1)(1 - B2) = 1 - loss_final / loss_initial.
 
     The second step's gradients are taken at the state the first step left
     behind. Groups may overlap (a repeated singleton composes with itself).
     """
-    return _probe(model, batch, target, [(tuple(first), eta, False),
-                                         (tuple(second), eta if eta2 is None else eta2, False)])
+    return _probe(model, batch, target, [(tuple(first), eta, False), (tuple(second), eta, False)])

@@ -13,7 +13,7 @@ seeded convex quadratic instances, where every quantity has a closed form:
 * A1 — group probes with task updates dominate shared-only probes; the
         singleton probe towards an outside target is exactly the pairwise one
 
-The ``SUITES`` table owns each suite's title, default eta, default instance count and runner.
+The ``SUITES`` table owns each suite's title, eta, default instance count and runner.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .affinity import (group_shared_affinity, group_update_affinity,
                        inter_task_affinity, two_step_affinity)
 from .benchmarks import QuadraticSpec, gen_quadratic_suite, property_instance, shared_grads
 from .grouping import make_partition
-from .optim import RunLog, check_descent
+from .optim import RunLog, check_descent, descent_eta_bound
 
 
 class AnalysisError(ValueError):
@@ -144,7 +144,7 @@ def _suite_t1_t2(t2: bool, instances: int, eta: float, seed: int, margin_scale: 
 
 
 def _suite_t3(instances: int, eta: float, seed: int, margin_scale: float) -> Checks:
-    tol = (0.002 if eta <= 1e-3 else 2.0 * eta) * margin_scale
+    tol = 0.002 * margin_scale
     checks = []
     for n in range(instances):
         model, batch = property_instance(2, seed + n)
@@ -164,8 +164,7 @@ def _suite_t4(instances: int, _eta: float | None, seed: int, margin_scale: float
     checks = []
     for n in range(instances):
         model, batch = gen_quadratic_suite(QuadraticSpec(k=3, seed=seed + n, rho=0.95))
-        h = model.hessian_bound()
-        eta = 0.9 * min(2.0 / (h * 3), 1.0 / (h * 2)) / margin_scale
+        eta = 0.9 * descent_eta_bound(model, partition) / margin_scale
         report = check_descent(model, partition, eta, steps, batch)
         checks.extend((not c.holds, c.lhs - c.rhs) for c in report.checks)
     return {"steps": steps, "partition": "1,2|3"}, checks
@@ -202,8 +201,8 @@ def _suite_a1(instances: int, eta: float, seed: int, margin_scale: float) -> Che
 
 
 class Suite(NamedTuple):
-    """A suite's title and defaults. ``run(instances, eta, seed, margin_scale)``
-    returns the regime dict and one (violated, residual) pair per check."""
+    """A suite's title, eta and default instance count. ``run(instances, eta,
+    seed, margin_scale)`` returns the regime dict and one (violated, residual) pair per check."""
 
     title: str
     eta: float | None  # T4 derives its step size from each instance's Hessian
@@ -224,8 +223,8 @@ SUITES = {
 
 
 def run_property_suite(suite: str, instances: int, seed: int = 0,
-                       eta: float | None = None, margin_scale: float = 1.0) -> SuiteReport:
-    """Run one analytic check suite over seeded quadratic instances.
+                       margin_scale: float = 1.0) -> SuiteReport:
+    """Run one analytic check suite over seeded quadratic instances at its eta.
 
     ``margin_scale`` tightens (or loosens) the stated margins; it exists so
     the failure path of the verification command can be exercised.
@@ -238,6 +237,6 @@ def run_property_suite(suite: str, instances: int, seed: int = 0,
         raise AnalysisError(f"margin scale must be finite and > 0, got {margin_scale}")
     spec = SUITES[suite]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises NonFiniteValue
-        regime, checks = spec.run(instances, spec.eta if eta is None else eta, seed, margin_scale)
+        regime, checks = spec.run(instances, spec.eta, seed, margin_scale)
     worst = max([0.0, *(residual for _, residual in checks)])  # NaN residuals drop out
     return SuiteReport(suite, instances, sum(violated for violated, _ in checks), worst, regime)

@@ -17,6 +17,9 @@ import numpy as np
 from .models import Batch, QuadraticModel, TaskSuite, make_suite
 
 
+MIN_TASK_GRAD = 0.3  # resample a target until its task-head gradient is not degenerate
+
+
 class BenchmarkError(ValueError):
     pass
 
@@ -55,8 +58,6 @@ class QuadraticSpec:
     rows: int = 8
     seed: int = 0
     rho: float | None = None          # pairwise target alignment; implies one shared design matrix
-    unit_gradients: bool = True       # scale targets so each initial shared gradient has norm 1
-    min_task_grad: float = 0.3        # resample until task-head gradients are not degenerate
 
     def __post_init__(self):
         if self.k < 2:
@@ -68,7 +69,8 @@ class QuadraticSpec:
 def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
     """Convex suite L_i = 0.5*||A_i s + C_i t_i - b_i||^2 at the origin.
 
-    Design matrices are normalized to unit spectral norm so the analytic
+    Design matrices are normalized to unit spectral norm, and each target is
+    scaled so its task's initial shared gradient has norm 1, so the analytic
     property margins (stated in multiples of eta^2 at unit scale) apply.
     """
     rng = np.random.default_rng([spec.seed, 0])
@@ -91,19 +93,17 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
                 v = rng.standard_normal(spec.rows)
                 v /= np.linalg.norm(v)
                 sg = np.linalg.norm(a[tid].T @ v)
-                tg = np.linalg.norm(c[tid].T @ v) if spec.task_dim else spec.min_task_grad
-                if sg >= 0.2 and tg >= spec.min_task_grad * sg:
+                tg = np.linalg.norm(c[tid].T @ v) if spec.task_dim else MIN_TASK_GRAD
+                if sg >= 0.2 and tg >= MIN_TASK_GRAD * sg:
                     break
             else:
                 raise BenchmarkError(f"could not draw a non-degenerate target for task {tid}")
             raw.append(v)
     for tid, v in zip(suite.ids, raw):
-        if spec.unit_gradients:
-            sg = np.linalg.norm(a[tid].T @ v)
-            if sg < 1e-9:
-                raise BenchmarkError(f"task {tid}: target is orthogonal to the design range")
-            v = v / sg
-        b[tid] = v
+        sg = np.linalg.norm(a[tid].T @ v)
+        if sg < 1e-9:
+            raise BenchmarkError(f"task {tid}: target is orthogonal to the design range")
+        b[tid] = v / sg
     model = QuadraticModel(suite, a, c, b)
     return model, Batch(inputs=None, targets={}, sample_id=0)
 
@@ -239,10 +239,10 @@ def gen_regression_suite(spec: RegressionSuiteSpec) -> tuple[TabularDataset, Tas
     return ds, make_suite(spec.k, loss_kind="squared_error")
 
 
-def triad_spec(seed: int = 0, **overrides) -> RegressionSuiteSpec:
+def triad_spec(seed: int = 0) -> RegressionSuiteSpec:
     """Preset: two aligned tasks plus one conflicting, amplitude-heavy task
     (the spec defaults)."""
-    return RegressionSuiteSpec(seed=seed, **overrides)
+    return RegressionSuiteSpec(seed=seed)
 
 
 # -- CSV ingestion ------------------------------------------------------------

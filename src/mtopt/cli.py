@@ -174,6 +174,10 @@ def cmd_verify(args) -> int:
     for s in suites:
         if s not in SUITES:
             return _fail(f"unknown suite '{s}' (have {', '.join(SUITES)})", EXIT_USAGE)
+    if args.out and os.path.isdir(args.out):
+        return _fail(f"--out {args.out} is a directory", EXIT_USAGE)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        return _fail(f"--out {args.out}: no directory {os.path.dirname(args.out)}", EXIT_USAGE)
     reports = []
     for s in suites:
         n = SUITES[s].instances if args.instances is None else args.instances
@@ -200,6 +204,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+        return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
     try:
         base = read_summary(args.baseline)
         summaries = [(d, read_summary(d)) for d in args.rundirs]

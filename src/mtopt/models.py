@@ -31,7 +31,6 @@ class ModelError(ValueError):
 class TaskDef:
     tid: int
     loss_kind: str = "squared_error"  # squared_error | softmax_xent | quadratic
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class TaskSuite:
             raise ModelError("a task suite needs at least 2 tasks")
         if ids != list(range(1, len(ids) + 1)):
             raise ModelError(f"task ids must be contiguous from 1, got {ids}")
-        for t in self.tasks:
-            if not t.weight > 0:
-                raise ModelError(f"task {t.tid}: weight must be positive, got {t.weight}")
 
     @property
     def k(self) -> int:
@@ -57,15 +53,15 @@ class TaskSuite:
         return tuple(t.tid for t in self.tasks)
 
     def weights(self) -> dict[int, float]:
-        return {t.tid: t.weight for t in self.tasks}
+        """Unit loss weights; ``TrainConfig.weights`` is the only way to weight a loss."""
+        return {tid: 1.0 for tid in self.ids}
 
     def task(self, tid: int) -> TaskDef:
         return self.tasks[tid - 1]
 
 
-def make_suite(k: int, loss_kind: str = "squared_error", weights=None) -> TaskSuite:
-    w = weights or {}
-    return TaskSuite(tuple(TaskDef(i, loss_kind, float(w.get(i, 1.0))) for i in range(1, k + 1)))
+def make_suite(k: int, loss_kind: str = "squared_error") -> TaskSuite:
+    return TaskSuite(tuple(TaskDef(i, loss_kind) for i in range(1, k + 1)))
 
 
 @dataclass

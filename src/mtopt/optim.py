@@ -107,9 +107,9 @@ class Adam:
     """
 
     kind = "adam"
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.moments: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
@@ -172,21 +172,13 @@ class RunLog:
     eval_losses: dict[int, float] | None = None
 
 
-def _grad_norms(model, group, grads) -> tuple[float, dict[int, float]]:
-    shared_sq = 0.0
-    for name in model.partition.shared:
-        g = grads.get(name)
-        if g is not None:
-            shared_sq += float((g * g).sum())
-    per_task = {}
-    for tid in group:
-        sq = 0.0
-        for name in model.partition.per_task[tid]:
-            g = grads.get(name)
-            if g is not None:
-                sq += float((g * g).sum())
-        per_task[tid] = float(np.sqrt(sq))
-    return float(np.sqrt(shared_sq)), per_task
+def _grad_norms(partition: ParamPartition, group, grads) -> tuple[float, dict[int, float]]:
+    """Gradient norms of the shared set and of each member's set. Each sums
+    the per-block squares in block order; one sum over the concatenated
+    gradient would round differently."""
+    def norm(names) -> float:
+        return float(np.sqrt(sum(float((grads[n] * grads[n]).sum()) for n in names)))
+    return norm(partition.shared), {tid: norm(partition.per_task[tid]) for tid in group}
 
 
 def selective_group_step(model, batch: Batch, partition: GroupPartition, config: TrainConfig,
@@ -216,7 +208,7 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
             if not joint:
                 after = model.forward_all(batch)
                 forwards += 1
-            norm_shared, norm_task = _grad_norms(model, group, grads)
+            norm_shared, norm_task = _grad_norms(model.partition, group, grads)
             if tracker is not None and after is not None:
                 outside = [j for j in all_ids if j not in group]
                 inter = instant_inter_group(current, after, group, outside)
@@ -296,6 +288,14 @@ def train(model, batches, config: TrainConfig) -> RunLog:
 # -- descent inequality checker ---------------------------------------------
 
 
+def descent_eta_bound(model, partition: GroupPartition) -> float:
+    """The step-size regime of the descent inequality, min(2/(H*K), 1/(H*max|G|))
+    with H the largest per-task Hessian eigenvalue; inf when H = 0."""
+    h = model.hessian_bound()
+    gmax = max(len(g) for g in partition.groups)
+    return min(2.0 / (h * partition.k), 1.0 / (h * gmax)) if h > 0 else float("inf")
+
+
 @dataclass
 class SubstepCheck:
     iteration: int
@@ -306,32 +306,25 @@ class SubstepCheck:
     holds: bool
     cross_term: float
     ts_term: float
-    dominant: str
 
 
 @dataclass
 class DescentReport:
     eta: float
-    hessian_bound: float
-    eta_bound: float
     regime: str                      # IN_REGIME | OUT_OF_REGIME
     checks: list[SubstepCheck]
     violations: int
 
 
 def check_descent(model, partition: GroupPartition, eta: float, steps: int,
-                  batch: Batch | None = None) -> DescentReport:
+                  batch: Batch) -> DescentReport:
     """Evaluate both sides of the per-sub-step descent inequality along a run.
 
-    Plain SGD, fixed partition, forward order. The step-size regime is
-    eta <= min(2/(H*K), 1/(H*max|G|)) with H the largest per-task Hessian
-    eigenvalue; outside it the report is tagged rather than failed.
+    Plain SGD, fixed partition, forward order. Outside the step-size regime
+    of :func:`descent_eta_bound` the report is tagged rather than failed.
     """
     weights = model.suite.weights()
-    h = model.hessian_bound()
-    gmax = max(len(g) for g in partition.groups)
-    bound = min(2.0 / (h * partition.k), 1.0 / (h * gmax)) if h > 0 else float("inf")
-    regime = "IN_REGIME" if eta <= bound else "OUT_OF_REGIME"
+    regime = "IN_REGIME" if eta <= descent_eta_bound(model, partition) else "OUT_OF_REGIME"
     checks: list[SubstepCheck] = []
     violations = 0
     optimizer = PlainSGD()
@@ -358,8 +351,6 @@ def check_descent(model, partition: GroupPartition, eta: float, steps: int,
             holds = lhs <= rhs + slack
             if not holds:
                 violations += 1
-            dominant = "cross" if abs(cross) >= abs(ts_term) else "task_specific"
-            checks.append(SubstepCheck(iteration, idx, group, lhs, rhs, holds,
-                                       cross, ts_term, dominant))
+            checks.append(SubstepCheck(iteration, idx, group, lhs, rhs, holds, cross, ts_term))
             losses = losses_after
-    return DescentReport(eta, h, bound, regime, checks, violations)
+    return DescentReport(eta, regime, checks, violations)

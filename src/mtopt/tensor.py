@@ -121,9 +121,6 @@ class Graph:
     def reduce_sum(self, a: int) -> int:
         return self._new("reduce_sum", (a,))
 
-    def reduce_mean(self, a: int) -> int:
-        return self._new("reduce_mean", (a,))
-
     def squared_error(self, pred: int, target: int) -> int:
         """Mean over all entries of (pred - target)^2."""
         return self._new("squared_error", (pred, target))
@@ -186,8 +183,6 @@ def _kernel(node: Node):
         return lambda v: np.tanh(v[a])
     if op == "reduce_sum":
         return lambda v: np.asarray(v[a].sum())
-    if op == "reduce_mean":
-        return lambda v: np.asarray(_mean(v[a]))
     b = ins[1]
     if op == "matmul":
         return lambda v: v[a] @ v[b]
@@ -221,8 +216,6 @@ def _adjoint(node: Node, pos: int):
         return lambda g, v: g * (1.0 - v[y] * v[y])
     if op == "reduce_sum":
         return lambda g, v: np.broadcast_to(g, v[a].shape).copy()
-    if op == "reduce_mean":
-        return lambda g, v: np.broadcast_to(g / v[a].size, v[a].shape).copy()
     b = ins[1]
     if op == "matmul":
         return (lambda g, v: g @ v[b].T) if pos == 0 else (lambda g, v: v[a].T @ g)

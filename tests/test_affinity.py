@@ -58,7 +58,7 @@ def test_decay_hand_values():
     tracker = AffinityTracker(2, beta=0.001)
     ratios = instant_inter_group({2: 0.5}, {2: 0.25}, (1,), (2,))  # B = 0.5
     decay_update(tracker, (1,), ratios, {})
-    assert tracker.decayed_pair(1, 2) == pytest.approx(0.0005)
+    assert tracker.decayed[0, 1] == pytest.approx(0.0005)
 
 
 def test_decay_conflict_hand_value():
@@ -69,8 +69,8 @@ def test_decay_conflict_hand_value():
     assert ratios[2] == pytest.approx(0.3)
     assert ratios[1] == pytest.approx(-0.4)
     rows = decay_update(tracker, (1, 2), ratios, verdicts)
-    assert tracker.decayed_pair(1, 2) == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
-    assert tracker.decayed_pair(2, 1) == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
+    assert tracker.decayed[0, 1] == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
+    assert tracker.decayed[1, 0] == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert all(r[4] == CONFLICT for r in rows)
 
 
@@ -79,7 +79,7 @@ def test_skipped_pairs_keep_previous_value():
     tracker.decayed[0, 1] = 0.3
     ratios = instant_inter_group({2: 1e-16}, {2: 0.0}, (1,), (2,))
     rows = decay_update(tracker, (1,), ratios, {})
-    assert tracker.decayed_pair(1, 2) == 0.3
+    assert tracker.decayed[0, 1] == 0.3
     assert rows[0][5] is True
 
 
@@ -91,7 +91,7 @@ def test_intra_pair_with_tiny_member_loss_is_skipped_both_ways():
     rows = decay_update(tracker, (1, 2), ratios, verdicts)
     assert [(r[0], r[1], r[5]) for r in rows] == [(1, 2, True), (1, 3, False),
                                                   (2, 1, True), (2, 3, False)]
-    assert tracker.decayed_pair(1, 3) == tracker.decayed_pair(2, 3) == 0.25
+    assert tracker.decayed[0, 2] == tracker.decayed[1, 2] == 0.25
 
 
 @given(st.floats(0.001, 0.5), st.floats(-1.0, 1.0), st.integers(1, 1000))
@@ -102,7 +102,7 @@ def test_decay_matches_geometric_closed_form(beta, c, n):
         ratios = instant_inter_group({2: 1.0}, {2: 1.0 - c}, (1,), (2,))
         decay_update(tracker, (1,), ratios, {})
     expected = c * (1.0 - (1.0 - beta) ** n)
-    assert tracker.decayed_pair(1, 2) == pytest.approx(expected, abs=1e-12)
+    assert tracker.decayed[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_tracker_rejects_bad_beta():
@@ -172,13 +172,6 @@ def test_proximal_hand_value_with_task_updates():
     # theta_s: -eta*(-2) = 0.02, theta_2: -eta*(-1) = 0.01
     want = 1.0 - 0.5 * (0.02 + 0.01 - 1.0) ** 2 / 0.5
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_two_step_with_zero_second_eta_is_single_step():
-    model, batch = gen_quadratic_suite(QuadraticSpec(k=3, seed=6))
-    single = group_update_affinity(model, batch, (1, 3), 3, 1e-2)
-    composed = two_step_affinity(model, batch, (1, 3), (2,), 3, 1e-2, eta2=0.0)
-    assert composed == pytest.approx(single, rel=1e-12)
 
 
 def test_two_step_identical_singletons_closed_form():

@@ -16,8 +16,7 @@ def shared_grad(model, tid):
 
 @pytest.mark.parametrize("rho,k", [(1.0, 2), (-1.0, 2), (0.5, 3), (0.0, 4), (-0.3, 3)])
 def test_alignment_recipe_hits_rho_exactly(rho, k):
-    model, _ = gen_quadratic_suite(QuadraticSpec(k=k, rows=10, seed=1, rho=rho,
-                                                 unit_gradients=False))
+    model, _ = gen_quadratic_suite(QuadraticSpec(k=k, rows=10, seed=1, rho=rho))
     for i in model.suite.ids:
         for j in model.suite.ids:
             if i < j:

@@ -150,11 +150,14 @@ def quad_run(tmp_path, name, k):
 
 
 def cli_error(capsys, argv, code=2):
-    """Run the CLI in process on bad input: the exit code and one stderr line."""
+    """Run the CLI in process on bad input: the exit code, one stderr line and
+    nothing on stdout."""
     capsys.readouterr()
     assert main(argv) == code
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("mtopt: "), err
+    assert captured.out == ""
     return err[0]
 
 
@@ -244,6 +247,19 @@ def test_report_out_on_existing_file_is_usage_error(tmp_path, capsys):
     afile.write_text("")
     assert str(afile) in cli_error(capsys, ["report", run, "--baseline", run,
                                             "--out", str(afile)])
+
+
+def test_verify_out_on_a_directory_is_refused_before_any_suite(tmp_path, capsys):
+    assert str(tmp_path) in cli_error(capsys, ["verify", "--suites", "T1", "--instances", "2",
+                                               "--out", str(tmp_path)])
+
+
+def test_report_out_on_a_file_is_refused_before_reading_run_directories(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    missing = str(tmp_path / "missing")
+    err = cli_error(capsys, ["report", missing, "--baseline", missing, "--out", str(afile)])
+    assert str(afile) in err and missing not in err
 
 
 @pytest.mark.parametrize("row", [b'1,"1;order=1",zz', b"7", b'1,"\xe9",1'],

@@ -22,8 +22,6 @@ def test_suite_validation():
         TaskSuite((TaskDef(1),))
     with pytest.raises(ModelError, match="contiguous"):
         TaskSuite((TaskDef(1), TaskDef(3)))
-    with pytest.raises(ModelError, match="positive"):
-        TaskSuite((TaskDef(1), TaskDef(2, weight=0.0)))
 
 
 def test_partition_rejects_duplicate_blocks():

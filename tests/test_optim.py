@@ -166,6 +166,21 @@ def test_numeric_abort_reports_iteration():
     assert "non-finite" in str(err.value)
 
 
+def test_unit_weights_are_the_default():
+    """Training without weights and with explicit unit weights gives the same
+    losses, gradient norms and affinity rows, bit for bit."""
+    ds, suite = gen_regression_suite(triad_spec(seed=0))
+    runs = []
+    for weights in (None, {1: 1.0, 2: 1.0, 3: 1.0}):
+        model = build_shared_trunk(8, 2, suite, seed=0, in_dim=ds.train_x.shape[1])
+        cfg = TrainConfig(method=METHOD_SELECTIVE, eta=0.05, beta=0.01, iters=30, weights=weights)
+        log = train(model, ds.stream(16, 30, 0), cfg)
+        runs.append(repr([(s.initial_losses, [(r.group, r.losses_after, r.grad_norm_shared,
+                                                r.grad_norm_task) for r in s.substeps])
+                          for s in log.steps] + [log.final_losses] + log.affinity_rows))
+    assert runs[0] == runs[1]  # repr keeps every bit of a float and compares NaN equal
+
+
 def test_adam_shared_moments_advance_per_substep():
     model, batch = fresh_quadratic(seed=14)
     opt = Adam()
@@ -216,7 +231,6 @@ def test_descent_with_opposing_gradients_flags_cross_term():
     assert report.violations == 0  # the bound covers hostile geometry too
     # opposed tasks make the cross term positive somewhere along the run
     assert any(c.cross_term > 0 for c in report.checks)
-    assert all(c.dominant in ("cross", "task_specific") for c in report.checks)
 
 
 def test_descent_out_of_regime_is_tagged_not_failed():

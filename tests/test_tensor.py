@@ -118,8 +118,8 @@ def _op_case(kind, rng):
         a = rng.standard_normal((n, m))
         a = a + np.sign(a) * 1e-3  # keep clear of the relu kink
         bindings = {"a": a}
-    elif kind in ("reduce_sum", "reduce_mean"):
-        out = getattr(g, kind)(g.leaf("a"))
+    elif kind == "reduce_sum":
+        out = g.reduce_sum(g.leaf("a"))
         bindings = {"a": rng.standard_normal((n, m))}
     elif kind == "squared_error":
         out = g.squared_error(g.leaf("a"), g.leaf("b"))
@@ -131,13 +131,13 @@ def _op_case(kind, rng):
         bindings = {"a": rng.standard_normal((n, m)), "b": t}
     else:
         raise AssertionError(kind)
-    if kind not in ("reduce_sum", "reduce_mean", "squared_error", "softmax_xent"):
+    if kind not in ("reduce_sum", "squared_error", "softmax_xent"):
         out = g.reduce_sum(out)
     return g, g.mark_output(out), bindings
 
 
 ALL_KINDS = ["matmul", "add", "sub", "mul", "bias_add", "relu", "tanh",
-             "reduce_sum", "reduce_mean", "squared_error", "softmax_xent"]
+             "reduce_sum", "squared_error", "softmax_xent"]
 
 
 @pytest.mark.parametrize("case", range(100))
