@@ -101,18 +101,20 @@ def decay_update(tracker: AffinityTracker, group, ratios: dict[int, float],
     targets = sorted(ratios)
     rows: list[tuple] = []
     for s in sorted(group):
+        row = decayed[s - 1].tolist()  # Python floats: the same IEEE operations, less overhead
         for t in targets:
             if t == s:
                 continue
-            r, cell = ratios[t], (s - 1, t - 1)
+            r = ratios[t]
             verdict = verdicts.get((s, t), NO_VERDICT)
             if math.isnan(r) or (t in group and verdict == NO_VERDICT):
-                rows.append((s, t, float("nan"), float(decayed[cell]), NO_VERDICT, True))
+                rows.append((s, t, float("nan"), row[t - 1], NO_VERDICT, True))
                 continue
             # x - y is x + (-y) in IEEE arithmetic, so one update serves both cases
             push = -max(abs(r), abs(ratios[s])) if verdict == CONFLICT else r
-            decayed[cell] = (1.0 - beta) * decayed[cell] + beta * push
-            rows.append((s, t, r, float(decayed[cell]), verdict, False))
+            row[t - 1] = (1.0 - beta) * row[t - 1] + beta * push
+            rows.append((s, t, r, row[t - 1], verdict, False))
+        decayed[s - 1] = row
     return rows
 
 

@@ -136,7 +136,7 @@ def property_instance(k: int, seed: int,
                 ok = False
                 break
             if np.sign(dot) != np.sign(want):
-                model.b[pos] = -model.b[pos]
+                np.negative(model.b[pos], out=model.b[pos])
         if ok:
             model.forward_all(batch)
             return model, batch

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,18 @@ class GroupPartition:
         return [self.groups[i] for i in self.order]
 
     def with_order(self, order) -> "GroupPartition":
-        return GroupPartition(self.groups, tuple(int(i) for i in order))
+        return _partition(self.groups, tuple(int(i) for i in order))
+
+
+@functools.lru_cache(maxsize=1024)
+def _partition(groups: tuple[tuple[int, ...], ...], order: tuple[int, ...]) -> GroupPartition:
+    """One validated instance per distinct (groups, order); instances are frozen, so shared."""
+    return GroupPartition(groups, order)
 
 
 def make_partition(groups) -> GroupPartition:
     norm = tuple(sorted((tuple(sorted(g)) for g in groups), key=lambda g: g[0]))
-    return GroupPartition(norm, tuple(range(len(norm))))
+    return _partition(norm, tuple(range(len(norm))))
 
 
 def singletons(k: int) -> GroupPartition:
@@ -88,7 +95,7 @@ def partition_tasks(tracker: AffinityTracker, rule: str = "components") -> Group
     k = tracker.k
     if k < 2:
         raise GroupingError("need at least 2 tasks to partition")
-    pos = np.minimum(tracker.decayed, tracker.decayed.T) > 0.0
+    pos = (np.minimum(tracker.decayed, tracker.decayed.T) > 0.0).tolist()
 
     if rule == "components":
         labels = [0] * (k + 1)
@@ -102,7 +109,7 @@ def partition_tasks(tracker: AffinityTracker, rule: str = "components") -> Group
             while stack:
                 i = stack.pop()
                 for j in range(1, k + 1):
-                    if not labels[j] and pos[i - 1, j - 1]:
+                    if not labels[j] and pos[i - 1][j - 1]:
                         labels[j] = 1
                         comp.append(j)
                         stack.append(j)
@@ -112,7 +119,7 @@ def partition_tasks(tracker: AffinityTracker, rule: str = "components") -> Group
         for i in range(1, k + 1):
             placed = False
             for gi, g in enumerate(groups):
-                if all(pos[i - 1, j - 1] for j in g):
+                if all(pos[i - 1][j - 1] for j in g):
                     groups[gi] = tuple(sorted(g + (i,)))
                     placed = True
                     break

@@ -6,6 +6,8 @@ Two model families share one interface:
   task, for synthetic regression experiments.
 * ``QuadraticModel`` — convex losses 0.5*||A_i s + C_i t_i - b_i||^2 with
   closed-form gradients, the workhorse for every analytic property check.
+  Its tasks share one shape, so it stores them stacked and computes every
+  task's loss in one forward.
 
 Both expose ``forward_all`` / ``backward_group`` and support exact
 snapshot/restore of selected parameter blocks, which the slow affinity
@@ -15,6 +17,7 @@ oracles rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -245,6 +248,12 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
 class QuadraticModel:
     """Tasks L_i = 0.5*||A_i s + C_i t_i - b_i||^2 with closed-form gradients.
 
+    A, C and b are stacked (k, rows, ·) arrays, so all tasks share one row
+    count and one task dim, and one forward serves every task. The blocks
+    ``task.{tid}.theta`` are row views of one (k, task_dim) array, written in
+    place by ``ParamPartition.set_block``. ``a``, ``c`` and ``b`` are read-only
+    maps from a task id to its row; only an in-place write changes the model.
+
     Data-free: the batch argument is accepted for interface compatibility and
     ignored. The tape route is available through :meth:`tape_graph` for
     cross-checking gradients.
@@ -253,50 +262,49 @@ class QuadraticModel:
     def __init__(self, suite: TaskSuite, a: dict[int, np.ndarray], c: dict[int, np.ndarray],
                  b: dict[int, np.ndarray]):
         self.suite = suite
-        d = None
-        for tid in suite.ids:
+        ids = suite.ids
+        first = None
+        for tid in ids:
             ai, ci, bi = a[tid], c[tid], b[tid]
             if ai.ndim != 2 or ci.ndim != 2 or bi.ndim != 1:
                 raise ModelError(f"task {tid}: A must be 2-d, C 2-d, b 1-d")
             if ai.shape[0] != bi.shape[0] or ci.shape[0] != bi.shape[0]:
                 raise ModelError(
                     f"task {tid}: row counts differ (A {ai.shape}, C {ci.shape}, b {bi.shape})")
-            if d is None:
-                d = ai.shape[1]
-            elif ai.shape[1] != d:
-                raise ModelError(f"task {tid}: shared dim {ai.shape[1]} != {d}")
-        self.a, self.c, self.b = a, c, b
+            dims = (bi.shape[0], ai.shape[1], ci.shape[1])
+            first = first or dims
+            if dims != first:
+                raise ModelError(
+                    f"task {tid}: (rows, shared dim, task dim) {dims} != {first} of task {ids[0]}")
+        self._a, self._c, self._b = (np.stack([m[tid] for tid in ids]) for m in (a, c, b))
+        self.a, self.c, self.b = (MappingProxyType(dict(zip(ids, m))) for m in (self._a, self._c, self._b))
+        self._theta = np.zeros((len(ids), first[2]))
         self.partition = ParamPartition(
-            shared={"shared.theta": np.zeros(d)},
-            per_task={tid: {f"task.{tid}.theta": np.zeros(c[tid].shape[1])} for tid in suite.ids})
-        self._residuals: dict[int, np.ndarray] | None = None
+            shared={"shared.theta": np.zeros(first[1])},
+            per_task={tid: {f"task.{tid}.theta": t} for tid, t in zip(ids, self._theta)})
+        self._residuals: np.ndarray | None = None
         self._forward_version: int | None = None
 
-    def residual(self, tid: int) -> np.ndarray:
-        s = self.partition.shared["shared.theta"]
-        t = self.partition.per_task[tid][f"task.{tid}.theta"]
-        return self.a[tid] @ s + self.c[tid] @ t - self.b[tid]
-
     def forward_all(self, batch: Batch | None = None) -> dict[int, float]:
-        res = {tid: self.residual(tid) for tid in self.suite.ids}
-        losses = {tid: 0.5 * float(r @ r) for tid, r in res.items()}
-        for tid, val in losses.items():
-            if not np.isfinite(val):
-                raise NonFiniteValue(f"task {tid} quadratic loss is non-finite")
+        s = self.partition.shared["shared.theta"]
+        res = self._a @ s + (self._c @ self._theta[:, :, None])[:, :, 0] - self._b
+        losses = 0.5 * np.vecdot(res, res)
+        finite = np.isfinite(losses)
+        if not finite.all():
+            raise NonFiniteValue(f"task {self.suite.ids[int(finite.argmin())]} quadratic loss is non-finite")
         self._residuals = res
         self._forward_version = self.partition.version
-        return losses
+        return dict(zip(self.suite.ids, losses.tolist()))
 
     def backward_group(self, group, weights: dict[int, float]) -> dict[str, np.ndarray]:
         if self._forward_version != self.partition.version or self._residuals is None:
             raise ModelError("backward_group without a fresh forward")
-        d = self.partition.shared["shared.theta"].shape[0]
-        gs = np.zeros(d)
+        gs = np.zeros(self._a.shape[2])
         out: dict[str, np.ndarray] = {}
         for tid in sorted(group):
-            r = self._residuals[tid]
-            gs = gs + weights[tid] * (self.a[tid].T @ r)
-            out[f"task.{tid}.theta"] = weights[tid] * (self.c[tid].T @ r)
+            r = self._residuals[tid - 1]
+            gs = gs + weights[tid] * (self._a[tid - 1].T @ r)
+            out[f"task.{tid}.theta"] = weights[tid] * (self._c[tid - 1].T @ r)
         out["shared.theta"] = gs
         return out
 

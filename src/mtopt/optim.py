@@ -298,19 +298,14 @@ def descent_eta_bound(model, partition: GroupPartition) -> float:
 
 @dataclass
 class SubstepCheck:
-    iteration: int
-    substep: int
-    group: tuple[int, ...]
     lhs: float
     rhs: float
     holds: bool
     cross_term: float
-    ts_term: float
 
 
 @dataclass
 class DescentReport:
-    eta: float
     regime: str                      # IN_REGIME | OUT_OF_REGIME
     checks: list[SubstepCheck]
     violations: int
@@ -330,8 +325,8 @@ def check_descent(model, partition: GroupPartition, eta: float, steps: int,
     optimizer = PlainSGD()
     shared = sorted(model.partition.shared)
     losses = model.forward_all(batch)
-    for iteration in range(1, steps + 1):
-        for idx, group in enumerate(partition.ordered_groups(), start=1):
+    for _ in range(steps):
+        for group in partition.ordered_groups():
             total_before = sum(weights[t] * losses[t] for t in model.suite.ids)
             all_grads = {g: model.backward_group(g, weights) for g in partition.groups}
             shared_grads = {g: np.concatenate([gr[n].ravel() for n in shared])
@@ -345,12 +340,11 @@ def check_descent(model, partition: GroupPartition, eta: float, steps: int,
             losses_after = model.forward_all(batch)
             lhs = sum(weights[t] * losses_after[t] for t in model.suite.ids)
             cross = -eta * float(gs @ (gsum - gs))
-            ts_term = -0.5 * eta * gts_sq
-            rhs = total_before + cross + ts_term
+            rhs = total_before + cross - 0.5 * eta * gts_sq
             slack = 1e-12 * max(1.0, abs(total_before))
             holds = lhs <= rhs + slack
             if not holds:
                 violations += 1
-            checks.append(SubstepCheck(iteration, idx, group, lhs, rhs, holds, cross, ts_term))
+            checks.append(SubstepCheck(lhs, rhs, holds, cross))
             losses = losses_after
-    return DescentReport(eta, regime, checks, violations)
+    return DescentReport(regime, checks, violations)

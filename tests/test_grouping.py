@@ -113,3 +113,26 @@ def test_partition_rejects_a_task_repeated_inside_a_group():
         parse_groups("1,1")
     with pytest.raises(GroupingError, match="more than once"):
         make_partition([(1, 2, 2), (3,)])
+
+
+def test_cached_partitions_still_refuse_invalid_groups_and_orders():
+    valid = make_partition([(1, 2), (3,)])
+    assert make_partition([(3,), (2, 1)]) is valid  # one validated instance per partition
+    with pytest.raises(GroupingError, match="more than one"):
+        make_partition([(1, 2), (2, 3)])
+    with pytest.raises(GroupingError, match="cover"):
+        make_partition([(1, 2), (4,)])
+    with pytest.raises(GroupingError, match="permutation"):
+        valid.with_order((0, 0))
+    with pytest.raises(GroupingError, match="permutation"):
+        valid.with_order((0, 2))
+    assert make_partition([(1, 2), (3,)]) is valid
+
+
+def test_cached_and_directly_built_partitions_are_interchangeable():
+    for groups, order in [(((1, 2), (3,)), (1, 0)), (((1,), (2,), (3,), (4,)), (2, 0, 3, 1))]:
+        cached = make_partition(groups).with_order(order)
+        direct = GroupPartition(groups, order)
+        assert cached == direct and hash(cached) == hash(direct)
+        assert serialize_partition(cached) == serialize_partition(direct)
+        assert cached.with_order(order) is cached

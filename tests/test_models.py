@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtopt.models import (Batch, ModelError, ParamPartition, QuadraticModel,
                           TaskDef, TaskSuite, build_shared_trunk, make_suite,
                           restore, snapshot)
-from mtopt.tensor import backward, evaluate
+from mtopt.tensor import NonFiniteValue, backward, evaluate
 
 
 def scalar_pair(a1=1.0, a2=1.0, with_task_params=False):
@@ -127,11 +129,63 @@ def test_quadratic_analytic_gradient_matches_tape():
 
 def test_dimension_mismatch_rejected():
     suite = make_suite(2, "quadratic")
-    a = {1: np.ones((3, 2)), 2: np.ones((3, 2))}
-    c = {1: np.ones((4, 1)), 2: np.ones((3, 1))}  # task 1 rows disagree
-    b = {1: np.ones(3), 2: np.ones(3)}
-    with pytest.raises(ModelError, match="task 1"):
-        QuadraticModel(suite, a, c, b)
+    for tid, shapes in [(1, ((3, 2), (4, 1), (3,))),   # task 1 rows disagree
+                        (2, ((4, 2), (4, 1), (4,))),   # more rows than task 1
+                        (2, ((3, 2), (3, 0), (3,)))]:  # smaller task dim than task 1
+        a = {1: np.ones((3, 2)), 2: np.ones((3, 2))}
+        c = {1: np.ones((3, 1)), 2: np.ones((3, 1))}
+        b = {1: np.ones(3), 2: np.ones(3)}
+        a[tid], c[tid], b[tid] = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ModelError, match=f"task {tid}"):
+            QuadraticModel(suite, a, c, b)
+
+
+def test_quadratic_inputs_are_read_only_maps_of_live_rows():
+    model, batch = scalar_pair(a1=2.0, with_task_params=True)
+    with pytest.raises(TypeError):
+        model.b[1] = np.array([5.0])
+    assert model.forward_all(batch)[1] == 2.0
+    np.negative(model.b[1], out=model.b[1])
+    assert model.forward_all(batch)[1] == 2.0  # 0.5 * (0 + 2)^2
+    model.partition.set_block("task.1.theta", np.array([-2.0]))
+    assert model.forward_all(batch) == {1: 0.0, 2: 0.5}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 5), st.integers(0, 4),
+       st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, seed, log_scale):
+    """Losses and gradients are bitwise those of one task at a time."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    suite = make_suite(k, "quadratic")
+    model = QuadraticModel(suite, {t: scale * rng.standard_normal((rows, d)) for t in suite.ids},
+                           {t: rng.standard_normal((rows, p)) for t in suite.ids},
+                           {t: rng.standard_normal(rows) for t in suite.ids})
+    model.partition.set_block("shared.theta", rng.standard_normal(d))
+    for t in suite.ids:
+        model.partition.set_block(f"task.{t}.theta", scale * rng.standard_normal(p))
+    s = model.partition.shared["shared.theta"]
+    res = {t: model.a[t] @ s + model.c[t] @ model.partition.per_task[t][f"task.{t}.theta"] - model.b[t]
+           for t in suite.ids}
+    losses = model.forward_all(None)
+    assert losses == {t: 0.5 * float(r @ r) for t, r in res.items()}
+
+    group = tuple(t for t in suite.ids if rng.random() < 0.6) or (1,)
+    weights = {t: float(rng.uniform(0.1, 2.0)) for t in suite.ids}
+    grads = model.backward_group(group, weights)
+    gs = np.zeros(d)
+    for t in group:
+        gs = gs + weights[t] * (model.a[t].T @ res[t])
+        assert grads[f"task.{t}.theta"].tobytes() == (weights[t] * (model.c[t].T @ res[t])).tobytes()
+    assert grads["shared.theta"].tobytes() == gs.tobytes()
+    assert sorted(grads) == sorted(["shared.theta"] + [f"task.{t}.theta" for t in group])
+
+    bad = int(rng.integers(1, k + 1))
+    for t in range(bad, k + 1):  # the error names the first non-finite task
+        model.b[t][int(rng.integers(rows))] = float(rng.choice([np.inf, -np.inf, np.nan]))
+    with pytest.raises(NonFiniteValue, match=f"task {bad} quadratic loss"):
+        model.forward_all(None)
 
 
 def test_snapshot_restore_round_trip_bitwise():
