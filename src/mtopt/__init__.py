@@ -7,7 +7,7 @@ from .benchmarks import (QuadraticSpec, RegressionSuiteSpec, gen_quadratic_suite
                          gen_regression_suite, load_csv_dataset, triad_spec)
 from .grouping import GroupPartition, make_partition, partition_tasks, shuffle_order
 from .models import (Batch, ParamPartition, QuadraticModel, TaskSuite,
-                     build_shared_trunk, make_suite, restore, snapshot)
+                     build_shared_trunk, restore, snapshot)
 from .optim import (Adam, NumericAbort, PlainSGD, RunLog, StepReport, TrainConfig,
                     check_descent, joint_step, selective_group_step, train)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch, QuadraticModel, TaskSuite, make_suite
+from .models import Batch, QuadraticModel, TaskSuite
 
 
 MIN_TASK_GRAD = 0.3  # resample a target until its task-head gradient is not degenerate
@@ -75,7 +75,7 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
     """
     rng = np.random.default_rng([spec.seed, 0])
     k = spec.k
-    suite = make_suite(k, loss_kind="quadratic")
+    suite = TaskSuite(k)
     shared_a = None
     if spec.rho is not None:
         shared_a = _unit_spectral(rng.standard_normal((spec.rows, spec.shared_dim)))
@@ -236,7 +236,7 @@ def gen_regression_suite(spec: RegressionSuiteSpec) -> tuple[TabularDataset, Tas
         eval_x=x[spec.n_train:],
         eval_targets={tid: t[spec.n_train:] for tid, t in targets.items()},
     )
-    return ds, make_suite(spec.k, loss_kind="squared_error")
+    return ds, TaskSuite(spec.k)
 
 
 def triad_spec(seed: int = 0) -> RegressionSuiteSpec:
@@ -285,17 +285,4 @@ def load_csv_dataset(path, input_cols: list[str],
     targets = {tid: np.array([[r[c] for c in cols] for r in rows])
                for tid, cols in target_cols.items()}
     ds = TabularDataset(train_x=x, train_targets=targets, eval_x=x, eval_targets=targets)
-    return ds, make_suite(len(target_cols), loss_kind="squared_error")
-
-
-def export_csv(path, inputs: np.ndarray, targets: dict[int, np.ndarray],
-               input_cols: list[str], target_cols: dict[int, list[str]]):
-    header = list(input_cols) + [c for cols in target_cols.values() for c in cols]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(inputs.shape[0]):
-            row = [format(v, ".17g") for v in inputs[i]]
-            for tid, cols in target_cols.items():
-                row.extend(format(v, ".17g") for v in targets[tid][i])
-            writer.writerow(row)
+    return ds, TaskSuite(len(target_cols))

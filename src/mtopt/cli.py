@@ -7,6 +7,7 @@ error, 3 numeric failure during training.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import os
 import sys
@@ -132,7 +133,11 @@ def cmd_sweep(args) -> int:
             raw = read_kv_file(args.config)
             base, cells = _expand_grid(raw)
         if args.seed is not None:
+            if any("seed" in cell for cell in cells):
+                raise ConfigError("--seed would be ignored: every sweep cell sets its own seed")
             base["seed"] = str(args.seed)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         for cell in cells:  # validate every cell before any compute
             merged = dict(base)
             merged.update(cell)
@@ -149,17 +154,18 @@ def cmd_sweep(args) -> int:
         else:
             pending.append(cell)
     results = list(done)
-    if args.workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(pending))  # the pool forks all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, base, cell, args.out) for cell in pending]
             results.extend(f.result() for f in futures)
     else:
         results.extend(_run_cell(base, cell, args.out) for cell in pending)
 
     results.sort()
-    lines = [INDEX_SCHEMA, INDEX_HEADER]
-    lines += [f'{name},{os.path.join(args.out, name)},{status}' for name, status in results]
-    write_lines(os.path.join(args.out, "index.csv"), lines)
+    with open(os.path.join(args.out, "index.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{INDEX_SCHEMA}\n{INDEX_HEADER}\n")  # each cell's dir is relative to the index
+        csv.writer(fh, lineterminator="\n").writerows((n, n, status) for n, status in results)
     bad = [r for r in results if r[1].startswith(("numeric", "error"))]
     for name, status in bad:
         print(f"mtopt: cell {name}: {status}", file=sys.stderr)

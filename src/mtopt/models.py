@@ -11,7 +11,8 @@ Two model families share one interface:
 
 Both expose ``forward_all`` / ``backward_group`` and support exact
 snapshot/restore of selected parameter blocks, which the slow affinity
-oracles rely on.
+oracles rely on. Each family fixes its task loss: the MLP's heads are all
+scored by squared error, and the quadratic's losses are its closed form.
 """
 
 from __future__ import annotations
@@ -31,40 +32,22 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class TaskDef:
-    tid: int
-    loss_kind: str = "squared_error"  # squared_error | softmax_xent | quadratic
-
-
-@dataclass(frozen=True)
 class TaskSuite:
-    tasks: tuple[TaskDef, ...]
+    """``k`` tasks with ids 1..k; the model family fixes each task's loss."""
+
+    k: int
 
     def __post_init__(self):
-        ids = [t.tid for t in self.tasks]
-        if len(ids) < 2:
+        if self.k < 2:
             raise ModelError("a task suite needs at least 2 tasks")
-        if ids != list(range(1, len(ids) + 1)):
-            raise ModelError(f"task ids must be contiguous from 1, got {ids}")
-
-    @property
-    def k(self) -> int:
-        return len(self.tasks)
 
     @property
     def ids(self) -> tuple[int, ...]:
-        return tuple(t.tid for t in self.tasks)
+        return tuple(range(1, self.k + 1))
 
     def weights(self) -> dict[int, float]:
         """Unit loss weights; ``TrainConfig.weights`` is the only way to weight a loss."""
         return {tid: 1.0 for tid in self.ids}
-
-    def task(self, tid: int) -> TaskDef:
-        return self.tasks[tid - 1]
-
-
-def make_suite(k: int, loss_kind: str = "squared_error") -> TaskSuite:
-    return TaskSuite(tuple(TaskDef(i, loss_kind) for i in range(1, k + 1)))
 
 
 @dataclass
@@ -198,7 +181,8 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
                        activation: str = "tanh") -> MLPModel:
     """Deterministically initialized trunk of `depth` affine+activation layers.
 
-    Heads are single affine layers; initialization is uniform in
+    Heads are single affine layers, each scored by the squared error against
+    its task's target; initialization is uniform in
     [-1/sqrt(fan_in), 1/sqrt(fan_in)] from a generator seeded with ``seed``.
     """
     if width < 1 or depth < 1:
@@ -234,14 +218,7 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
     loss_nodes: dict[int, int] = {}
     for tid in suite.ids:
         pred = g.bias_add(g.matmul(h, g.leaf(f"head.{tid}.w")), g.leaf(f"head.{tid}.b"))
-        kind = suite.task(tid).loss_kind
-        if kind == "squared_error":
-            loss = g.squared_error(pred, g.leaf(f"target.{tid}"))
-        elif kind == "softmax_xent":
-            loss = g.softmax_cross_entropy(pred, g.leaf(f"target.{tid}"))
-        else:
-            raise ModelError(f"task {tid}: loss kind '{kind}' not supported by the MLP model")
-        loss_nodes[tid] = g.mark_output(loss)
+        loss_nodes[tid] = g.mark_output(g.squared_error(pred, g.leaf(f"target.{tid}")))
     return MLPModel(suite, partition, g, loss_nodes)
 
 

@@ -25,10 +25,8 @@ INDEX_HEADER = "cell,dir,status"
 SUMMARY_SCHEMA = "mtopt.summary.v1"
 
 
-def fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def fmt(x: float) -> str:
+    return format(x, ".17g")
 
 
 def _steps_lines(log) -> list[str]:

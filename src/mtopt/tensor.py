@@ -125,10 +125,6 @@ class Graph:
         """Mean over all entries of (pred - target)^2."""
         return self._new("squared_error", (pred, target))
 
-    def softmax_cross_entropy(self, logits: int, target: int) -> int:
-        """Row-wise softmax cross-entropy against target probabilities, then mean."""
-        return self._new("softmax_xent", (logits, target))
-
     def mark_output(self, nid: int) -> int:
         if nid not in self.outputs:
             self.outputs.append(nid)
@@ -146,28 +142,10 @@ def _require(cond: bool, op: str, detail: str):
 # -- the numpy calls of each op, shared by the interpreter and the plan --------
 
 
-def _mean(x: np.ndarray):
-    return x.sum() / x.size  # np.mean's reduction, without its dispatch
-
-
 def _squared_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a - b
-    return np.asarray(_mean(d * d))
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _softmax_xent(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return np.asarray(-_mean((target * _log_softmax(logits)).sum(axis=1)))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    sq = d * d
+    return np.asarray(sq.sum() / sq.size)  # np.mean's reduction, without its dispatch
 
 
 def _kernel(node: Node):
@@ -196,8 +174,6 @@ def _kernel(node: Node):
         return lambda v: v[a] + v[b][None, :]
     if op == "squared_error":
         return lambda v: _squared_error(v[a], v[b])
-    if op == "softmax_xent":
-        return lambda v: _softmax_xent(v[a], v[b])
     raise GraphError(f"unknown op kind '{op}'")
 
 
@@ -233,14 +209,6 @@ def _adjoint(node: Node, pos: int):
             d = (2.0 / v[a].size) * (v[a] - v[b])
             return (g if pos == 0 else -g) * d
         return step
-    if op == "softmax_xent":
-        if pos == 0:
-            def step(g, v):
-                logits, target = v[a], v[b]
-                rowmass = target.sum(axis=1, keepdims=True)
-                return g * (_softmax(logits) * rowmass - target) / logits.shape[0]
-            return step
-        return lambda g, v: -g * _log_softmax(v[a]) / v[a].shape[0]
     raise GraphError(f"no gradient rule for op '{op}'")
 
 
@@ -269,9 +237,6 @@ def _forward(node: Node, vals: list[np.ndarray], bindings) -> np.ndarray:
         elif op == "bias_add":
             _require(a.ndim == 2 and b.ndim == 1, op, f"need matrix+vector, got {a.shape} and {b.shape}")
             _require(a.shape[1] == b.shape[0], op, f"bias length {b.shape[0]} != row width {a.shape[1]}")
-        elif op == "softmax_xent":
-            _require(a.ndim == 2 and a.shape == b.shape, op,
-                     f"need matching 2-d operands, got {a.shape} and {b.shape}")
     return _kernel(node)(vals)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mtopt.benchmarks import (BenchmarkError, QuadraticSpec, RegressionSuiteSpec,
-                              export_csv, gen_quadratic_suite, gen_regression_suite,
+                              gen_quadratic_suite, gen_regression_suite,
                               load_csv_dataset, property_instance, triad_spec)
 from mtopt.models import build_shared_trunk
 from mtopt.optim import TrainConfig, train
@@ -142,6 +142,25 @@ def test_minibatch_stream_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("batch_size", [16, 40])
+def test_full_batch_stream_yields_the_training_set_without_drawing(batch_size, monkeypatch):
+    ds, _ = gen_regression_suite(RegressionSuiteSpec(n_train=16, n_eval=4))
+    made, default_rng = [], np.random.default_rng
+
+    def spy(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    batches = list(ds.stream(batch_size, 3, seed=7))
+    assert [b.sample_id for b in batches] == [1, 2, 3]
+    for b in batches:
+        assert b.inputs.tobytes() == ds.train_x.tobytes()
+        assert {t: y.tobytes() for t, y in b.targets.items()} == \
+            {t: y.tobytes() for t, y in ds.train_targets.items()}
+    assert made[0].bit_generator.state == default_rng([7, 0]).bit_generator.state
+
+
 # -- CSV ----------------------------------------------------------------------
 
 
@@ -174,7 +193,9 @@ def test_csv_round_trip_exact(tmp_path):
     targets = {1: rng.standard_normal((4, 1)), 2: rng.standard_normal((4, 2))}
     p = tmp_path / "out.csv"
     cols = {1: ["t1"], 2: ["t2a", "t2b"]}
-    export_csv(p, inputs, targets, ["x1", "x2"], cols)
+    rows = np.hstack([inputs, targets[1], targets[2]])
+    lines = ["x1,x2,t1,t2a,t2b"] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    p.write_text("\n".join(lines) + "\n")
     ds, _ = load_csv_dataset(p, ["x1", "x2"], cols)
     assert ds.train_x.tobytes() == inputs.tobytes()
     for tid in targets:

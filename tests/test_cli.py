@@ -1,12 +1,16 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
 import mtopt
+from mtopt import cli
 from mtopt.cli import main
+from mtopt.config import validate_config
 
 TRIAD_CFG = """\
 # quick triad run
@@ -417,6 +421,89 @@ def test_sweep_records_missing_csv_as_cell_error(tmp_path, capsys):
         lines = fh.read().splitlines()
     assert len(lines) == 2 + 2
     assert all(",error:" in line for line in lines[2:])
+
+
+def test_sweep_index_quotes_a_status_with_commas(tmp_path, capsys):
+    text = csv_cfg(tmp_path, "x,y1\n1,2\n3,4\n") + "sweep.seed = 1,2\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, text, "sweep.cfg"), "--out", str(out)]) == 2
+    with open(out / "index.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    assert [len(row) for row in rows] == [3, 3]
+    assert all(row[2].startswith("error:") and "missing column 'y2'" in row[2] for row in rows)
+
+
+def test_sweep_index_does_not_depend_on_the_out_path(tmp_path):
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,2\n", "sweep.cfg")
+    outs = [tmp_path / "a", tmp_path / "a-longer-name"]
+    for out in outs:
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert read(outs[0] / "index.csv") == read(outs[1] / "index.csv")
+    assert read(outs[0] / "index.csv").endswith(b"\nseed-2,seed-2,ok\n")
+
+
+def stub_cells(monkeypatch):
+    """Replace the cell worker so a sweep trains nothing; return the cells it got."""
+    cells = []
+
+    def run_cell(base, cell, outdir):
+        cells.append(dict(base, **cell))
+        return cli._cell_name(cell), "ok"
+
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    return cells
+
+
+def test_triad_ablation_preset_expands_to_thirty_valid_cells(tmp_path, monkeypatch, capsys):
+    cells = stub_cells(monkeypatch)
+    assert main(["sweep", "--preset", "triad-ablation", "--out", str(tmp_path / "s")]) == 0
+    assert len({cli._cell_name(c) for c in cells}) == 30
+    assert sorted({c["seed"] for c in cells}) == ["0", "1", "2", "3", "4"]
+    for cell in cells:
+        validate_config(cell)
+
+
+def test_sweep_seed_is_refused_where_every_cell_sets_a_seed(tmp_path, monkeypatch, capsys):
+    stub_cells(monkeypatch)
+    out = tmp_path / "s"
+    err = cli_error(capsys, ["sweep", "--preset", "triad-ablation", "--seed", "3", "--out", str(out)])
+    assert "--seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_needs_at_least_one_worker(tmp_path, monkeypatch, capsys, workers):
+    stub_cells(monkeypatch)
+    out = tmp_path / "s"
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,2\n", "sweep.cfg")
+    err = cli_error(capsys, ["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert "--workers" in err
+    assert not out.exists()
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, capsys):
+    stub_cells(monkeypatch)
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,2,3\n", "sweep.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--workers", "500"]) == 0
+    assert sizes == [3]
 
 
 def test_python_dash_m_runs_the_cli():

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtopt.models import (Batch, ModelError, ParamPartition, QuadraticModel,
-                          TaskDef, TaskSuite, build_shared_trunk, make_suite,
-                          restore, snapshot)
+                          TaskSuite, build_shared_trunk, restore, snapshot)
 from mtopt.tensor import NonFiniteValue, backward, evaluate
 
 
 def scalar_pair(a1=1.0, a2=1.0, with_task_params=False):
     """Two scalar tasks L_i = 0.5*(theta_s [+ theta_i] - a_i)^2."""
-    suite = make_suite(2, "quadratic")
+    suite = TaskSuite(2)
     width = 1 if with_task_params else 0
     a = {1: np.array([[1.0]]), 2: np.array([[1.0]])}
     c = {1: np.ones((1, width)), 2: np.ones((1, width))}
@@ -21,9 +20,7 @@ def scalar_pair(a1=1.0, a2=1.0, with_task_params=False):
 
 def test_suite_validation():
     with pytest.raises(ModelError, match="at least 2"):
-        TaskSuite((TaskDef(1),))
-    with pytest.raises(ModelError, match="contiguous"):
-        TaskSuite((TaskDef(1), TaskDef(3)))
+        TaskSuite(1)
 
 
 def test_partition_rejects_duplicate_blocks():
@@ -32,7 +29,7 @@ def test_partition_rejects_duplicate_blocks():
 
 
 def test_trunk_structure_and_determinism():
-    suite = make_suite(3)
+    suite = TaskSuite(3)
     m1 = build_shared_trunk(8, 2, suite, seed=5)
     m2 = build_shared_trunk(8, 2, suite, seed=5)
     assert len(m1.partition.shared) == 4  # 2 layers x (weight, bias)
@@ -42,7 +39,7 @@ def test_trunk_structure_and_determinism():
 
 
 def test_trunk_zero_input_zero_heads_gives_zero_prediction_loss():
-    suite = make_suite(2)
+    suite = TaskSuite(2)
     model = build_shared_trunk(4, 1, suite, seed=0, in_dim=3)
     for tid in suite.ids:
         for name in model.partition.per_task[tid]:
@@ -55,7 +52,7 @@ def test_trunk_zero_input_zero_heads_gives_zero_prediction_loss():
 
 
 def test_forward_does_not_mutate_parameters():
-    suite = make_suite(2)
+    suite = TaskSuite(2)
     model = build_shared_trunk(4, 1, suite, seed=1, in_dim=2)
     before = {k: v.copy() for k, v in model.partition.all_blocks().items()}
     batch = Batch(np.ones((3, 2)), {1: np.ones((3, 1)), 2: np.ones((3, 1))}, 0)
@@ -65,7 +62,7 @@ def test_forward_does_not_mutate_parameters():
 
 
 def test_duplicated_rows_leave_mean_losses_unchanged():
-    suite = make_suite(2)
+    suite = TaskSuite(2)
     model = build_shared_trunk(4, 1, suite, seed=2, in_dim=2)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 2))
@@ -91,7 +88,7 @@ def test_quadratic_hand_values_and_stationarity():
 
 def test_quadratic_loss_matches_direct_formula():
     rng = np.random.default_rng(3)
-    suite = make_suite(2, "quadratic")
+    suite = TaskSuite(2)
     a = {t: rng.standard_normal((5, 3)) for t in (1, 2)}
     c = {t: rng.standard_normal((5, 2)) for t in (1, 2)}
     b = {t: rng.standard_normal(5) for t in (1, 2)}
@@ -108,7 +105,7 @@ def test_quadratic_loss_matches_direct_formula():
 
 def test_quadratic_analytic_gradient_matches_tape():
     rng = np.random.default_rng(4)
-    suite = make_suite(3, "quadratic")
+    suite = TaskSuite(3)
     a = {t: rng.standard_normal((6, 4)) for t in suite.ids}
     c = {t: rng.standard_normal((6, 2)) for t in suite.ids}
     b = {t: rng.standard_normal(6) for t in suite.ids}
@@ -128,7 +125,7 @@ def test_quadratic_analytic_gradient_matches_tape():
 
 
 def test_dimension_mismatch_rejected():
-    suite = make_suite(2, "quadratic")
+    suite = TaskSuite(2)
     for tid, shapes in [(1, ((3, 2), (4, 1), (3,))),   # task 1 rows disagree
                         (2, ((4, 2), (4, 1), (4,))),   # more rows than task 1
                         (2, ((3, 2), (3, 0), (3,)))]:  # smaller task dim than task 1
@@ -158,7 +155,7 @@ def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, se
     """Losses and gradients are bitwise those of one task at a time."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
-    suite = make_suite(k, "quadratic")
+    suite = TaskSuite(k)
     model = QuadraticModel(suite, {t: scale * rng.standard_normal((rows, d)) for t in suite.ids},
                            {t: rng.standard_normal((rows, p)) for t in suite.ids},
                            {t: rng.standard_normal(rows) for t in suite.ids})
@@ -189,7 +186,7 @@ def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, se
 
 
 def test_snapshot_restore_round_trip_bitwise():
-    suite = make_suite(2)
+    suite = TaskSuite(2)
     model = build_shared_trunk(4, 2, suite, seed=9, in_dim=3)
     batch = Batch(np.ones((2, 3)), {1: np.ones((2, 1)), 2: np.ones((2, 1))}, 0)
     base = model.forward_all(batch)
@@ -204,7 +201,7 @@ def test_snapshot_restore_round_trip_bitwise():
 
 
 def test_snapshot_scoped_to_shared_leaves_heads_alone():
-    suite = make_suite(2)
+    suite = TaskSuite(2)
     model = build_shared_trunk(4, 1, suite, seed=10, in_dim=2)
     snap = snapshot(model, model.partition.block_ids())  # shared only
     head = model.partition.block("head.1.w")
@@ -215,7 +212,7 @@ def test_snapshot_scoped_to_shared_leaves_heads_alone():
 
 
 def test_restore_onto_mismatched_blocks_fails():
-    suite = make_suite(2)
+    suite = TaskSuite(2)
     model = build_shared_trunk(4, 1, suite, seed=12, in_dim=2)
     snap = snapshot(model, ["trunk.0.w"])
     snap["nope"] = np.zeros(2)
@@ -224,7 +221,7 @@ def test_restore_onto_mismatched_blocks_fails():
 
 
 def test_missing_target_is_reported_with_task_id():
-    suite = make_suite(2)
+    suite = TaskSuite(2)
     model = build_shared_trunk(4, 1, suite, seed=13, in_dim=2)
     with pytest.raises(ModelError, match="task 2"):
         model.forward_all(Batch(np.ones((2, 2)), {1: np.ones((2, 1))}, 7))

@@ -3,7 +3,7 @@ import pytest
 
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
 from mtopt.grouping import everything, make_partition, singletons
-from mtopt.models import Batch, build_shared_trunk, make_suite
+from mtopt.models import Batch, TaskSuite, build_shared_trunk
 from mtopt.optim import (Adam, METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM,
                          METHOD_SELECTIVE, METHOD_SEPARATE, NumericAbort,
                          PlainSGD, TrainConfig, TrainError, check_descent,
@@ -255,7 +255,7 @@ def test_numeric_abort_names_substep_and_group():
 def test_numeric_abort_names_the_backward_that_overflowed():
     # a dead relu unit hides a huge head weight from the forward, but the head
     # matmul's adjoint to the trunk overflows
-    model = build_shared_trunk(4, 1, make_suite(2), seed=0, activation="relu")
+    model = build_shared_trunk(4, 1, TaskSuite(2), seed=0, activation="relu")
     model.partition.set_block("trunk.0.b", np.full(4, -1e3))
     model.partition.set_block("head.1.w", np.full((4, 1), 1e308))
     rng = np.random.default_rng(0)

@@ -1,10 +1,12 @@
+import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from mtopt import tensor
-from mtopt.models import build_shared_trunk, make_suite
+from mtopt.models import TaskSuite, build_shared_trunk
 from mtopt.tensor import (Graph, GraphError, NonFiniteValue, ShapeMismatch,
                           backward, evaluate, finite_difference_grad, interpret,
                           interpret_backward)
@@ -110,6 +112,9 @@ def _op_case(kind, rng):
         op = getattr(g, kind)
         out = op(g.leaf("a"), g.leaf("b"))
         bindings = {"a": rng.standard_normal((n, m)), "b": rng.standard_normal((n, m))}
+    elif kind == "scale":
+        out = g.scale(g.leaf("a"), rng.uniform(-2.0, 2.0))
+        bindings = {"a": rng.standard_normal((n, m))}
     elif kind == "bias_add":
         out = g.bias_add(g.leaf("a"), g.leaf("b"))
         bindings = {"a": rng.standard_normal((n, m)), "b": rng.standard_normal(m)}
@@ -124,20 +129,20 @@ def _op_case(kind, rng):
     elif kind == "squared_error":
         out = g.squared_error(g.leaf("a"), g.leaf("b"))
         bindings = {"a": rng.standard_normal((n, m)), "b": rng.standard_normal((n, m))}
-    elif kind == "softmax_xent":
-        t = rng.uniform(0.1, 1.0, size=(n, m))
-        t /= t.sum(axis=1, keepdims=True)
-        out = g.softmax_cross_entropy(g.leaf("a"), g.leaf("b"))
-        bindings = {"a": rng.standard_normal((n, m)), "b": t}
     else:
         raise AssertionError(kind)
-    if kind not in ("reduce_sum", "squared_error", "softmax_xent"):
+    if kind not in ("reduce_sum", "squared_error"):
         out = g.reduce_sum(out)
     return g, g.mark_output(out), bindings
 
 
 ALL_KINDS = ["matmul", "add", "sub", "mul", "bias_add", "relu", "tanh",
-             "reduce_sum", "squared_error", "softmax_xent"]
+             "reduce_sum", "squared_error", "scale"]
+
+
+def test_every_op_kind_the_graph_builds_has_a_gradient_case():
+    built = set(re.findall(r'_new\("(\w+)"', inspect.getsource(Graph)))
+    assert set(ALL_KINDS) == built - {"leaf", "const"}
 
 
 @pytest.mark.parametrize("case", range(100))
@@ -272,22 +277,22 @@ def test_plan_matches_interpreter_on_two_layer_mlp(seed, monkeypatch):
     assert_plan_matches_interpreter(g, bindings, sweeps, monkeypatch)
 
 
-def triad(loss_kind, activation, rows, seed=0):
+def triad(activation, rows, seed=0):
     """A three-task trunk as the triad runs build it, with a batch of ``rows``."""
-    model = build_shared_trunk(8, 2, make_suite(3, loss_kind), seed=seed, activation=activation)
+    model = build_shared_trunk(8, 2, TaskSuite(3), seed=seed, activation=activation)
     rng = np.random.default_rng(seed + rows)
     bindings = model.partition.all_blocks()
     bindings["input"] = rng.standard_normal((rows, 8))
     for tid in model.suite.ids:
-        t = rng.uniform(0.1, 1.0, size=(rows, 1))
-        bindings[f"target.{tid}"] = t / t.sum(axis=1, keepdims=True) if loss_kind == "softmax_xent" else t
+        bindings[f"target.{tid}"] = rng.uniform(0.1, 1.0, size=(rows, 1))
     return model, bindings
 
 
-@pytest.mark.parametrize("loss_kind", ["squared_error", "softmax_xent"])
+@pytest.mark.parametrize("head_loss", ["squared_error"])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_pruned_sweep_matches_reference_for_every_loss_subset(loss_kind, activation, monkeypatch):
-    model, bindings = triad(loss_kind, activation, rows=32)
+def test_pruned_sweep_matches_reference_for_every_loss_subset(head_loss, activation, monkeypatch):
+    model, bindings = triad(activation, rows=32)
+    assert {model.graph.nodes[nid].op for nid in model.loss_nodes.values()} == {head_loss}
     evaluate(model.graph, bindings)
     sweeps = []
     for r in (1, 2, 3):
@@ -299,8 +304,8 @@ def test_pruned_sweep_matches_reference_for_every_loss_subset(loss_kind, activat
 
 
 def test_plan_follows_the_train_and_eval_batch_sizes(monkeypatch):
-    model, train_batch = triad("squared_error", "tanh", rows=32)
-    _, eval_batch = triad("squared_error", "tanh", rows=256)
+    model, train_batch = triad("tanh", rows=32)
+    _, eval_batch = triad("tanh", rows=256)
     sweeps = [({model.loss_nodes[1]: 1.0}, set(model.partition.block_ids((1,))))]
     for bindings in (train_batch, eval_batch):
         evaluate(model.graph, bindings)  # new leaf shapes: the interpreter checks them
@@ -344,6 +349,16 @@ def test_non_finite_input_error_matches_interpreter(kind, bad):
     bindings["a"] = bindings["a"].copy()
     bindings["a"][0, 0] = bad
     assert assert_same_error(g, bindings) == (
+        NonFiniteValue, "op 'leaf' (node 0) produced a non-finite value")
+
+
+def test_non_finite_operand_of_an_empty_result_is_caught():
+    g = Graph()
+    loss = g.mark_output(g.reduce_sum(g.matmul(g.leaf("a"), g.leaf("b"))))
+    a, b = np.ones((2, 3)), np.ones((3, 0))
+    assert float(evaluate(g, {"a": a, "b": b})[loss]) == 0.0
+    a[0, 0] = np.inf  # the (2, 0) product and its sum stay finite
+    assert assert_same_error(g, {"a": a, "b": b}) == (
         NonFiniteValue, "op 'leaf' (node 0) produced a non-finite value")
 
 
