@@ -9,7 +9,7 @@ from .grouping import GroupPartition, make_partition, partition_tasks, shuffle_o
 from .models import (Batch, ParamPartition, QuadraticModel, TaskSuite,
                      build_shared_trunk, restore, snapshot)
 from .optim import (Adam, NumericAbort, PlainSGD, RunLog, StepReport, TrainConfig,
-                    check_descent, joint_step, selective_group_step, train)
+                    joint_step, selective_group_step, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -138,7 +138,12 @@ def cmd_sweep(args) -> int:
             base["seed"] = str(args.seed)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        names = set()
         for cell in cells:  # validate every cell before any compute
+            name = _cell_name(cell)
+            if name in names:
+                raise ConfigError(f"sweep cell '{name}' appears twice")
+            names.add(name)
             merged = dict(base)
             merged.update(cell)
             validate_config(merged)
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("run", help="run one training configuration")
     pr.add_argument("--config", required=True, help="key=value config file")
     pr.add_argument("--out", required=True, help="run directory to write")
-    pr.add_argument("--seed", type=int, help="override config seed")
+    pr.add_argument("--seed", type=int, help="override config seed (>= 0)")
     pr.add_argument("--method", help="override config method")
     pr.add_argument("--order", help="override group update order")
     pr.set_defaults(fn=cmd_run)
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", help="config with sweep.* axes")
     ps.add_argument("--preset", help="built-in sweep: triad-ablation")
     ps.add_argument("--out", required=True)
-    ps.add_argument("--seed", type=int, help="override base seed")
+    ps.add_argument("--seed", type=int, help="override base seed (>= 0)")
     ps.add_argument("--resume", action="store_true", help="skip completed cells")
     ps.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     ps.set_defaults(fn=cmd_sweep)
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the analytic property suites")
     pv.add_argument("--suites", help=f"comma list from {','.join(SUITES)} (default all)")
     pv.add_argument("--instances", type=int, help="instances per suite (default per-suite)")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=int, default=0, help="first instance seed (>= 0)")
     pv.add_argument("--margin-scale", type=float, default=1.0,
                     help="margin multiplier, finite and > 0 (test hook; <1 tightens)")
     pv.add_argument("--out", help="write a JSON report here")

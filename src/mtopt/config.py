@@ -121,7 +121,7 @@ SCALAR_KEYS = {
     "beta": ("beta", _float, lambda v: 0 < v < 1, "affinity decay rate in (0,1)"),
     "iters": ("iters", int, lambda v: v >= 1, "training iterations (>= 1)"),
     "optimizer": ("optimizer", str, lambda v: v in OPTIMIZERS, "|".join(OPTIMIZERS)),
-    "seed": ("seed", int, None, "base random seed (int)"),
+    "seed": ("seed", int, lambda v: v >= 0, "base random seed (>= 0)"),
     "random.groups": ("random_groups", int, lambda v: v >= 1, "group count for RANDOM"),
     "repartition.stride": ("repartition_stride", int, lambda v: v >= 1,
                            "iterations between repartitions (>= 1)"),
@@ -167,8 +167,8 @@ KNOWN_KEYS = {
        for name, (_, keys) in SECTIONS.items() for key, entry in keys.items()},
     "weights": "comma-separated task loss weights",
     "fixed.partition": "partition for FIXED, e.g. 1,2|3",
-    "quadratic.seed": "generator seed (defaults to seed)",
-    "regression.seed": "generator seed (defaults to seed)",
+    "quadratic.seed": "generator seed >= 0 (defaults to seed)",
+    "regression.seed": "generator seed >= 0 (defaults to seed)",
     "regression.preset": "named preset: triad (the regression defaults)",
     "csv.path": "dataset file",
     "csv.inputs": "comma-separated input columns",
@@ -181,7 +181,8 @@ def _section(raw, name: str) -> dict:
     defaults = spec_type()
     out = {key: _want(raw, f"{name}.{key}", conv, getattr(defaults, attr), check, describe)
            for key, (attr, conv, check, describe) in keys.items()}
-    out["seed"] = _want(raw, f"{name}.seed", int, None)
+    out["seed"] = _want(raw, f"{name}.seed", int, None, lambda v: v >= 0,
+                        KNOWN_KEYS[f"{name}.seed"])
     return out
 
 

@@ -3,7 +3,8 @@
 The SINGLE method is the per-task baseline used by the performance metric:
 for every task a fresh copy of the same architecture (same init seed) is
 trained with all other loss weights masked to zero, which reduces exactly to
-training that task alone.
+training that task alone. The task keeps its own weight (1.0 when the config
+sets no weights).
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         log = _train(cfg, setup, cfg.method, cfg.weights)
         return RunResult(cfg.method, cfg.seed, k, {"main": log},
                          log.final_losses, log.eval_losses)
+    own = cfg.weights or {t: 1.0 for t in range(1, k + 1)}
     logs = {tid: _train(cfg, setup, METHOD_JOINT,
-                        {t: (1.0 if t == tid else 0.0) for t in range(1, k + 1)})
+                        {t: (own[t] if t == tid else 0.0) for t in range(1, k + 1)})
             for tid in range(1, k + 1)}
     return RunResult(METHOD_SINGLE, cfg.seed, k,
                      {f"task{tid}": log for tid, log in logs.items()},

@@ -1,4 +1,4 @@
-"""Training: every method is one loop of per-group sequential sub-steps.
+"""Training only: every method is one loop of per-group sequential sub-steps.
 
 One batch is processed as a sequence of per-group sub-steps. Each sub-step
 backpropagates the weighted loss sum of one group, steps exactly the shared
@@ -18,7 +18,7 @@ import numpy as np
 
 from .affinity import (AffinityTracker, decay_update, instant_inter_group,
                        instant_intra_group)
-from .grouping import (GROUPING_RULES, GroupPartition, ORDER_RANDOM, everything,
+from .grouping import (GROUPING_RULES, GroupPartition, ORDER_RANDOM, ORDERS, everything,
                        make_partition, partition_tasks, shuffle_order, singletons)
 from .models import Batch, ParamPartition
 from .tensor import NonFiniteValue
@@ -88,6 +88,12 @@ class TrainConfig:
             raise TrainError("RANDOM method needs a group count")
         if self.optimizer not in OPTIMIZERS:
             raise TrainError(f"unknown optimizer '{self.optimizer}'")
+        if self.order_mode not in ORDERS:
+            raise TrainError(f"unknown order mode '{self.order_mode}'")
+        if self.grouping_rule not in GROUPING_RULES:
+            raise TrainError(f"unknown grouping rule '{self.grouping_rule}'")
+        if self.repartition_stride < 1:
+            raise TrainError(f"repartition stride must be >= 1, got {self.repartition_stride}")
 
 
 class PlainSGD:
@@ -283,68 +289,3 @@ def train(model, batches, config: TrainConfig) -> RunLog:
         except NonFiniteValue as e:
             raise NumericAbort.after(log, str(e)) from e
     return log
-
-
-# -- descent inequality checker ---------------------------------------------
-
-
-def descent_eta_bound(model, partition: GroupPartition) -> float:
-    """The step-size regime of the descent inequality, min(2/(H*K), 1/(H*max|G|))
-    with H the largest per-task Hessian eigenvalue; inf when H = 0."""
-    h = model.hessian_bound()
-    gmax = max(len(g) for g in partition.groups)
-    return min(2.0 / (h * partition.k), 1.0 / (h * gmax)) if h > 0 else float("inf")
-
-
-@dataclass
-class SubstepCheck:
-    lhs: float
-    rhs: float
-    holds: bool
-    cross_term: float
-
-
-@dataclass
-class DescentReport:
-    regime: str                      # IN_REGIME | OUT_OF_REGIME
-    checks: list[SubstepCheck]
-    violations: int
-
-
-def check_descent(model, partition: GroupPartition, eta: float, steps: int,
-                  batch: Batch) -> DescentReport:
-    """Evaluate both sides of the per-sub-step descent inequality along a run.
-
-    Plain SGD, fixed partition, forward order. Outside the step-size regime
-    of :func:`descent_eta_bound` the report is tagged rather than failed.
-    """
-    weights = model.suite.weights()
-    regime = "IN_REGIME" if eta <= descent_eta_bound(model, partition) else "OUT_OF_REGIME"
-    checks: list[SubstepCheck] = []
-    violations = 0
-    optimizer = PlainSGD()
-    shared = sorted(model.partition.shared)
-    losses = model.forward_all(batch)
-    for _ in range(steps):
-        for group in partition.ordered_groups():
-            total_before = sum(weights[t] * losses[t] for t in model.suite.ids)
-            all_grads = {g: model.backward_group(g, weights) for g in partition.groups}
-            shared_grads = {g: np.concatenate([gr[n].ravel() for n in shared])
-                            for g, gr in all_grads.items()}
-            grads = all_grads[group]
-            gs = shared_grads[group]
-            gsum = np.sum(list(shared_grads.values()), axis=0)
-            ts = [grads[n].ravel() for tid in sorted(group) for n in sorted(model.partition.per_task[tid])]
-            gts_sq = float(sum(np.sum(v * v) for v in ts))
-            optimizer.apply(model.partition, grads, eta)
-            losses_after = model.forward_all(batch)
-            lhs = sum(weights[t] * losses_after[t] for t in model.suite.ids)
-            cross = -eta * float(gs @ (gsum - gs))
-            rhs = total_before + cross - 0.5 * eta * gts_sq
-            slack = 1e-12 * max(1.0, abs(total_before))
-            holds = lhs <= rhs + slack
-            if not holds:
-                violations += 1
-            checks.append(SubstepCheck(lhs, rhs, holds, cross))
-            losses = losses_after
-    return DescentReport(regime, checks, violations)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mtopt import analysis
 from mtopt.analysis import (AnalysisError, TaskResult, delta_m,
                             delta_m_from_losses, grouping_frequency,
                             mean_group_count, run_property_suite, summarize_run)
@@ -131,3 +132,10 @@ def test_non_finite_suite_value_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue, match="quadratic loss is non-finite"):
             run_property_suite("T4", 3, margin_scale=0.1)
+
+
+def test_t4_counts_a_nan_side_of_the_descent_inequality_as_a_violation(monkeypatch):
+    # the check is not (lhs <= rhs + slack): lhs > rhs + slack is False for a NaN rhs
+    monkeypatch.setattr(analysis, "descent_substeps",
+                        lambda *args: [(1.0, float("nan"), 0.0, 0.0)])
+    assert run_property_suite("T4", 1).violations == 1

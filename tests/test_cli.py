@@ -10,7 +10,8 @@ import pytest
 import mtopt
 from mtopt import cli
 from mtopt.cli import main
-from mtopt.config import validate_config
+from mtopt.config import parse_kv_text, validate_config
+from mtopt.experiments import run_experiment
 
 TRIAD_CFG = """\
 # quick triad run
@@ -288,6 +289,15 @@ def test_single_method_produces_per_task_baselines(tmp_path):
     assert sorted(summary["eval_losses"]) == ["1", "2", "3"]
 
 
+def test_single_keeps_the_trained_tasks_own_weight():
+    base = TRIAD_CFG.replace("iters = 25", "iters = 5")
+    single = run_experiment(validate_config(parse_kv_text(
+        base.replace("method = SELECTIVE", "method = SINGLE") + "weights = 2,1,1\n")))
+    joint_cfg = validate_config(parse_kv_text(base.replace("method = SELECTIVE", "method = JOINT")))
+    joint_cfg.weights = {1: 2.0, 2: 0.0, 3: 0.0}  # the config refuses zero weights
+    assert single.logs["task1"] == run_experiment(joint_cfg).logs["main"]
+
+
 QUAD_CFG = """\
 benchmark.kind = quadratic
 iters = 5
@@ -347,6 +357,42 @@ def test_single_on_quadratic_is_usage_error(tmp_path, capsys):
 def test_triad_preset_rejects_other_regression_keys(tmp_path, capsys):
     err = usage_error(tmp_path, capsys, TRIAD_CFG + "regression.k = 5\n")
     assert "regression.k" in err
+
+
+@pytest.mark.parametrize("key", ["seed", "quadratic.seed", "regression.seed"])
+def test_negative_config_seed_is_usage_error(tmp_path, capsys, key):
+    kind = key.split(".")[0] if "." in key else "quadratic"
+    err = usage_error(tmp_path, capsys, f"benchmark.kind = {kind}\niters = 3\n{key} = -3\n")
+    assert f"field '{key}'" in err
+
+
+def test_negative_run_seed_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    err = cli_error(capsys, ["run", "--config", write_cfg(tmp_path, QUAD_CFG), "--out", str(out),
+                             "--seed", "-1"])
+    assert "field 'seed'" in err
+    assert not out.exists()
+
+
+def test_negative_sweep_cell_seed_is_usage_error_before_any_cell_runs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,-1\n", "sweep.cfg")
+    out = tmp_path / "sweep"
+    assert "field 'seed'" in cli_error(capsys, ["sweep", "--config", cfg, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_negative_verify_seed_is_usage_error(capsys):
+    err = cli_error(capsys, ["verify", "--suites", "T3", "--instances", "2", "--seed", "-1"])
+    assert "seed must be >= 0" in err
+
+
+def test_sweep_refuses_two_cells_with_one_name(tmp_path, monkeypatch, capsys):
+    stub_cells(monkeypatch)
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.eta = 0.1, 0.1\n", "sweep.cfg")
+    out = tmp_path / "sweep"
+    err = cli_error(capsys, ["sweep", "--config", cfg, "--out", str(out)])
+    assert "eta-0.1" in err
+    assert not out.exists()
 
 
 def test_sweep_rejects_bad_cell_before_any_cell_runs(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from mtopt.analysis import descent_eta_bound, descent_substeps
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
 from mtopt.grouping import everything, make_partition, singletons
 from mtopt.models import Batch, TaskSuite, build_shared_trunk
 from mtopt.optim import (Adam, METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM,
                          METHOD_SELECTIVE, METHOD_SEPARATE, NumericAbort,
-                         PlainSGD, TrainConfig, TrainError, check_descent,
-                         joint_step, selective_group_step, train)
+                         PlainSGD, TrainConfig, TrainError, joint_step,
+                         selective_group_step, train)
 from tests.test_models import scalar_pair
 
 
@@ -134,6 +135,13 @@ def test_train_rejects_t_zero_and_runs_t_one():
     assert len(log.steps) == 1
 
 
+@pytest.mark.parametrize("field, value", [("repartition_stride", 0), ("grouping_rule", "pairs"),
+                                          ("order_mode", "SIDEWAYS")])
+def test_train_config_refuses_what_would_fail_mid_training(field, value):
+    with pytest.raises(TrainError, match=field.split("_")[0]):
+        TrainConfig(**{field: value})
+
+
 def test_two_runs_same_seed_are_identical():
     logs = []
     for _ in range(2):
@@ -206,38 +214,34 @@ def test_adam_allocates_moments_once_per_block(monkeypatch):
     assert len(calls) == 2 * len(opt.moments)  # m and v of each block, once
 
 
+def descent_violations(substeps):
+    return sum(not lhs <= rhs + slack for lhs, rhs, slack, _ in substeps)
+
+
 def test_descent_holds_for_singletons_within_regime():
     model, batch = fresh_quadratic(seed=15, k=2)
-    report = check_descent(model, singletons(2), eta=0.05, steps=50, batch=batch)
-    assert report.regime == "IN_REGIME"
-    assert report.violations == 0
+    assert 0.05 <= descent_eta_bound(model, singletons(2))
+    assert descent_violations(descent_substeps(model, singletons(2), 0.05, 50, batch)) == 0
 
 
 def test_descent_holds_for_aligned_groups():
+    partition = make_partition([(1, 2), (3,)])
     for seed in range(5):
         model, batch = fresh_quadratic(seed=seed, rho=0.95)
         h = model.hessian_bound()
         eta = 0.9 * min(2.0 / (h * 3), 1.0 / (h * 2))
-        report = check_descent(model, make_partition([(1, 2), (3,)]), eta, 100, batch)
-        assert report.regime == "IN_REGIME"
-        assert report.violations == 0
+        assert eta <= descent_eta_bound(model, partition)
+        assert descent_violations(descent_substeps(model, partition, eta, 100, batch)) == 0
 
 
 def test_descent_with_opposing_gradients_flags_cross_term():
     model, batch = fresh_quadratic(seed=16, k=2, rho=-1.0)
     h = model.hessian_bound()
     eta = 0.9 * min(2.0 / (h * 2), 1.0 / h)
-    report = check_descent(model, singletons(2), eta, 20, batch)
-    assert report.violations == 0  # the bound covers hostile geometry too
+    substeps = list(descent_substeps(model, singletons(2), eta, 20, batch))
+    assert descent_violations(substeps) == 0  # the bound covers hostile geometry too
     # opposed tasks make the cross term positive somewhere along the run
-    assert any(c.cross_term > 0 for c in report.checks)
-
-
-def test_descent_out_of_regime_is_tagged_not_failed():
-    model, batch = fresh_quadratic(seed=17, k=2)
-    h = model.hessian_bound()
-    report = check_descent(model, singletons(2), eta=10.0 / h, steps=5, batch=batch)
-    assert report.regime == "OUT_OF_REGIME"
+    assert any(cross > 0 for *_, cross in substeps)
 
 
 def test_numeric_abort_names_substep_and_group():
