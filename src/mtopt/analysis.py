@@ -69,21 +69,14 @@ def delta_m_from_losses(losses: dict[int, float], baseline: dict[int, float]) ->
 
 
 def mean_group_count(log: RunLog) -> float:
-    if not log.steps:
+    if not log.iterations:
         raise AnalysisError("run log has no partition history")
-    return float(np.mean([report.partition.m for report in log.steps]))
+    return log.group_count_sum / log.iterations  # exact int sum: equals np.mean bit for bit
 
 
 def grouping_frequency(log: RunLog) -> np.ndarray:
     """Fraction of iterations each unordered pair shared a group."""
-    k = log.k
-    counts = np.zeros((k, k))
-    for report in log.steps:
-        for group in report.partition.groups:
-            for i in group:
-                for j in group:
-                    counts[i - 1, j - 1] += 1
-    return counts / max(1, len(log.steps))
+    return np.array(log.pair_counts, dtype=float) / max(1, log.iterations)
 
 
 def summarize_run(log: RunLog) -> dict:
@@ -92,16 +85,16 @@ def summarize_run(log: RunLog) -> dict:
         "method": log.method,
         "seed": log.seed,
         "k": log.k,
-        "iterations": len(log.steps),
+        "iterations": log.iterations,
         "final_losses": {str(t): v for t, v in sorted(log.final_losses.items())},
         "eval_losses": ({str(t): v for t, v in sorted(log.eval_losses.items())}
                         if log.eval_losses else None),
         "mean_group_count": mean_group_count(log),
         "grouping_frequency": grouping_frequency(log).tolist(),
         "counts": {
-            "forwards": sum(s.forwards for s in log.steps),
-            "backwards": sum(s.backwards for s in log.steps),
-            "opt_steps": sum(s.opt_steps for s in log.steps),
+            "forwards": log.forwards,
+            "backwards": log.backwards,
+            "opt_steps": log.opt_steps,
         },
     }
 

@@ -17,7 +17,7 @@ from .analysis import SUITES, AnalysisError, delta_m_from_losses, run_property_s
 from .config import ConfigError, echo_dict, parse_kv_text, read_kv_file, validate_config
 from .experiments import run_experiment
 from .optim import NumericAbort
-from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunDirError, fmt, read_group_series,
+from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunDirError, RunWriter, fmt, read_group_series,
                     read_summary, write_json, write_lines, write_run)
 from .tensor import NonFiniteValue
 
@@ -75,8 +75,9 @@ def cmd_run(args) -> int:
     except (OSError, ConfigError) as e:
         return _fail(str(e), EXIT_USAGE)
     try:
-        result = run_experiment(cfg)
-        paths = write_run(args.out, result, echo_dict(cfg))
+        with RunWriter(args.out) as writer:
+            result = run_experiment(cfg, writer.sink)
+            paths = write_run(writer, result, echo_dict(cfg))
     except NumericAbort as e:
         return _fail(f"numeric failure: {e}", EXIT_NUMERIC)
     except (OSError, ConfigError) as e:
@@ -99,8 +100,8 @@ def _run_cell(base_raw: dict, overrides: dict, outdir: str) -> tuple[str, str]:
     raw.update(overrides)
     try:
         cfg = validate_config(raw)
-        result = run_experiment(cfg)
-        write_run(os.path.join(outdir, name), result, echo_dict(cfg))
+        with RunWriter(os.path.join(outdir, name)) as writer:
+            write_run(writer, run_experiment(cfg, writer.sink), echo_dict(cfg))
         return name, "ok"
     except NumericAbort as e:
         return name, f"numeric:{e.iteration}"

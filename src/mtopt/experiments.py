@@ -4,17 +4,20 @@ The SINGLE method is the per-task baseline used by the performance metric:
 for every task a fresh copy of the same architecture (same init seed) is
 trained with all other loss weights masked to zero, which reduces exactly to
 training that task alone. The task keeps its own weight (1.0 when the config
-sets no weights).
+sets no weights). Its trainings run in sorted label order (``task1, task10,
+task11, task2, ...``), the order a run directory lists them in, so a writer
+that appends each iteration as it finishes writes them in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .benchmarks import BenchmarkError, gen_quadratic_suite, gen_regression_suite, load_csv_dataset
 from .config import METHOD_SINGLE, ConfigError, ExperimentConfig, generator_spec, task_count
 from .models import Batch, build_shared_trunk
-from .optim import METHOD_JOINT, NumericAbort, RunLog, TrainConfig, train
+from .optim import METHOD_JOINT, NumericAbort, RunLog, Sink, TrainConfig, train
 from .tensor import NonFiniteValue
 
 
@@ -64,7 +67,7 @@ def _setup(cfg: ExperimentConfig):
     return make_model, batches, dataset.eval_batch()
 
 
-def _train(cfg: ExperimentConfig, setup, method: str, weights) -> RunLog:
+def _train(cfg: ExperimentConfig, setup, method: str, weights, sink: Sink | None) -> RunLog:
     make_model, batches, eval_batch = setup
     model = make_model()
     tc = TrainConfig(method=method, eta=cfg.eta, beta=cfg.beta, iters=cfg.iters,
@@ -73,7 +76,7 @@ def _train(cfg: ExperimentConfig, setup, method: str, weights) -> RunLog:
                      random_groups=cfg.random_groups,
                      repartition_stride=cfg.repartition_stride,
                      grouping_rule=cfg.grouping_rule, track_affinity=cfg.track_affinity)
-    log = train(model, batches(cfg.iters), tc)
+    log = train(model, batches(cfg.iters), tc, sink)
     try:
         log.eval_losses = (dict(log.final_losses) if eval_batch is None
                            else model.forward_all(eval_batch))
@@ -82,17 +85,27 @@ def _train(cfg: ExperimentConfig, setup, method: str, weights) -> RunLog:
     return log
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunResult:
+def run_experiment(cfg: ExperimentConfig,
+                   sinks: Callable[[str], Sink] | None = None) -> RunResult:
+    """Set up and train every run of ``cfg``, one log per label.
+
+    ``sinks(label)`` gives the sink of the run with that label; it is called
+    after set-up has succeeded, just before that run trains.
+    """
     setup = _setup(cfg)
     k = task_count(cfg)
+
+    def run(label, method, weights):
+        return _train(cfg, setup, method, weights, sinks and sinks(label))
+
     if cfg.method != METHOD_SINGLE:
-        log = _train(cfg, setup, cfg.method, cfg.weights)
+        log = run("main", cfg.method, cfg.weights)
         return RunResult(cfg.method, cfg.seed, k, {"main": log},
                          log.final_losses, log.eval_losses)
     own = cfg.weights or {t: 1.0 for t in range(1, k + 1)}
-    logs = {tid: _train(cfg, setup, METHOD_JOINT,
-                        {t: (own[t] if t == tid else 0.0) for t in range(1, k + 1)})
-            for tid in range(1, k + 1)}
+    logs = {tid: run(f"task{tid}", METHOD_JOINT,
+                     {t: (own[t] if t == tid else 0.0) for t in range(1, k + 1)})
+            for tid in sorted(range(1, k + 1), key=lambda t: f"task{t}")}
     return RunResult(METHOD_SINGLE, cfg.seed, k,
                      {f"task{tid}": log for tid, log in logs.items()},
                      {tid: log.final_losses[tid] for tid, log in logs.items()},

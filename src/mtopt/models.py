@@ -147,6 +147,7 @@ class MLPModel:
         return b
 
     def forward_all(self, batch: Batch) -> dict[int, float]:
+        self._forward_version = None  # a failed forward leaves no tape to differentiate
         try:
             outs = evaluate(self.graph, self._bindings(batch))
         except NonFiniteValue as e:

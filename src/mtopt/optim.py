@@ -8,11 +8,16 @@ schedule: SELECTIVE re-derives the partition from the tracked affinity after
 the batch, SEPARATE keeps singletons, FIXED keeps a given partition, RANDOM
 draws a new one per batch, and JOINT keeps one group of all tasks and skips
 the trailing forward, so it neither measures nor tracks affinity.
+
+Training keeps no per-iteration record: :func:`train` hands each finished
+iteration's report and affinity rows to a sink and keeps only the run's
+totals in its :class:`RunLog`, so memory stays flat in run length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +58,7 @@ class NumericAbort(ArithmeticError):
     @classmethod
     def after(cls, log: RunLog, detail: str) -> NumericAbort:
         """A failure in a forward at the state the last sub-step left."""
-        last = log.steps[-1]
+        last = log.last
         return cls(last.iteration, len(last.substeps), last.substeps[-1].group, detail)
 
 
@@ -167,15 +172,49 @@ class StepReport:
                              f"got forwards/backwards/steps {got}, want {want}")
 
 
+# (iter, substep, source, target, b_instant, b_decayed, verdict, skipped)
+AffinityRow = tuple
+Sink = Callable[[StepReport, list[AffinityRow]], None]
+
+
 @dataclass
 class RunLog:
+    """The totals of one training run.
+
+    The per-iteration reports and affinity rows go to the sink given to
+    :func:`train`; the log keeps the counts summaries need, the pair
+    co-occurrence counts (Python ints, so :meth:`add` stays cheap), and the
+    last report, which :meth:`NumericAbort.after` names.
+    """
+
     method: str
     seed: int
     k: int
-    steps: list[StepReport] = field(default_factory=list)
-    affinity_rows: list[tuple] = field(default_factory=list)  # (iter, substep, src, tgt, inst, decayed, verdict, skipped)
+    iterations: int = 0
+    forwards: int = 0
+    backwards: int = 0
+    opt_steps: int = 0
+    group_count_sum: int = 0
+    pair_counts: list[list[int]] = field(init=False)  # [i-1][j-1]: iterations i and j shared a group
+    last: StepReport | None = None
     final_losses: dict[int, float] = field(default_factory=dict)
     eval_losses: dict[int, float] | None = None
+
+    def __post_init__(self):
+        self.pair_counts = [[0] * self.k for _ in range(self.k)]
+
+    def add(self, report: StepReport):
+        self.iterations += 1
+        self.forwards += report.forwards
+        self.backwards += report.backwards
+        self.opt_steps += report.opt_steps
+        self.group_count_sum += report.partition.m
+        for group in report.partition.groups:
+            for i in group:
+                row = self.pair_counts[i - 1]
+                for j in group:
+                    row[j - 1] += 1
+        self.last = report
 
 
 def _grad_norms(partition: ParamPartition, group, grads) -> tuple[float, dict[int, float]]:
@@ -190,10 +229,11 @@ def _grad_norms(partition: ParamPartition, group, grads) -> tuple[float, dict[in
 def selective_group_step(model, batch: Batch, partition: GroupPartition, config: TrainConfig,
                          optimizer, tracker: AffinityTracker | None, iteration: int,
                          order_rng: np.random.Generator,
-                         log: RunLog | None = None) -> tuple[StepReport, GroupPartition]:
+                         rows: list[AffinityRow] | None = None) -> tuple[StepReport, GroupPartition]:
     """One batch of per-group sequential sub-steps; returns the report and
     the partition to use next (re-derived from the tracker when due).
 
+    The tracker's update rows are appended to ``rows`` when one is given.
     JOINT skips the trailing forward, so it measures no affinity."""
     weights = config.weights or model.suite.weights()
     joint = config.method == METHOD_JOINT
@@ -219,9 +259,9 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                 outside = [j for j in all_ids if j not in group]
                 inter = instant_inter_group(current, after, group, outside)
                 intra, verdicts = instant_intra_group(current, after, group)
-                rows = decay_update(tracker, group, inter | intra, verdicts)
-                if log is not None:
-                    log.affinity_rows.extend((iteration, idx) + row for row in rows)
+                updates = decay_update(tracker, group, inter | intra, verdicts)
+                if rows is not None:
+                    rows.extend((iteration, idx) + row for row in updates)
             substeps.append(SubstepRecord(group, after, norm_shared, norm_task))
             current = after
     except NonFiniteValue as e:
@@ -251,8 +291,12 @@ def _random_partition(k: int, m: int, rng: np.random.Generator) -> GroupPartitio
                           for chunk in np.array_split(rng.permutation(np.arange(1, k + 1)), m))
 
 
-def train(model, batches, config: TrainConfig) -> RunLog:
-    """Run ``config.iters`` batches from the stream and log everything.
+def train(model, batches, config: TrainConfig, sink: Sink | None = None) -> RunLog:
+    """Run ``config.iters`` batches from the stream and return the run's totals.
+
+    Each finished iteration's report and affinity rows go to ``sink(report,
+    rows)``, in iteration order, and are not kept; an iteration cut short by
+    a :class:`NumericAbort` reaches no sink.
 
     The stream must yield batches deterministically; the update-order rng is
     derived from the seed on a separate stream, so runs are reproducible
@@ -281,9 +325,12 @@ def train(model, batches, config: TrainConfig) -> RunLog:
                 raise TrainError(f"batch stream ended at iteration {iteration} of {config.iters}")
             if config.method == METHOD_RANDOM:
                 partition = _random_partition(k, config.random_groups, order_rng)
+            rows = None if sink is None else []
             report, partition = selective_group_step(model, batch, partition, config, optimizer,
-                                                     tracker, iteration, order_rng, log)
-            log.steps.append(report)
+                                                     tracker, iteration, order_rng, rows)
+            log.add(report)
+            if sink is not None:
+                sink(report, rows)
         try:
             log.final_losses = model.forward_all(batch)
         except NonFiniteValue as e:

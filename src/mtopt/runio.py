@@ -2,13 +2,18 @@
 
 Every CSV starts with a schema-version line, columns are fixed, and floats
 are serialized with 17 significant digits, so re-running the same
-config.json reproduces the files byte for byte.
+config.json reproduces the files byte for byte. A :class:`RunWriter` appends
+each iteration to the CSVs as soon as it ends, through open buffered
+handles, so no run log is held in memory; :func:`write_run` then writes the
+summary and the config echo. A directory without summary.json is a run that
+did not finish.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from typing import TextIO
 
 from .analysis import summarize_run
 from .experiments import RunResult
@@ -23,28 +28,35 @@ GROUPS_HEADER = "iter,partition,m"
 INDEX_SCHEMA = "# schema=mtopt.index.v1"
 INDEX_HEADER = "cell,dir,status"
 SUMMARY_SCHEMA = "mtopt.summary.v1"
+CSV_HEADERS = {"steps": f"{STEPS_SCHEMA}\n{STEPS_HEADER}\n",
+               "affinity": f"{AFFINITY_SCHEMA}\n{AFFINITY_HEADER}\n",
+               "groups": f"{GROUPS_SCHEMA}\n{GROUPS_HEADER}\n"}
 
 
 def fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _steps_lines(log) -> list[str]:
-    lines = []
-    for report in log.steps:
-        f, b = report.forwards, report.backwards
-        for tid in sorted(report.initial_losses):
-            lines.append(",".join([str(report.iteration), "0", "", str(tid),
-                                   fmt(report.initial_losses[tid]), "", "", str(f), str(b)]))
-        for idx, sub in enumerate(report.substeps, start=1):
-            group = " ".join(str(t) for t in sub.group)
-            tids = sorted(sub.losses_after) if sub.losses_after else sorted(report.initial_losses)
-            for tid in tids:
-                loss = fmt(sub.losses_after[tid]) if sub.losses_after else ""
-                gtask = fmt(sub.grad_norm_task[tid]) if tid in sub.grad_norm_task else ""
-                lines.append(",".join([str(report.iteration), str(idx), group, str(tid),
-                                       loss, fmt(sub.grad_norm_shared), gtask, str(f), str(b)]))
+def _steps_lines(report) -> list[str]:
+    f, b = report.forwards, report.backwards
+    lines = [",".join([str(report.iteration), "0", "", str(tid),
+                       fmt(report.initial_losses[tid]), "", "", str(f), str(b)])
+             for tid in sorted(report.initial_losses)]
+    for idx, sub in enumerate(report.substeps, start=1):
+        group = " ".join(str(t) for t in sub.group)
+        tids = sorted(sub.losses_after) if sub.losses_after else sorted(report.initial_losses)
+        for tid in tids:
+            loss = fmt(sub.losses_after[tid]) if sub.losses_after else ""
+            gtask = fmt(sub.grad_norm_task[tid]) if tid in sub.grad_norm_task else ""
+            lines.append(",".join([str(report.iteration), str(idx), group, str(tid),
+                                   loss, fmt(sub.grad_norm_shared), gtask, str(f), str(b)]))
     return lines
+
+
+def _affinity_lines(rows) -> list[str]:
+    return [",".join([str(it), str(sub), str(src), str(tgt), fmt(float(inst)), fmt(float(dec)),
+                      verdict, "1" if skipped else "0"])
+            for it, sub, src, tgt, inst, dec, verdict, skipped in rows]
 
 
 def write_lines(path, lines: list[str]):
@@ -58,20 +70,59 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
-def write_run(outdir, result: RunResult, echo: dict) -> dict[str, str]:
-    os.makedirs(outdir, exist_ok=True)
-    logs = [result.logs[label] for label in sorted(result.logs)]
-    steps = [STEPS_SCHEMA, STEPS_HEADER]
-    affinity = [AFFINITY_SCHEMA, AFFINITY_HEADER]
-    groups = [GROUPS_SCHEMA, GROUPS_HEADER]
-    for log in logs:
-        steps.extend(_steps_lines(log))
-        for it, sub, src, tgt, inst, dec, verdict, skipped in log.affinity_rows:
-            affinity.append(",".join([str(it), str(sub), str(src), str(tgt),
-                                      fmt(float(inst)), fmt(float(dec)), verdict,
-                                      "1" if skipped else "0"]))
-        groups.extend(f'{report.iteration},"{serialize_partition(report.partition)}",'
-                      f'{report.partition.m}' for report in log.steps)
+class RunWriter:
+    """Streams a run's CSVs into ``outdir`` while it trains.
+
+    Nothing is created until the first :meth:`sink` call, which run_experiment
+    makes only after set-up has succeeded. Opening removes a stale
+    summary.json and config.json, so a directory whose run stops early does
+    not look finished (``sweep --resume`` keeps a cell with a summary): its
+    CSVs hold every completed iteration and it has neither file.
+    :func:`write_run` finishes the directory.
+    """
+
+    def __init__(self, outdir):
+        self.outdir = outdir
+        self.paths = {name: os.path.join(outdir, f"{name}.csv") for name in CSV_HEADERS}
+        self._files: dict[str, TextIO] = {}
+
+    def sink(self, _label: str):
+        """The sink of one run: every label appends to the same files, in call order."""
+        if not self._files:
+            os.makedirs(self.outdir, exist_ok=True)
+            for name in ("summary.json", "config.json"):  # what write_run writes
+                path = os.path.join(self.outdir, name)
+                if os.path.exists(path):
+                    os.remove(path)
+            for name, header in CSV_HEADERS.items():  # close() releases them on any failure
+                fh = self._files[name] = open(self.paths[name], "w", encoding="utf-8", newline="\n")
+                fh.write(header)
+        return self.append
+
+    def append(self, report, rows):
+        """Format one finished iteration into the open CSVs."""
+        self._files["steps"].write("\n".join(_steps_lines(report)) + "\n")
+        if rows:
+            self._files["affinity"].write("\n".join(_affinity_lines(rows)) + "\n")
+        self._files["groups"].write(f'{report.iteration},"{serialize_partition(report.partition)}",'
+                                    f'{report.partition.m}\n')
+
+    def close(self):
+        files, self._files = self._files, {}
+        for fh in files.values():
+            fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def write_run(writer: RunWriter, result: RunResult, echo: dict) -> dict[str, str]:
+    """Finish a run directory: close its CSVs, write summary.json and
+    config.json, and return the paths of all five files."""
+    writer.close()
     summary = {
         "schema": SUMMARY_SCHEMA,
         "method": result.method,
@@ -81,13 +132,9 @@ def write_run(outdir, result: RunResult, echo: dict) -> dict[str, str]:
         "eval_losses": {str(t): v for t, v in sorted(result.eval_losses.items())},
         "runs": {label: summarize_run(result.logs[label]) for label in sorted(result.logs)},
     }
-    paths = {name: os.path.join(outdir, f"{name}.csv") for name in ("steps", "affinity", "groups")}
-    write_lines(paths["steps"], steps)
-    write_lines(paths["affinity"], affinity)
-    write_lines(paths["groups"], groups)
-    paths["summary"] = os.path.join(outdir, "summary.json")
+    paths = dict(writer.paths, summary=os.path.join(writer.outdir, "summary.json"),
+                 config=os.path.join(writer.outdir, "config.json"))
     write_json(paths["summary"], summary)
-    paths["config"] = os.path.join(outdir, "config.json")
     write_json(paths["config"], {"schema": "mtopt.config.v1", "config": echo})
     return paths
 
@@ -101,6 +148,8 @@ def read_summary(rundir) -> dict:
     maps keyed by task id."""
     path = os.path.join(rundir, "summary.json")
     if not os.path.isfile(path):
+        if os.path.isdir(rundir):
+            raise RunDirError(f"{rundir}: the run did not finish (no summary.json)")
         raise RunDirError(f"missing run directory (no summary.json): {rundir}")
     try:
         with open(path, encoding="utf-8") as fh:

@@ -415,13 +415,20 @@ def _compiled(graph: Graph) -> _Plan:
 
 
 def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> dict[int, np.ndarray]:
-    """Run the tape forward, cache every node value, return the outputs."""
+    """Run the tape forward, cache every node value, return the outputs.
+
+    A failed forward drops the cached values, so a backward after it raises
+    instead of differentiating the previous forward's values."""
     plan = _compiled(graph)
-    vals = plan.forward(bindings)
-    if vals is None:
-        out = interpret(graph, bindings)
-        plan.admit(graph)
-        return out
+    try:
+        vals = plan.forward(bindings)
+        if vals is None:
+            out = interpret(graph, bindings)
+            plan.admit(graph)
+            return out
+    except BaseException:
+        graph.values = None
+        raise
     graph.values = vals
     return {nid: vals[nid] for nid in graph.outputs}
 

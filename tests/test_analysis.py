@@ -12,6 +12,7 @@ from mtopt.optim import TrainConfig, train
 from mtopt.models import Batch
 from mtopt.tensor import NonFiniteValue
 from tests import metric_fixtures as fx
+from tests.test_optim import Collector
 
 
 def results(metrics, baselines, lower):
@@ -72,6 +73,30 @@ def test_separate_run_mean_group_count_is_k():
     freq = grouping_frequency(log)
     assert np.allclose(np.diag(freq), 1.0)
     assert np.allclose(freq - np.diag(np.diag(freq)), 0.0)
+
+
+@pytest.mark.parametrize("method, extra", [("SELECTIVE", {}), ("RANDOM", {"random_groups": 3})])
+def test_run_totals_equal_the_per_iteration_reference(method, extra):
+    """The summaries read from the log's totals equal the same figures
+    computed over every report of the run, bit for bit."""
+    model, _ = gen_quadratic_suite(QuadraticSpec(k=5, seed=2, rho=0.5))
+    cfg = TrainConfig(method=method, eta=0.02, beta=0.05, iters=37, seed=4, **extra)
+    sink = Collector()
+    log = train(model, (Batch(None, {}, it) for it in range(1, 38)), cfg, sink)
+    reports = sink.steps
+    assert mean_group_count(log) == float(np.mean([r.partition.m for r in reports]))
+    counts = np.zeros((5, 5))
+    for report in reports:
+        for group in report.partition.groups:
+            for i in group:
+                for j in group:
+                    counts[i - 1, j - 1] += 1
+    assert grouping_frequency(log).tobytes() == (counts / len(reports)).tobytes()
+    assert summarize_run(log)["counts"] == {
+        "forwards": sum(r.forwards for r in reports),
+        "backwards": sum(r.backwards for r in reports),
+        "opt_steps": sum(r.opt_steps for r in reports)}
+    assert summarize_run(log)["iterations"] == log.iterations == 37
 
 
 def test_summarize_is_pure():

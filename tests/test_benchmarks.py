@@ -7,6 +7,7 @@ from mtopt.benchmarks import (BenchmarkError, QuadraticSpec, RegressionSuiteSpec
 from mtopt.models import build_shared_trunk
 from mtopt.optim import TrainConfig, train
 from mtopt.tensor import backward, evaluate
+from tests.test_optim import Collector
 
 
 def shared_grad(model, tid):
@@ -117,9 +118,10 @@ def test_triad_reference_run_keeps_aligned_pair_positive():
     ds, suite = gen_regression_suite(triad_spec(seed=0))
     model = build_shared_trunk(8, 2, suite, seed=[0, 2], in_dim=8)
     cfg = TrainConfig(method="SELECTIVE", eta=0.05, beta=0.01, iters=2000, seed=0)
-    log = train(model, ds.stream(32, 2000, 0), cfg)
+    sink = Collector()
+    train(model, ds.stream(32, 2000, 0), cfg, sink)
     series = {(1, 2): [], (2, 1): []}
-    for row in log.affinity_rows:
+    for row in sink.affinity_rows:
         key = (row[2], row[3])
         if key in series:
             series[key].append(row[5])
@@ -129,7 +131,7 @@ def test_triad_reference_run_keeps_aligned_pair_positive():
 
     def freq(i, j):
         return np.mean([1.0 if any(i in g and j in g for g in s.partition.groups) else 0.0
-                        for s in log.steps])
+                        for s in sink.steps])
 
     assert freq(1, 2) > freq(1, 3)
     assert freq(1, 2) > freq(2, 3)

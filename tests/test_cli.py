@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 
 import pytest
@@ -12,6 +13,8 @@ from mtopt import cli
 from mtopt.cli import main
 from mtopt.config import parse_kv_text, validate_config
 from mtopt.experiments import run_experiment
+from mtopt.runio import read_summary
+from tests.test_optim import Collector
 
 TRIAD_CFG = """\
 # quick triad run
@@ -145,6 +148,77 @@ def test_report_missing_directory_exits_2(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert main(["run", "--config", cfg, "--out", out]) == 0
     assert main(["report", out, "--baseline", str(tmp_path / "nope")]) == 2
+
+
+BLOWUP_CFG = TRIAD_CFG.replace("eta = 0.05", "eta = 1e6").replace("iters = 25", "iters = 300")
+
+
+def aborted_run(tmp_path, capsys, out):
+    """Run the eta = 1e6 triad config into ``out``: exit 3; returns the iteration it named."""
+    capsys.readouterr()
+    assert main(["run", "--config", write_cfg(tmp_path, BLOWUP_CFG, "blowup.cfg"),
+                 "--out", out]) == 3
+    err = capsys.readouterr().err
+    return int(err.split("iteration ", 1)[1].split(",", 1)[0])
+
+
+def test_aborted_run_keeps_its_completed_iterations_and_no_summary(tmp_path, capsys):
+    out = str(tmp_path / "r")
+    assert main(["run", "--config", write_cfg(tmp_path, TRIAD_CFG), "--out", out]) == 0
+    failed_at = aborted_run(tmp_path, capsys, out)  # over a finished directory
+    assert failed_at > 1
+    assert sorted(os.listdir(out)) == ["affinity.csv", "groups.csv", "steps.csv"]
+    with open(os.path.join(out, "groups.csv")) as fh:
+        iters = [int(line.split(",")[0]) for line in fh.read().splitlines()[2:]]
+    assert iters == list(range(1, failed_at))
+    with open(os.path.join(out, "steps.csv")) as fh:
+        steps = [line.split(",") for line in fh.read().splitlines()[2:]]
+    assert sorted({int(row[0]) for row in steps}) == iters
+    assert all(row[4] for row in steps)  # SELECTIVE re-forwards: every row has a loss
+    with open(os.path.join(out, "affinity.csv")) as fh:
+        assert {int(line.split(",")[0]) for line in fh.read().splitlines()[2:]} == set(iters)
+
+
+def test_report_on_an_unfinished_run_says_so(tmp_path, capsys):
+    base, out = str(tmp_path / "base"), str(tmp_path / "r")
+    assert main(["run", "--config", write_cfg(tmp_path, TRIAD_CFG), "--out", base]) == 0
+    aborted_run(tmp_path, capsys, out)
+    err = report_error(capsys, out, base)
+    assert "did not finish" in err and "missing" not in err
+    assert "missing run directory" in report_error(capsys, str(tmp_path / "nope"), base)
+
+
+def test_sweep_resume_reruns_a_cell_whose_later_run_aborted(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TRIAD_CFG + "sweep.seed = 1,2\n", "sweep.cfg")
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    cell = os.path.join(out, "seed-1")
+    finished = read(os.path.join(cell, "steps.csv"))
+    aborted_run(tmp_path, capsys, cell)
+    assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
+    with open(os.path.join(out, "index.csv")) as fh:
+        assert fh.read().splitlines()[2:] == ["seed-1,seed-1,ok", "seed-2,seed-2,kept"]
+    assert read(os.path.join(cell, "steps.csv")) == finished
+    assert os.path.isfile(os.path.join(cell, "summary.json"))
+
+
+def test_run_memory_is_flat_in_run_length(tmp_path):
+    def peak(iters):
+        out = str(tmp_path / f"q{iters}")
+        cfg = write_cfg(tmp_path, "benchmark.kind = quadratic\nquadratic.k = 8\n"
+                                  "quadratic.shared_dim = 64\nquadratic.rows = 128\n"
+                                  f"method = SELECTIVE\neta = 0.05\niters = {iters}\n",
+                        f"q{iters}.cfg")
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", cfg, "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # one-time allocations (lazy imports, first-use caches) stay out of the ratio
+    short = peak(30)
+    assert peak(300) <= 1.2 * short
 
 
 def quad_run(tmp_path, name, k):
@@ -289,13 +363,43 @@ def test_single_method_produces_per_task_baselines(tmp_path):
     assert sorted(summary["eval_losses"]) == ["1", "2", "3"]
 
 
+def collected_run(cfg):
+    """run_experiment with one collecting sink per label: (result, {label: sink})."""
+    sinks = {}
+    return run_experiment(cfg, lambda label: sinks.setdefault(label, Collector())), sinks
+
+
 def test_single_keeps_the_trained_tasks_own_weight():
     base = TRIAD_CFG.replace("iters = 25", "iters = 5")
-    single = run_experiment(validate_config(parse_kv_text(
+    single, single_sinks = collected_run(validate_config(parse_kv_text(
         base.replace("method = SELECTIVE", "method = SINGLE") + "weights = 2,1,1\n")))
     joint_cfg = validate_config(parse_kv_text(base.replace("method = SELECTIVE", "method = JOINT")))
     joint_cfg.weights = {1: 2.0, 2: 0.0, 3: 0.0}  # the config refuses zero weights
-    assert single.logs["task1"] == run_experiment(joint_cfg).logs["main"]
+    joint, joint_sinks = collected_run(joint_cfg)
+    assert single.logs["task1"] == joint.logs["main"]
+    assert len(single_sinks["task1"].steps) == 5
+    assert single_sinks["task1"].steps == joint_sinks["main"].steps
+    assert single_sinks["task1"].affinity_rows == joint_sinks["main"].affinity_rows
+
+
+def test_single_with_eleven_tasks_writes_its_runs_in_label_order(tmp_path):
+    cfg = write_cfg(tmp_path, "benchmark.kind = regression\nregression.k = 11\n"
+                              "regression.train = 16\nregression.eval = 8\nmodel.width = 4\n"
+                              "model.depth = 1\nbatch.size = 8\nmethod = SINGLE\niters = 2\n")
+    out = str(tmp_path / "single")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    labels = sorted(f"task{t}" for t in range(1, 12))
+    assert labels[:4] == ["task1", "task10", "task11", "task2"]
+    with open(os.path.join(out, "summary.json")) as fh:
+        assert list(json.load(fh)["runs"]) == labels
+    # each SINGLE training masks the other tasks to weight 0, so only the
+    # trained task's head has a non-zero gradient norm in its steps.csv rows
+    with open(os.path.join(out, "steps.csv")) as fh:
+        rows = list(csv.DictReader(fh.read().splitlines()[1:]))
+    trained = [int(r["task"]) for r in rows if r["grad_norm_task"] not in ("", "0")]
+    assert trained == [int(label[4:]) for label in labels for _ in range(2)]
+    with open(os.path.join(out, "groups.csv")) as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()[2:]] == ["1", "2"] * 11
 
 
 QUAD_CFG = """\

@@ -17,6 +17,17 @@ def quad_batches(n):
         yield Batch(None, {}, it)
 
 
+class Collector:
+    """A sink that keeps every report and affinity row ``train`` hands it."""
+
+    def __init__(self):
+        self.steps, self.affinity_rows = [], []
+
+    def __call__(self, report, rows):
+        self.steps.append(report)
+        self.affinity_rows.extend(rows)
+
+
 def fresh_quadratic(seed=0, k=3, rho=None):
     return gen_quadratic_suite(QuadraticSpec(k=k, seed=seed, rho=rho))
 
@@ -120,10 +131,12 @@ def test_selective_with_hostile_affinity_degenerates_to_separate():
     for method in (METHOD_SELECTIVE, METHOD_SEPARATE):
         model, _ = fresh_quadratic(seed=9, k=2, rho=-1.0)
         cfg = TrainConfig(method=method, eta=0.05, iters=50, seed=3, beta=0.01)
-        log = train(model, quad_batches(50), cfg)
+        sink = Collector()
+        train(model, quad_batches(50), cfg, sink)
         final[method] = _final_bytes(model)
         if method == METHOD_SELECTIVE:
-            assert all(s.partition.m == 2 for s in log.steps)  # M stays K
+            assert len(sink.steps) == 50
+            assert all(s.partition.m == 2 for s in sink.steps)  # M stays K
     assert final[METHOD_SELECTIVE] == final[METHOD_SEPARATE]
 
 
@@ -131,8 +144,9 @@ def test_train_rejects_t_zero_and_runs_t_one():
     with pytest.raises(TrainError):
         TrainConfig(method=METHOD_JOINT, iters=0)
     model, _ = fresh_quadratic(seed=10)
-    log = train(model, quad_batches(1), TrainConfig(method=METHOD_JOINT, eta=1e-3, iters=1))
-    assert len(log.steps) == 1
+    sink = Collector()
+    log = train(model, quad_batches(1), TrainConfig(method=METHOD_JOINT, eta=1e-3, iters=1), sink)
+    assert log.iterations == len(sink.steps) == 1
 
 
 @pytest.mark.parametrize("field, value", [("repartition_stride", 0), ("grouping_rule", "pairs"),
@@ -143,24 +157,27 @@ def test_train_config_refuses_what_would_fail_mid_training(field, value):
 
 
 def test_two_runs_same_seed_are_identical():
-    logs = []
+    logs, sinks = [], []
     for _ in range(2):
         model, _ = fresh_quadratic(seed=12)
         cfg = TrainConfig(method=METHOD_SELECTIVE, eta=0.05, beta=0.05, iters=40, seed=5)
-        logs.append(train(model, quad_batches(40), cfg))
-    a, b = logs
+        sinks.append(Collector())
+        logs.append(train(model, quad_batches(40), cfg, sinks[-1]))
+    a, b = sinks
     assert [s.initial_losses for s in a.steps] == [s.initial_losses for s in b.steps]
     assert a.affinity_rows == b.affinity_rows
     assert [s.partition for s in a.steps] == [s.partition for s in b.steps]
-    assert a.final_losses == b.final_losses
+    assert logs[0].final_losses == logs[1].final_losses
 
 
 def test_random_method_uses_requested_group_count():
     model, _ = fresh_quadratic(seed=13)
     cfg = TrainConfig(method=METHOD_RANDOM, eta=1e-3, iters=10, seed=1, random_groups=2)
-    log = train(model, quad_batches(10), cfg)
-    assert all(s.partition.m == 2 for s in log.steps)
-    for report in log.steps:
+    sink = Collector()
+    train(model, quad_batches(10), cfg, sink)
+    assert len(sink.steps) == 10
+    assert all(s.partition.m == 2 for s in sink.steps)
+    for report in sink.steps:
         assert (report.forwards, report.backwards, report.opt_steps) == (3, 2, 2)
 
 
@@ -182,10 +199,11 @@ def test_unit_weights_are_the_default():
     for weights in (None, {1: 1.0, 2: 1.0, 3: 1.0}):
         model = build_shared_trunk(8, 2, suite, seed=0, in_dim=ds.train_x.shape[1])
         cfg = TrainConfig(method=METHOD_SELECTIVE, eta=0.05, beta=0.01, iters=30, weights=weights)
-        log = train(model, ds.stream(16, 30, 0), cfg)
+        sink = Collector()
+        log = train(model, ds.stream(16, 30, 0), cfg, sink)
         runs.append(repr([(s.initial_losses, [(r.group, r.losses_after, r.grad_norm_shared,
                                                 r.grad_norm_task) for r in s.substeps])
-                          for s in log.steps] + [log.final_losses] + log.affinity_rows))
+                          for s in sink.steps] + [log.final_losses] + sink.affinity_rows))
     assert runs[0] == runs[1]  # repr keeps every bit of a float and compares NaN equal
 
 

@@ -11,8 +11,12 @@ import sys
 import pytest
 
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite
+from mtopt.config import echo_dict, parse_kv_text, validate_config
+from mtopt.experiments import run_experiment
 from mtopt.models import Batch
 from mtopt.optim import METHOD_SELECTIVE, TrainConfig, train
+from mtopt.runio import RunWriter, write_run
+from tests.test_optim import Collector
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -42,3 +46,26 @@ def test_quadratic_loss_check_agrees_with_a_trained_model(monkeypatch):
     recomputed = checks.quadratic_losses(model, params)
     for tid, loss in model.forward_all(None).items():
         assert recomputed[tid] == pytest.approx(loss, rel=checks.LOSS_REL_TOL)
+
+
+def test_write_run_returns_complete_csv_paths(tmp_path, monkeypatch):
+    """The tracer counts a run's rows by reading the three CSVs whose paths
+    ``write_run`` returns, so every row must be on disk when it returns."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    cfg = validate_config(parse_kv_text("benchmark.kind = quadratic\nquadratic.k = 3\n"
+                                        "method = SELECTIVE\niters = 7\n"))
+    seen = Collector()
+    with RunWriter(str(tmp_path / "run")) as writer:
+        def sinks(label):
+            append = writer.sink(label)
+            return lambda report, rows: (seen(report, rows), append(report, rows))
+        paths = write_run(writer, run_experiment(cfg, sinks), echo_dict(cfg))
+        rows = tracer._count("runio.write", (), paths)  # as the tracer does, before the writer exits
+    assert sorted(paths) == ["affinity", "config", "groups", "steps", "summary"]
+    assert all(os.path.isfile(path) for path in paths.values())
+    assert len(seen.steps) == 7 and seen.affinity_rows
+    steps_rows = sum(3 * (1 + len(report.substeps)) for report in seen.steps)
+    assert rows == steps_rows + len(seen.affinity_rows) + len(seen.steps)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mtopt import tensor
-from mtopt.models import TaskSuite, build_shared_trunk
+from mtopt.models import Batch, ModelError, TaskSuite, build_shared_trunk
 from mtopt.tensor import (Graph, GraphError, NonFiniteValue, ShapeMismatch,
                           backward, evaluate, finite_difference_grad, interpret,
                           interpret_backward)
@@ -190,6 +190,28 @@ def test_non_finite_result_fails():
     g.mark_output(g.reduce_sum(g.mul(g.leaf("x"), g.leaf("x"))))
     with pytest.raises(NonFiniteValue):
         evaluate(g, {"x": np.array([1e200, 1e200])})
+
+
+def test_backward_after_a_failed_forward_raises():
+    g = Graph()
+    y = g.mark_output(g.reduce_sum(g.matmul(g.leaf("x"), g.leaf("w"))))
+    w = np.array([[0.3], [-0.2]])
+    evaluate(g, {"x": np.ones((2, 2)), "w": w})
+    with pytest.raises(NonFiniteValue):
+        evaluate(g, {"x": np.array([[np.inf, 1.0], [1.0, 1.0]]), "w": w})
+    with pytest.raises(GraphError, match="before evaluate"):
+        backward(g, y, {"w"})  # not the gradient at the previous, finite forward
+
+
+def test_model_backward_after_a_failed_forward_raises():
+    model = build_shared_trunk(4, 1, TaskSuite(2), seed=0)
+    rng = np.random.default_rng(0)
+    targets = {1: np.zeros((3, 1)), 2: np.zeros((3, 1))}
+    model.forward_all(Batch(rng.standard_normal((3, 4)), targets, 1))
+    with pytest.raises(NonFiniteValue):
+        model.forward_all(Batch(np.full((3, 4), np.nan), targets, 2))
+    with pytest.raises(ModelError, match="fresh forward"):
+        model.backward_group((1,), {1: 1.0, 2: 1.0})
 
 
 def test_non_scalar_loss_rejected():
