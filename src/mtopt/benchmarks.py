@@ -266,6 +266,8 @@ def load_csv_dataset(path, input_cols: list[str],
     for name in needed:
         if name not in index:
             raise BenchmarkError(f"{path}: missing column '{name}' (header: {header})")
+        if header.count(name) > 1:
+            raise BenchmarkError(f"{path}: column '{name}' appears {header.count(name)} times in the header")
     rows = []
     for rnum, row in enumerate(lines[1:], start=2):
         parsed = {}

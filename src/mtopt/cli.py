@@ -121,6 +121,8 @@ def _expand_grid(raw: dict[str, str]) -> tuple[dict[str, str], list[dict[str, st
 
 
 def cmd_sweep(args) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
     try:
         if args.preset:
             if args.preset != "triad-ablation":
@@ -148,10 +150,10 @@ def cmd_sweep(args) -> int:
             merged = dict(base)
             merged.update(cell)
             validate_config(merged)
+        os.makedirs(args.out, exist_ok=True)
     except (OSError, ConfigError) as e:
         return _fail(str(e), EXIT_USAGE)
 
-    os.makedirs(args.out, exist_ok=True)
     pending, done = [], []
     for cell in cells:
         name = _cell_name(cell)
@@ -169,9 +171,12 @@ def cmd_sweep(args) -> int:
         results.extend(_run_cell(base, cell, args.out) for cell in pending)
 
     results.sort()
-    with open(os.path.join(args.out, "index.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{INDEX_SCHEMA}\n{INDEX_HEADER}\n")  # each cell's dir is relative to the index
-        csv.writer(fh, lineterminator="\n").writerows((n, n, status) for n, status in results)
+    try:
+        with open(os.path.join(args.out, "index.csv"), "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"{INDEX_SCHEMA}\n{INDEX_HEADER}\n")  # each cell's dir is relative to the index
+            csv.writer(fh, lineterminator="\n").writerows((n, n, status) for n, status in results)
+    except OSError as e:
+        return _fail(str(e), EXIT_USAGE)
     bad = [r for r in results if r[1].startswith(("numeric", "error"))]
     for name, status in bad:
         print(f"mtopt: cell {name}: {status}", file=sys.stderr)

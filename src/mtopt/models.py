@@ -1,13 +1,16 @@
 """Shared-trunk multi-task models with an explicit shared/per-task parameter split.
 
-Two model families share one interface:
+Two model families share one interface, and both train in closed form:
 
-* ``MLPModel`` — tape-backed trunk (tanh or relu) with one affine head per
-  task, for synthetic regression experiments.
-* ``QuadraticModel`` — convex losses 0.5*||A_i s + C_i t_i - b_i||^2 with
-  closed-form gradients, the workhorse for every analytic property check.
-  Its tasks share one shape, so it stores them stacked and computes every
-  task's loss in one forward.
+* ``MLPModel`` — a trunk of affine layers (tanh or relu) with one affine
+  head per task, for synthetic regression experiments.
+* ``QuadraticModel`` — convex losses 0.5*||A_i s + C_i t_i - b_i||^2, the
+  workhorse for every analytic property check. Its tasks share one shape,
+  so it stores them stacked and computes every task's loss in one forward.
+
+Each keeps a tape for reference: ``MLPModel.graph`` is its objective as the
+tape interpreter runs it, bitwise equal to the closed form, and
+``QuadraticModel.tape_graph`` restates the quadratic's losses.
 
 Both expose ``forward_all`` / ``backward_group`` and support exact
 snapshot/restore of selected parameter blocks, which the slow affinity
@@ -17,12 +20,13 @@ scored by squared error, and the quadratic's losses are its closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .tensor import Graph, NonFiniteValue, backward, evaluate
+from .tensor import Graph, NonFiniteValue, as_array, backward, evaluate
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -124,57 +128,134 @@ def restore(model, snap: dict[str, np.ndarray]):
 
 
 class MLPModel:
-    """Shared MLP trunk + one affine head per task, evaluated on the tape."""
+    """Shared MLP trunk + one affine head per task, trained in closed form.
+
+    ``forward_all`` and ``backward_group`` make the numpy call the tape
+    interpreter makes for each op of ``graph``, in the interpreter's order, so
+    every loss and gradient is bitwise the interpreter's. Where the
+    interpreter would allocate a new array for a bias add, a squared error or
+    a ``tanh`` adjoint, they write into the array just allocated (``z = h @ w;
+    z += b``), and the activation overwrites its pre-activation; that gives
+    the same bits. The backward computes no adjoint toward the input.
+
+    They check only what could go unseen: the pre-activations (``tanh`` and
+    ``relu`` can hide an infinity; every other op carries it to a loss), the
+    losses, the batch's shapes against the weights (numpy would broadcast an
+    ``(n,)`` target against an ``(n, 1)`` prediction), and the gradients they
+    return. Where a check fails, the model runs the interpreter on ``graph``
+    with the same bindings, and the interpreter raises the error that names
+    the failing op.
+    """
 
     def __init__(self, suite: TaskSuite, partition: ParamPartition, graph: Graph,
-                 loss_nodes: dict[int, int]):
+                 loss_nodes: dict[int, int], activation: str):
         self.suite = suite
         self.partition = partition
         self.graph = graph
         self.loss_nodes = loss_nodes
+        self.activation = activation
+        self._trunk = [(f"trunk.{i}.w", f"trunk.{i}.b") for i in range(len(partition.shared) // 2)]
+        self._heads = {tid: (f"head.{tid}.w", f"head.{tid}.b") for tid in suite.ids}
         self._forward_version: int | None = None
-        self._forward_batch: int | None = None
+        self._batch: Batch | None = None
+        self._acts: list[np.ndarray] = []  # the input, then each layer's activation
+        self._residuals: dict[int, np.ndarray] = {}  # prediction - target, per task
 
-    def _bindings(self, batch: Batch) -> dict[str, np.ndarray]:
-        b = self.partition.all_blocks()
+    def _replay(self, batch: Batch, group=None, weights=None):
+        """Run the interpreter where a closed-form check failed; it raises."""
+        bindings = self.partition.all_blocks()
+        bindings["input"] = batch.inputs
+        bindings.update((f"target.{tid}", batch.targets[tid]) for tid in self.suite.ids)
+        stage = "forward" if group is None else "backward"
+        try:
+            evaluate(self.graph, bindings)
+            if group is not None:
+                seeds = {self.loss_nodes[tid]: weights[tid] for tid in sorted(group)}
+                backward(self.graph, seeds, set(self.partition.block_ids(group)))
+        except NonFiniteValue as e:
+            raise NonFiniteValue(f"{stage} on batch {batch.sample_id}: {e}") from e
+        raise AssertionError(f"the tape interpreter passed a {stage} the closed form refused")
+
+    def forward_all(self, batch: Batch) -> dict[int, float]:
+        self._forward_version = None  # a failed forward leaves nothing to differentiate
         if batch.inputs is None:
             raise ModelError("MLP model needs batch inputs")
-        b["input"] = batch.inputs
         for tid in self.suite.ids:
             if tid not in batch.targets:
                 raise ModelError(f"batch {batch.sample_id}: no target for task {tid}")
-            b[f"target.{tid}"] = batch.targets[tid]
-        return b
-
-    def forward_all(self, batch: Batch) -> dict[int, float]:
-        self._forward_version = None  # a failed forward leaves no tape to differentiate
-        try:
-            outs = evaluate(self.graph, self._bindings(batch))
-        except NonFiniteValue as e:
-            raise NonFiniteValue(f"forward on batch {batch.sample_id}: {e}") from e
+        shared, heads = self.partition.shared, self.partition.per_task
+        x = as_array(batch.inputs)
+        targets = {tid: as_array(batch.targets[tid]) for tid in self.suite.ids}
+        fits = x.ndim == 2 and x.shape[1] == shared["trunk.0.w"].shape[0]
+        if not (fits and all(targets[tid].shape == (len(x), heads[tid][w].shape[1])
+                             for tid, (w, _) in self._heads.items())):
+            self._replay(batch)
+        acts, residuals, losses = [x], {}, {}
+        with np.errstate(all="ignore"):  # failures are checked
+            for w, b in self._trunk:
+                z = acts[-1] @ shared[w]
+                z += shared[b]
+                if not np.isfinite(z).all():
+                    self._replay(batch)
+                acts.append(np.tanh(z, out=z) if self.activation == "tanh" else np.maximum(z, 0.0, out=z))
+            for tid, (w, b) in self._heads.items():
+                d = acts[-1] @ heads[tid][w]
+                d += heads[tid][b]
+                d -= targets[tid]
+                sq = d * d
+                residuals[tid] = d
+                losses[tid] = float(sq.sum() / sq.size)
+        if not all(map(math.isfinite, losses.values())):
+            self._replay(batch)
+        self._acts, self._residuals, self._batch = acts, residuals, batch
         self._forward_version = self.partition.version
-        self._forward_batch = batch.sample_id
-        losses = {}
-        for tid, nid in self.loss_nodes.items():
-            val = float(outs[nid])
-            if not np.isfinite(val):
-                raise NonFiniteValue(f"task {tid} loss is non-finite on batch {batch.sample_id}")
-            losses[tid] = val
         return losses
 
     def backward_group(self, group, weights: dict[int, float]) -> dict[str, np.ndarray]:
         """Gradients of sum_i w_i * L_i over shared + the group's task blocks.
 
-        Uses the cached forward; parameters must not have changed since.
+        Uses the cached forward; parameters must not have changed since. The
+        heads' adjoints to the trunk are summed in descending task id, the
+        interpreter's reverse node order.
         """
         if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
-        seeds = {self.loss_nodes[tid]: weights[tid] for tid in sorted(group)}
-        wanted = set(self.partition.block_ids(group))
-        try:
-            return backward(self.graph, seeds, wanted)
-        except NonFiniteValue as e:
-            raise NonFiniteValue(f"backward on batch {self._forward_batch}: {e}") from e
+        shared, acts = self.partition.shared, self._acts
+        grads: dict[str, np.ndarray] = {}
+        up = None  # the adjoint of the current layer's activation
+        # Every temporary as wide as the trunk is dropped as soon as it is
+        # used, so a backward holds at most two: fewer pages to fault in.
+        with np.errstate(all="ignore"):
+            for tid in sorted(group, reverse=True):
+                w, b = self._heads[tid]
+                d = self._residuals[tid]
+                g = d * (2.0 / d.size)
+                g *= weights[tid]
+                grads[w] = acts[-1].T @ g
+                grads[b] = g.sum(axis=0)
+                if up is None:
+                    up = g @ self.partition.per_task[tid][w].T
+                else:
+                    up += g @ self.partition.per_task[tid][w].T
+            for layer in reversed(range(len(self._trunk))):
+                w, b = self._trunk[layer]
+                h = acts[layer + 1]
+                if self.activation == "tanh":  # up * (1 - h * h), written into h * h
+                    slope = h * h
+                    np.subtract(1.0, slope, out=slope)
+                    slope *= up
+                    up = slope
+                else:  # relu: subgradient at 0 taken as 0; h > 0 exactly where z > 0
+                    up *= h > 0.0
+                grads[b] = up.sum(axis=0)
+                grads[w] = acts[layer].T @ up
+                if layer:
+                    up = up @ shared[w].T
+        out = {name: grads[name] for pair in self._trunk for name in pair}
+        out.update((name, grads[name]) for tid in sorted(group) for name in self._heads[tid])
+        if not all(np.isfinite(g).all() for g in out.values()):
+            self._replay(self._batch, group, weights)
+        return out
 
 
 def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
@@ -220,7 +301,7 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
     for tid in suite.ids:
         pred = g.bias_add(g.matmul(h, g.leaf(f"head.{tid}.w")), g.leaf(f"head.{tid}.b"))
         loss_nodes[tid] = g.mark_output(g.squared_error(pred, g.leaf(f"target.{tid}")))
-    return MLPModel(suite, partition, g, loss_nodes)
+    return MLPModel(suite, partition, g, loss_nodes, activation)
 
 
 class QuadraticModel:

@@ -3,35 +3,21 @@
 The engine is a small static tape: a graph of operation nodes is built once,
 then evaluated against leaf bindings as many times as needed. Forward values
 are cached on the graph (``graph.values``, indexed by node id) so a backward
-sweep can reuse them. Everything is float64; a non-finite value aborts the
-evaluation, and a non-finite gradient aborts the sweep.
+sweep can reuse them. Everything is float64.
 
-Two drivers run a tape, with the same numpy call per op:
-
-* The interpreter (:func:`interpret`, :func:`interpret_backward`) visits
-  every node, checks the operand shapes and the finiteness of every value
-  and adjoint it computes, and names the first op that fails. It is the
-  oracle the plan is tested against, and the plan's fallback.
-* The plan that :func:`evaluate` and :func:`backward` run is compiled once
-  per graph and cached on it. The forward is a straight-line list of the
-  op calls. It skips the shape checks for leaf shapes the interpreter has
-  already passed, and checks finiteness only where a NaN or infinity could
-  go unseen: at the nodes nothing consumes, and at the inputs of ``tanh``
-  and ``relu``, which can hide one (``tanh(inf) == 1``, ``relu(-inf) ==
-  0``); every other op carries it into its output. The backward keeps one
-  sweep per (seed nodes, wanted leaves). It visits only the nodes on a path
-  from a seeded loss to a wanted leaf, computes only the adjoints those
-  paths need, and checks the gradients it returns.
-
-The plan computes each value and adjoint in the interpreter's order, so its
-results are bitwise equal. On any failure (an unbound leaf, new leaf shapes,
-a non-finite value or gradient) the interpreter runs instead and raises the
-error with its own message.
+:func:`evaluate` and :func:`backward` interpret the tape node by node. They
+check the operand shapes of every op and the finiteness of every value and
+adjoint they compute, and raise at the first that fails, naming its op and
+node. A finite training run never calls them. They are the reference both model
+families are tested against: ``MLPModel`` trains in closed form with the
+numpy call the interpreter makes for each op of its tape, in the
+interpreter's order, and ``QuadraticModel.tape_graph`` restates the
+quadratic's losses. They are also the code that names the failing op: where
+a model's own check fails, it runs the interpreter, which raises the error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,14 +54,12 @@ class Graph:
     """Operation tape. Build once, evaluate per binding set.
 
     ``values`` holds the forward cache of the most recent :func:`evaluate`
-    call; a graph (and its cache) belongs to a single run at a time. The
-    compiled plan is cached on the graph and rebuilt when nodes are added.
+    call; a graph (and its cache) belongs to a single run at a time.
     """
 
     nodes: list[Node] = field(default_factory=list)
     outputs: list[int] = field(default_factory=list)
     values: list[np.ndarray] | None = None
-    _plan: _Plan | None = field(default=None, init=False, repr=False, compare=False)
 
     def _new(self, op: str, inputs: tuple[int, ...] = (), **kw) -> int:
         for i in inputs:
@@ -131,157 +115,114 @@ class Graph:
         return nid
 
 
-_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}  # failures are checked
-
-
 def _require(cond: bool, op: str, detail: str):
     if not cond:
         raise ShapeMismatch(f"{op}: {detail}")
 
 
-# -- the numpy calls of each op, shared by the interpreter and the plan --------
-
-
-def _squared_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a - b
-    sq = d * d
-    return np.asarray(sq.sum() / sq.size)  # np.mean's reduction, without its dispatch
-
-
-def _kernel(node: Node):
-    """The numpy call of an op node, as a function of the value list."""
+def _value(node: Node, v: list[np.ndarray], bindings) -> np.ndarray:
+    """The value of a node: its op's numpy call, after the operand shape checks."""
     op, ins = node.op, node.inputs
-    a = ins[0]
-    if op == "scale":
-        c = node.const
-        return lambda v: v[a] * c
-    if op == "relu":
-        return lambda v: np.maximum(v[a], 0.0)
-    if op == "tanh":
-        return lambda v: np.tanh(v[a])
-    if op == "reduce_sum":
-        return lambda v: np.asarray(v[a].sum())
-    b = ins[1]
-    if op == "matmul":
-        return lambda v: v[a] @ v[b]
-    if op == "add":
-        return lambda v: v[a] + v[b]
-    if op == "sub":
-        return lambda v: v[a] - v[b]
-    if op == "mul":
-        return lambda v: v[a] * v[b]
-    if op == "bias_add":
-        return lambda v: v[a] + v[b][None, :]
-    if op == "squared_error":
-        return lambda v: _squared_error(v[a], v[b])
-    raise GraphError(f"unknown op kind '{op}'")
-
-
-def _adjoint(node: Node, pos: int):
-    """The adjoint an op node passes to its input ``pos``, as a function of
-    the node's own adjoint and the value list."""
-    op, ins = node.op, node.inputs
-    a = ins[0]
-    if op == "scale":
-        c = node.const
-        return lambda g, v: g * c
-    if op == "relu":  # subgradient at 0 taken as 0
-        return lambda g, v: g * (v[a] > 0.0)
-    if op == "tanh":
-        y = node.nid
-        return lambda g, v: g * (1.0 - v[y] * v[y])
-    if op == "reduce_sum":
-        return lambda g, v: np.broadcast_to(g, v[a].shape).copy()
-    b = ins[1]
-    if op == "matmul":
-        return (lambda g, v: g @ v[b].T) if pos == 0 else (lambda g, v: v[a].T @ g)
-    if op == "add":
-        return lambda g, v: g
-    if op == "sub":
-        return (lambda g, v: g) if pos == 0 else (lambda g, v: -g)
-    if op == "bias_add":
-        return (lambda g, v: g) if pos == 0 else (lambda g, v: g.sum(axis=0))
-    if op == "mul":
-        other = ins[1 - pos]
-        return lambda g, v: g * v[other]
-    if op == "squared_error":
-        def step(g, v):
-            d = (2.0 / v[a].size) * (v[a] - v[b])
-            return (g if pos == 0 else -g) * d
-        return step
-    raise GraphError(f"no gradient rule for op '{op}'")
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    return bool(np.isfinite(x).all())
-
-
-# -- the interpreter: every node, every check ---------------------------------
-
-
-def _forward(node: Node, vals: list[np.ndarray], bindings) -> np.ndarray:
-    op = node.op
     if op == "leaf":
         if node.name not in bindings:
             raise GraphError(f"leaf '{node.name}' is unbound")
         return as_array(bindings[node.name])
     if op == "const":
         return node.const
-    if len(node.inputs) == 2:
-        a, b = vals[node.inputs[0]], vals[node.inputs[1]]
-        if op == "matmul":
-            _require(a.ndim == 2 and b.ndim == 2, op, f"need 2-d operands, got {a.shape} and {b.shape}")
-            _require(a.shape[1] == b.shape[0], op, f"inner extents differ: {a.shape} @ {b.shape}")
-        elif op in ("add", "sub", "mul", "squared_error"):
-            _require(a.shape == b.shape, op, f"shapes differ: {a.shape} vs {b.shape}")
-        elif op == "bias_add":
-            _require(a.ndim == 2 and b.ndim == 1, op, f"need matrix+vector, got {a.shape} and {b.shape}")
-            _require(a.shape[1] == b.shape[0], op, f"bias length {b.shape[0]} != row width {a.shape[1]}")
-    return _kernel(node)(vals)
+    a = v[ins[0]]
+    if op == "scale":
+        return a * node.const
+    if op == "relu":
+        return np.maximum(a, 0.0)
+    if op == "tanh":
+        return np.tanh(a)
+    if op == "reduce_sum":
+        return np.asarray(a.sum())
+    b = v[ins[1]]
+    if op == "matmul":
+        _require(a.ndim == 2 and b.ndim == 2, op, f"need 2-d operands, got {a.shape} and {b.shape}")
+        _require(a.shape[1] == b.shape[0], op, f"inner extents differ: {a.shape} @ {b.shape}")
+        return a @ b
+    if op == "bias_add":
+        _require(a.ndim == 2 and b.ndim == 1, op, f"need matrix+vector, got {a.shape} and {b.shape}")
+        _require(a.shape[1] == b.shape[0], op, f"bias length {b.shape[0]} != row width {a.shape[1]}")
+        return a + b[None, :]
+    if op in ("add", "sub", "mul", "squared_error"):
+        _require(a.shape == b.shape, op, f"shapes differ: {a.shape} vs {b.shape}")
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "squared_error":
+        d = a - b
+        sq = d * d
+        return np.asarray(sq.sum() / sq.size)  # np.mean's reduction, without its dispatch
+    raise GraphError(f"unknown op kind '{op}'")
 
 
-def interpret(graph: Graph, bindings: dict[str, np.ndarray]) -> dict[int, np.ndarray]:
+def _adjoint(node: Node, pos: int, g: np.ndarray, v: list[np.ndarray]) -> np.ndarray:
+    """The adjoint a node passes to its input ``pos``, given its own adjoint ``g``."""
+    op, ins = node.op, node.inputs
+    a = ins[0]
+    if op == "scale":
+        return g * node.const
+    if op == "relu":  # subgradient at 0 taken as 0
+        return g * (v[a] > 0.0)
+    if op == "tanh":
+        return g * (1.0 - v[node.nid] * v[node.nid])
+    if op == "reduce_sum":
+        return np.broadcast_to(g, v[a].shape).copy()
+    b = ins[1]
+    if op == "matmul":
+        return g @ v[b].T if pos == 0 else v[a].T @ g
+    if op == "add":
+        return g
+    if op == "sub":
+        return g if pos == 0 else -g
+    if op == "bias_add":
+        return g if pos == 0 else g.sum(axis=0)
+    if op == "mul":
+        return g * v[ins[1 - pos]]
+    if op == "squared_error":
+        d = (2.0 / v[a].size) * (v[a] - v[b])
+        return (g if pos == 0 else -g) * d
+    raise GraphError(f"no gradient rule for op '{op}'")
+
+
+def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> dict[int, np.ndarray]:
     """Run the tape forward node by node, checking every operand shape and
-    every value; cache the values on the graph and return the outputs."""
+    every value; cache the values on the graph and return the outputs.
+
+    A failed forward leaves no cached values, so a backward after it raises
+    instead of differentiating the previous forward's values."""
+    graph.values = None
     vals: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):  # failures are checked
         for node in graph.nodes:
-            out = _forward(node, vals, bindings)
-            if not np.all(np.isfinite(out)):
+            out = _value(node, vals, bindings)
+            if not np.isfinite(out).all():
                 raise NonFiniteValue(f"op '{node.op}' (node {node.nid}) produced a non-finite value")
             vals[node.nid] = out
     graph.values = vals
     return {nid: vals[nid] for nid in graph.outputs}
 
 
-def _seed_map(loss) -> dict[int, float]:
-    return {loss: 1.0} if isinstance(loss, int) else dict(loss)
-
-
-def _wanted_leaves(graph: Graph, wanted) -> list[tuple[str, int]]:
-    return [(n.name, n.nid) for n in graph.nodes if n.op == "leaf" and n.name in wanted]
-
-
-def _gradients(adj, vals, leaves) -> dict[str, np.ndarray]:
-    """The adjoints of the wanted leaves; zero where no seed reaches one."""
-    return {name: np.asarray(np.zeros_like(vals[nid]) if adj[nid] is None else adj[nid],
-                             dtype=np.float64)
-            for name, nid in leaves}
-
-
-def interpret_backward(graph: Graph, loss, wanted: set[str]) -> dict[str, np.ndarray]:
+def backward(graph: Graph, loss, wanted: set[str]) -> dict[str, np.ndarray]:
     """Reverse sweep over every node, checking every adjoint it accumulates.
 
     ``loss`` is a node id, or a mapping node id -> seed weight for a weighted
     sum of scalar nodes (one sweep, mathematically the gradient of the sum).
-    Only leaves named in ``wanted`` appear in the result.
+    Only leaves named in ``wanted`` appear in the result, in node order; a
+    wanted leaf no seed reaches gets a zero gradient.
     """
     vals = graph.values
     if vals is None:
         raise GraphError("backward called before evaluate")
-    seeds = _seed_map(loss)
-    leaf_names = {n.name for n in graph.nodes if n.op == "leaf"}
-    missing = set(wanted) - leaf_names
+    seeds = {loss: 1.0} if isinstance(loss, int) else dict(loss)
+    leaves = [(n.name, n.nid) for n in graph.nodes if n.op == "leaf" and n.name in wanted]
+    missing = set(wanted) - {name for name, _ in leaves}
     if missing:
         raise GraphError(f"wanted blocks are not leaves: {sorted(missing)}")
 
@@ -293,160 +234,21 @@ def interpret_backward(graph: Graph, loss, wanted: set[str]) -> dict[str, np.nda
             raise GraphError(f"loss node {nid} is not scalar (shape {vals[nid].shape})")
         adj[nid] = as_array(w)
 
-    with np.errstate(**_QUIET):
+    with np.errstate(all="ignore"):
         for node in reversed(graph.nodes):
             g = adj[node.nid]
             if g is None or node.op in ("leaf", "const"):
                 continue
             for pos, i in enumerate(node.inputs):
-                c = _adjoint(node, pos)(g, vals)
+                c = _adjoint(node, pos, g, vals)
                 adj[i] = c if adj[i] is None else adj[i] + c
-                if not np.all(np.isfinite(adj[i])):
+                if not np.isfinite(adj[i]).all():
                     raise NonFiniteValue(f"backward through op '{node.op}' (node {node.nid}) "
                                          f"produced a non-finite gradient")
 
-    return _gradients(adj, vals, _wanted_leaves(graph, wanted))
-
-
-# -- the plan: compiled once per graph ------------------------------------------
-
-
-class _Plan:
-    """A graph's forward as a list of bound op calls, and its pruned sweeps."""
-
-    def __init__(self, graph: Graph):
-        nodes = graph.nodes
-        self.size = len(nodes)
-        self.template = [n.const if n.op == "const" else None for n in nodes]
-        self.leaves = [(n.nid, n.name) for n in nodes if n.op == "leaf"]
-        self.steps = [(n.nid, _kernel(n)) for n in nodes if n.op not in ("leaf", "const")]
-        consumed = {i for n in nodes for i in n.inputs}
-        self.watch = {n.nid for n in nodes if n.nid not in consumed}
-        self.watch.update(n.inputs[0] for n in nodes if n.op in ("tanh", "relu"))
-        self.checked: dict[tuple, list] = {}  # leaf shapes -> [(node id, finiteness test)]
-        self.sweeps: dict[tuple, _Sweep | None] = {}
-
-    def admit(self, graph: Graph):
-        """Record the leaf shapes of a forward the interpreter has passed."""
-        vals = graph.values
-        watch = set(self.watch)
-        for node in graph.nodes:  # an empty result hides its operands' values
-            if vals[node.nid].size == 0:
-                watch.update(i for i in node.inputs if vals[i].size)
-        key = tuple(vals[nid].shape for nid, _ in self.leaves)
-        self.checked[key] = [(nid, math.isfinite if vals[nid].ndim == 0 else _all_finite)
-                             for nid in sorted(watch)]
-
-    def forward(self, bindings) -> list[np.ndarray] | None:
-        """The node values, or None where only the interpreter can tell."""
-        vals = list(self.template)
-        try:
-            for nid, name in self.leaves:
-                vals[nid] = as_array(bindings[name])
-        except KeyError:
-            return None
-        watch = self.checked.get(tuple(vals[nid].shape for nid, _ in self.leaves))
-        if watch is None:
-            return None
-        with np.errstate(**_QUIET):
-            for nid, step in self.steps:
-                vals[nid] = step(vals)
-        for nid, finite in watch:
-            if not finite(vals[nid]):
-                return None
-        return vals
-
-    def sweep(self, graph: Graph, seeds: tuple[int, ...], wanted) -> _Sweep | None:
-        key = (seeds, frozenset(wanted))
-        if key not in self.sweeps:
-            leaf_names = {name for _, name in self.leaves}
-            valid = all(0 <= s < self.size for s in seeds) and key[1] <= leaf_names
-            self.sweeps[key] = _Sweep(graph, seeds, key[1]) if valid else None
-        return self.sweeps[key]
-
-
-class _Sweep:
-    """The reverse sweep from given seed nodes to given leaves, pruned to the
-    nodes on a path between them."""
-
-    def __init__(self, graph: Graph, seeds: tuple[int, ...], wanted: frozenset[str]):
-        nodes = graph.nodes
-        upstream = set(seeds)  # nodes some seed depends on
-        for node in reversed(nodes):
-            if node.nid in upstream:
-                upstream.update(node.inputs)
-        downstream = set()  # nodes that depend on a wanted leaf
-        for node in nodes:
-            if node.op == "leaf" and node.name in wanted or downstream.intersection(node.inputs):
-                downstream.add(node.nid)
-        path = upstream & downstream
-        self.all_seeds = seeds
-        self.seeds = [s for s in seeds if s in path]
-        self.steps = [(node.nid, i, _adjoint(node, pos))
-                      for node in reversed(nodes)
-                      if node.nid in path and node.op not in ("leaf", "const")
-                      for pos, i in enumerate(node.inputs) if i in path]
-        self.leaves = _wanted_leaves(graph, wanted)
-
-    def run(self, vals: list[np.ndarray], weights: dict[int, float]) -> dict[str, np.ndarray] | None:
-        """The gradients, or None where only the reference sweep can tell."""
-        for s in self.all_seeds:
-            if vals[s].shape != ():
-                return None
-        adj: list[np.ndarray | None] = [None] * len(vals)
-        for s in self.seeds:
-            adj[s] = as_array(weights[s])
-        with np.errstate(**_QUIET):
-            for src, dst, step in self.steps:
-                c = step(adj[src], vals)
-                prev = adj[dst]
-                adj[dst] = c if prev is None else prev + c
-        out = _gradients(adj, vals, self.leaves)
-        if out and not np.isfinite(np.concatenate(list(out.values()), axis=None)).all():
-            return None
-        return out
-
-
-def _compiled(graph: Graph) -> _Plan:
-    plan = graph._plan
-    if plan is None or plan.size != len(graph.nodes):
-        plan = graph._plan = _Plan(graph)
-    return plan
-
-
-def evaluate(graph: Graph, bindings: dict[str, np.ndarray]) -> dict[int, np.ndarray]:
-    """Run the tape forward, cache every node value, return the outputs.
-
-    A failed forward drops the cached values, so a backward after it raises
-    instead of differentiating the previous forward's values."""
-    plan = _compiled(graph)
-    try:
-        vals = plan.forward(bindings)
-        if vals is None:
-            out = interpret(graph, bindings)
-            plan.admit(graph)
-            return out
-    except BaseException:
-        graph.values = None
-        raise
-    graph.values = vals
-    return {nid: vals[nid] for nid in graph.outputs}
-
-
-def backward(graph: Graph, loss, wanted: set[str]) -> dict[str, np.ndarray]:
-    """Reverse sweep from scalar loss node(s) to the wanted leaves.
-
-    ``loss`` is a node id, or a mapping node id -> seed weight for a weighted
-    sum of scalar nodes (one sweep, mathematically the gradient of the sum).
-    Only leaves named in ``wanted`` appear in the result.
-    """
-    seeds = _seed_map(loss)
-    sweep = _compiled(graph).sweep(graph, tuple(seeds), wanted)
-    if sweep is not None and graph.values is not None:
-        grads = sweep.run(graph.values, seeds)
-        if grads is not None:
-            return grads
-    return interpret_backward(graph, loss, wanted)
+    return {name: np.asarray(np.zeros_like(vals[nid]) if adj[nid] is None else adj[nid],
+                             dtype=np.float64)
+            for name, nid in leaves}
 
 
 def finite_difference_grad(f, bindings: dict[str, np.ndarray], h: float) -> dict[str, np.ndarray]:

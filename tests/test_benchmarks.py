@@ -182,6 +182,14 @@ def test_csv_missing_column_named(tmp_path):
         load_csv_dataset(p, ["x1", "x2"], {1: ["y1"]})
 
 
+def test_csv_header_repeating_a_named_column_is_refused(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x,x,y1,y2\n1,10,2,3\n2,20,3,4\n3,30,4,5\n")
+    with pytest.raises(BenchmarkError, match="column 'x' appears 2 times in the header"):
+        load_csv_dataset(p, ["x"], {1: ["y1"], 2: ["y2"]})
+    load_csv_dataset(p, ["y1"], {1: ["y2"], 2: ["y1"]})  # a repeated column no one names is ignored
+
+
 def test_csv_non_numeric_cell_names_row_and_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("x1,y1\n1,2\noops,3\n")

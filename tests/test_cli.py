@@ -545,6 +545,11 @@ def test_csv_target_list_naming_no_column_is_usage_error(tmp_path, capsys, value
     assert "csv.targets.2" in err
 
 
+def test_csv_header_repeating_a_named_column_is_usage_error(tmp_path, capsys):
+    err = usage_error(tmp_path, capsys, csv_cfg(tmp_path, "x,x,y1,y2\n1,10,2,3\n2,20,3,4\n"))
+    assert "field 'csv.path'" in err and "column 'x' appears 2 times" in err
+
+
 def test_non_utf8_csv_is_usage_error(tmp_path, capsys):
     text = csv_cfg(tmp_path, None)
     (tmp_path / "data.csv").write_bytes(b"x,y1,y2\n1,2,3\n4,\xff,6\n")
@@ -629,6 +634,24 @@ def test_sweep_needs_at_least_one_worker(tmp_path, monkeypatch, capsys, workers)
     err = cli_error(capsys, ["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
     assert "--workers" in err
     assert not out.exists()
+
+
+def test_sweep_out_on_a_file_is_refused_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    cells = stub_cells(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,2\n", "sweep.cfg")
+    err = cli_error(capsys, ["sweep", "--config", cfg, "--out", str(afile)])
+    assert str(afile) in err and "not a directory" in err
+    assert cells == [] and afile.read_text() == ""
+
+
+def test_sweep_index_that_cannot_be_written_is_usage_error(tmp_path, monkeypatch, capsys):
+    stub_cells(monkeypatch)
+    out = tmp_path / "s"
+    (out / "index.csv").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,2\n", "sweep.cfg")
+    assert "index.csv" in cli_error(capsys, ["sweep", "--config", cfg, "--out", str(out)])
 
 
 def test_sweep_pool_has_no_more_workers_than_cells(tmp_path, monkeypatch, capsys):

@@ -69,3 +69,18 @@ def test_write_run_returns_complete_csv_paths(tmp_path, monkeypatch):
     assert len(seen.steps) == 7 and seen.affinity_rows
     steps_rows = sum(3 * (1 + len(report.substeps)) for report in seen.steps)
     assert rows == steps_rows + len(seen.affinity_rows) + len(seen.steps)
+
+
+def test_tracer_installs_and_training_never_reaches_the_tape(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracer
+
+    cfg = validate_config(parse_kv_text("benchmark.kind = regression\nregression.preset = triad\n"
+                                        "method = SELECTIVE\niters = 20\nbatch.size = 16\n"))
+    with tracer.Tracer() as t:
+        run_experiment(cfg)
+    tracer.assert_untraced()
+    names = {span[0] for span in t.spans}
+    assert {"models.forward", "models.backward", "optim.step"} <= names
+    assert "tensor.evaluate" not in names and "tensor.backward" not in names
