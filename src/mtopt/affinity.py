@@ -8,7 +8,11 @@ hypothetical (or actual) gradient step:
 
 measured on the same batch at both states. During training each sub-step
 yields one such ratio per target, shared by every member of the updated
-group, at no extra cost; the oracles here redo the probe explicitly with
+group, at no extra cost. :func:`decay_update` folds a sub-step's losses into
+the tracker in one pass, taking each ratio once and each member pair's sign
+verdict inline. :func:`instant_inter_group` and :func:`instant_intra_group`
+compute the same ratios and verdicts as dicts; they are the reference that
+fold is tested against. The oracles here redo the probe explicitly with
 snapshot/restore so properties can be checked against an independent
 reference path.
 """
@@ -85,33 +89,38 @@ def instant_intra_group(before: dict[int, float], after: dict[int, float],
     return ratios, verdicts
 
 
-def decay_update(tracker: AffinityTracker, group, ratios: dict[int, float],
-                 verdicts: dict[tuple, str]) -> list[tuple]:
-    """Fold a sub-step's ratios into the tracker, member by member.
+def decay_update(tracker: AffinityTracker, group, before: dict[int, float],
+                 after: dict[int, float]) -> list[tuple]:
+    """Fold one sub-step's losses on tasks 1..k into the tracker, member by member.
 
     Each pair (member -> other task) takes the target's ratio. Pairs toward
-    outside targets and pairs judged POSITIVE take the standard exponential
-    average; CONFLICT pairs are pushed down by the larger of the two members'
-    magnitudes, symmetrically in both directions. Skipped pairs (a NaN ratio
-    on the target, or on either member) keep their previous tracked value.
+    outside targets and member pairs whose two ratios are both >= 0
+    (POSITIVE) take the standard exponential average; other member pairs
+    (CONFLICT) are pushed down by the larger of the two members' magnitudes,
+    symmetrically in both directions. Skipped pairs (a NaN ratio on the
+    target, or on either member) keep their previous tracked value.
     Returns log rows (source, target, instant, decayed, verdict, skipped) in
     (source, target) order.
     """
     beta, decayed = tracker.beta, tracker.decayed
-    targets = sorted(ratios)
+    ratios = [_ratio(before, after, j) for j in range(1, tracker.k + 1)]
     rows: list[tuple] = []
     for s in sorted(group):
+        rs = ratios[s - 1]
         row = decayed[s - 1].tolist()  # Python floats: the same IEEE operations, less overhead
-        for t in targets:
+        for t, r in enumerate(ratios, start=1):
             if t == s:
                 continue
-            r = ratios[t]
-            verdict = verdicts.get((s, t), NO_VERDICT)
-            if math.isnan(r) or (t in group and verdict == NO_VERDICT):
+            inside = t in group
+            if math.isnan(r) or (inside and math.isnan(rs)):
                 rows.append((s, t, float("nan"), row[t - 1], NO_VERDICT, True))
                 continue
-            # x - y is x + (-y) in IEEE arithmetic, so one update serves both cases
-            push = -max(abs(r), abs(ratios[s])) if verdict == CONFLICT else r
+            if not inside:
+                verdict, push = NO_VERDICT, r
+            elif r >= 0.0 and rs >= 0.0:
+                verdict, push = POSITIVE, r
+            else:  # x - y is x + (-y) in IEEE arithmetic, so one update serves both cases
+                verdict, push = CONFLICT, -max(abs(r), abs(rs))
             row[t - 1] = (1.0 - beta) * row[t - 1] + beta * push
             rows.append((s, t, r, row[t - 1], verdict, False))
         decayed[s - 1] = row

@@ -7,7 +7,6 @@ error, 3 numeric failure during training.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import os
 import sys
@@ -18,7 +17,7 @@ from .config import ConfigError, echo_dict, parse_kv_text, read_kv_file, validat
 from .experiments import run_experiment
 from .optim import NumericAbort
 from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunDirError, RunWriter, fmt, read_group_series,
-                    read_summary, write_json, write_lines, write_run)
+                    read_summary, write_csv, write_json, write_run)
 from .tensor import NonFiniteValue
 
 EXIT_OK = 0
@@ -172,9 +171,9 @@ def cmd_sweep(args) -> int:
 
     results.sort()
     try:
-        with open(os.path.join(args.out, "index.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(f"{INDEX_SCHEMA}\n{INDEX_HEADER}\n")  # each cell's dir is relative to the index
-            csv.writer(fh, lineterminator="\n").writerows((n, n, status) for n, status in results)
+        # each cell's dir is relative to the index
+        write_csv(os.path.join(args.out, "index.csv"), [INDEX_SCHEMA, INDEX_HEADER],
+                  ((n, n, status) for n, status in results))
     except OSError as e:
         return _fail(str(e), EXIT_USAGE)
     bad = [r for r in results if r[1].startswith(("numeric", "error"))]
@@ -226,10 +225,10 @@ def cmd_report(args) -> int:
     try:
         base = read_summary(args.baseline)
         summaries = [(d, read_summary(d)) for d in args.rundirs]
-        series = ["# schema=mtopt.groupseries.v1", "dir,iter,m"]
+        series = []
         for d in args.rundirs if args.out else []:
             if os.path.exists(os.path.join(d, "groups.csv")):
-                series.extend(f"{d},{it},{m}" for it, m in read_group_series(d))
+                series.extend((d, it, m) for it, m in read_group_series(d))
     except (OSError, RunDirError) as e:
         return _fail(str(e), EXIT_USAGE)
     rows = []
@@ -244,28 +243,29 @@ def cmd_report(args) -> int:
             mean_m = runs["main"].get("mean_group_count")
         rows.append((d, s["method"], s["seed"], dm, mean_m))
 
-    lines = ["# schema=mtopt.report.v1", "dir,method,seed,delta_m_pct,mean_group_count"]
-    for d, method, seed, dm, mean_m in rows:
-        lines.append(",".join([d, method, str(seed), fmt(dm),
-                               "" if mean_m is None else fmt(float(mean_m))]))
     print(f"baseline: {args.baseline} ({base['method']})")
     for d, method, seed, dm, mean_m in rows:
         extra = "" if mean_m is None else f", mean groups {mean_m:.2f}"
         print(f"{method:10s} seed={seed} {d}: delta_m {dm:+.3f}%{extra}")
     if args.out:
-        freq = ["# schema=mtopt.groupfreq.v1", "dir,task_i,task_j,frequency"]
+        freq = []
         for d, s in summaries:
             main = s.get("runs", {}).get("main")
             if main and main.get("grouping_frequency"):
                 mat = main["grouping_frequency"]
                 for i, row in enumerate(mat, start=1):
-                    freq.extend(f"{d},{i},{j},{fmt(float(v))}"
-                                for j, v in enumerate(row, start=1))
+                    freq.extend((d, i, j, fmt(float(v))) for j, v in enumerate(row, start=1))
+        report = [(d, method, seed, fmt(dm), "" if mean_m is None else fmt(float(mean_m)))
+                  for d, method, seed, dm, mean_m in rows]
         try:
             os.makedirs(args.out, exist_ok=True)
-            write_lines(os.path.join(args.out, "report.csv"), lines)
-            write_lines(os.path.join(args.out, "group_series.csv"), series)
-            write_lines(os.path.join(args.out, "group_frequency.csv"), freq)
+            write_csv(os.path.join(args.out, "report.csv"),
+                      ["# schema=mtopt.report.v1", "dir,method,seed,delta_m_pct,mean_group_count"],
+                      report)
+            write_csv(os.path.join(args.out, "group_series.csv"),
+                      ["# schema=mtopt.groupseries.v1", "dir,iter,m"], series)
+            write_csv(os.path.join(args.out, "group_frequency.csv"),
+                      ["# schema=mtopt.groupfreq.v1", "dir,task_i,task_j,frequency"], freq)
         except OSError as e:
             return _fail(str(e), EXIT_USAGE)
     return EXIT_OK

@@ -95,7 +95,15 @@ def partition_tasks(tracker: AffinityTracker, rule: str = "components") -> Group
     k = tracker.k
     if k < 2:
         raise GroupingError("need at least 2 tasks to partition")
-    pos = (np.minimum(tracker.decayed, tracker.decayed.T) > 0.0).tolist()
+    d = tracker.decayed
+    return _derive_partition((np.minimum(d, d.T) > 0.0).tobytes(), k, rule)
+
+
+@functools.lru_cache(maxsize=1024)
+def _derive_partition(edges: bytes, k: int, rule: str) -> GroupPartition:
+    """The partition of one k x k edge pattern (row-major bools); a run
+    meets few distinct patterns, so each is derived once."""
+    pos = np.frombuffer(edges, dtype=bool).reshape(k, k).tolist()
 
     if rule == "components":
         labels = [0] * (k + 1)

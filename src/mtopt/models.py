@@ -21,7 +21,7 @@ scored by squared error, and the quadratic's losses are its closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -77,16 +77,15 @@ class ParamPartition:
     shared: dict[str, np.ndarray]
     per_task: dict[int, dict[str, np.ndarray]]
     version: int = 0  # bumped on every in-place mutation; guards stale tapes
+    _index: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for name in self.shared:
-            seen.add(name)
+        self._index = dict(self.shared)
         for tid, blocks in self.per_task.items():
-            for name in blocks:
-                if name in seen:
+            for name, value in blocks.items():
+                if name in self._index:
                     raise ModelError(f"block '{name}' appears in more than one parameter set")
-                seen.add(name)
+                self._index[name] = value
 
     def all_blocks(self) -> dict[str, np.ndarray]:
         out = dict(self.shared)
@@ -95,12 +94,10 @@ class ParamPartition:
         return out
 
     def block(self, name: str) -> np.ndarray:
-        if name in self.shared:
-            return self.shared[name]
-        for blocks in self.per_task.values():
-            if name in blocks:
-                return blocks[name]
-        raise ModelError(f"unknown parameter block '{name}'")
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ModelError(f"unknown parameter block '{name}'") from None
 
     def block_ids(self, group=None) -> list[str]:
         """Shared block names plus, when given, the task blocks of ``group``."""
@@ -110,11 +107,16 @@ class ParamPartition:
                 names.extend(sorted(self.per_task[tid]))
         return names
 
-    def set_block(self, name: str, value: np.ndarray):
+    def writable(self, name: str, shape) -> np.ndarray:
+        """The block ``name``, checked to take a value of ``shape`` in place.
+        The caller writes it and bumps ``version``."""
         target = self.block(name)
-        if target.shape != value.shape:
-            raise ModelError(f"block '{name}': shape {value.shape} != {target.shape}")
-        target[...] = value
+        if target.shape != shape:
+            raise ModelError(f"block '{name}': shape {shape} != {target.shape}")
+        return target
+
+    def set_block(self, name: str, value: np.ndarray):
+        self.writable(name, value.shape)[...] = value
         self.version += 1
 
 
@@ -310,8 +312,9 @@ class QuadraticModel:
     A, C and b are stacked (k, rows, ·) arrays, so all tasks share one row
     count and one task dim, and one forward serves every task. The blocks
     ``task.{tid}.theta`` are row views of one (k, task_dim) array, written in
-    place by ``ParamPartition.set_block``. ``a``, ``c`` and ``b`` are read-only
-    maps from a task id to its row; only an in-place write changes the model.
+    place by the optimizers and ``ParamPartition.set_block``. ``a``, ``c`` and
+    ``b`` are read-only maps from a task id to its row; only an in-place write
+    changes the model.
 
     Data-free: the batch argument is accepted for interface compatibility and
     ignored. The tape route is available through :meth:`tape_graph` for

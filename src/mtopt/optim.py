@@ -16,13 +16,13 @@ totals in its :class:`RunLog`, so memory stays flat in run length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .affinity import (AffinityTracker, decay_update, instant_inter_group,
-                       instant_intra_group)
+from .affinity import AffinityTracker, decay_update
 from .grouping import (GROUPING_RULES, GroupPartition, ORDER_RANDOM, ORDERS, everything,
                        make_partition, partition_tasks, shuffle_order, singletons)
 from .models import Batch, ParamPartition
@@ -79,8 +79,8 @@ class TrainConfig:
     track_affinity: bool | None = None  # None: on for SELECTIVE only
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise TrainError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise TrainError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 < self.beta < 1.0:
             raise TrainError(f"beta must be in (0,1), got {self.beta}")
         if self.iters < 1:
@@ -105,8 +105,11 @@ class PlainSGD:
     kind = "sgd"
 
     def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
+        partition.version += 1  # first, so a step cut short by a shape error still counts
         for name in sorted(grads):
-            partition.set_block(name, partition.block(name) - eta * grads[name])
+            g = grads[name]
+            p = partition.writable(name, g.shape)
+            p -= eta * g  # the same IEEE operations as set_block(name, p - eta * g)
 
 
 class Adam:
@@ -124,8 +127,10 @@ class Adam:
         self.moments: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
+        partition.version += 1
         for name in sorted(grads):
             g = grads[name]
+            p = partition.writable(name, g.shape)
             if name not in self.moments:
                 self.moments[name] = (np.zeros_like(g), np.zeros_like(g), 0)
             m, v, t = self.moments[name]
@@ -135,7 +140,7 @@ class Adam:
             self.moments[name] = (m, v, t)
             mhat = m / (1.0 - self.beta1 ** t)
             vhat = v / (1.0 - self.beta2 ** t)
-            partition.set_block(name, partition.block(name) - eta * mhat / (np.sqrt(vhat) + self.eps))
+            p -= eta * mhat / (np.sqrt(vhat) + self.eps)
 
 
 OPTIMIZERS = {PlainSGD.kind: PlainSGD, Adam.kind: Adam}
@@ -220,9 +225,10 @@ class RunLog:
 def _grad_norms(partition: ParamPartition, group, grads) -> tuple[float, dict[int, float]]:
     """Gradient norms of the shared set and of each member's set. Each sums
     the per-block squares in block order; one sum over the concatenated
-    gradient would round differently."""
+    gradient would round differently. ``np.add.reduce`` is what
+    ``ndarray.sum`` calls, and ``math.sqrt`` rounds as ``np.sqrt`` does."""
     def norm(names) -> float:
-        return float(np.sqrt(sum(float((grads[n] * grads[n]).sum()) for n in names)))
+        return math.sqrt(sum(float(np.add.reduce(grads[n] * grads[n], axis=None)) for n in names))
     return norm(partition.shared), {tid: norm(partition.per_task[tid]) for tid in group}
 
 
@@ -244,7 +250,6 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
         forwards, backwards, opt_steps = 1, 0, 0
         current = losses0
         substeps: list[SubstepRecord] = []
-        all_ids = model.suite.ids
         for idx, group in enumerate(part.ordered_groups(), start=1):
             grads = model.backward_group(group, weights)
             backwards += 1
@@ -256,10 +261,9 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                 forwards += 1
             norm_shared, norm_task = _grad_norms(model.partition, group, grads)
             if tracker is not None and after is not None:
-                outside = [j for j in all_ids if j not in group]
-                inter = instant_inter_group(current, after, group, outside)
-                intra, verdicts = instant_intra_group(current, after, group)
-                updates = decay_update(tracker, group, inter | intra, verdicts)
+                # one pass over the losses before and after: every task's
+                # ratio once, each member pair's verdict inline
+                updates = decay_update(tracker, group, current, after)
                 if rows is not None:
                     rows.extend((iteration, idx) + row for row in updates)
             substeps.append(SubstepRecord(group, after, norm_shared, norm_task))

@@ -11,6 +11,7 @@ did not finish.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from typing import TextIO
@@ -59,9 +60,12 @@ def _affinity_lines(rows) -> list[str]:
             for it, sub, src, tgt, inst, dec, verdict, skipped in rows]
 
 
-def write_lines(path, lines: list[str]):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_csv(path, head: list[str], rows):
+    """The ``head`` lines as they are, then ``rows`` through ``csv.writer``,
+    which quotes a field only where it holds a comma, quote or newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(f"{line}\n" for line in head))
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def write_json(path, payload: dict):

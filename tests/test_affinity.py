@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtopt.affinity import (CONFLICT, POSITIVE, AffinityError, AffinityTracker,
-                            decay_update, group_shared_affinity,
+from mtopt.affinity import (CONFLICT, EPS_LOSS, NO_VERDICT, POSITIVE, AffinityError,
+                            AffinityTracker, decay_update, group_shared_affinity,
                             group_update_affinity, instant_inter_group,
                             instant_intra_group, inter_task_affinity,
                             two_step_affinity)
@@ -17,9 +17,10 @@ from tests.test_models import scalar_pair
 def test_inter_group_hand_value():
     ratios = instant_inter_group({3: 0.5}, {3: 0.405}, group=(1, 2), targets=(3,))
     assert ratios[3] == pytest.approx(0.19)
-    rows = decay_update(AffinityTracker(3, beta=0.5), (1, 2), ratios, {})
-    assert [(r[0], r[1]) for r in rows] == [(1, 3), (2, 3)]
-    assert rows[0][2] == rows[1][2] == ratios[3]
+    rows = decay_update(AffinityTracker(3, beta=0.5), (1, 2),
+                        {1: 0.5, 2: 0.5, 3: 0.5}, {1: 0.4, 2: 0.4, 3: 0.405})
+    assert [(r[0], r[1]) for r in rows] == [(1, 2), (1, 3), (2, 1), (2, 3)]
+    assert rows[1][2] == rows[3][2] == ratios[3]
 
 
 def test_inter_group_unchanged_and_eliminated():
@@ -51,13 +52,12 @@ def test_intra_group_verdicts():
 def test_intra_singleton_emits_no_pairs():
     ratios, verdicts = instant_intra_group({1: 0.5}, {1: 0.4}, (1,))
     assert verdicts == {}
-    assert decay_update(AffinityTracker(1, beta=0.5), (1,), ratios, verdicts) == []
+    assert decay_update(AffinityTracker(1, beta=0.5), (1,), {1: 0.5}, {1: 0.4}) == []
 
 
 def test_decay_hand_values():
     tracker = AffinityTracker(2, beta=0.001)
-    ratios = instant_inter_group({2: 0.5}, {2: 0.25}, (1,), (2,))  # B = 0.5
-    decay_update(tracker, (1,), ratios, {})
+    decay_update(tracker, (1,), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})  # B = 0.5
     assert tracker.decayed[0, 1] == pytest.approx(0.0005)
 
 
@@ -65,10 +65,11 @@ def test_decay_conflict_hand_value():
     tracker = AffinityTracker(2, beta=0.1)
     tracker.decayed[:] = 0.2
     # intra ratios with B(1->2)=0.3, B(2->1)=-0.4
-    ratios, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.7, 2: 0.35}, (1, 2))
+    before, after = {1: 0.5, 2: 0.5}, {1: 0.7, 2: 0.35}
+    ratios, verdicts = instant_intra_group(before, after, (1, 2))
     assert ratios[2] == pytest.approx(0.3)
     assert ratios[1] == pytest.approx(-0.4)
-    rows = decay_update(tracker, (1, 2), ratios, verdicts)
+    rows = decay_update(tracker, (1, 2), before, after)
     assert tracker.decayed[0, 1] == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert tracker.decayed[1, 0] == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert all(r[4] == CONFLICT for r in rows)
@@ -77,8 +78,7 @@ def test_decay_conflict_hand_value():
 def test_skipped_pairs_keep_previous_value():
     tracker = AffinityTracker(2, beta=0.5)
     tracker.decayed[0, 1] = 0.3
-    ratios = instant_inter_group({2: 1e-16}, {2: 0.0}, (1,), (2,))
-    rows = decay_update(tracker, (1,), ratios, {})
+    rows = decay_update(tracker, (1,), {1: 0.5, 2: 1e-16}, {1: 0.5, 2: 0.0})
     assert tracker.decayed[0, 1] == 0.3
     assert rows[0][5] is True
 
@@ -86,9 +86,7 @@ def test_skipped_pairs_keep_previous_value():
 def test_intra_pair_with_tiny_member_loss_is_skipped_both_ways():
     tracker = AffinityTracker(3, beta=0.5)
     before, after = {1: 1e-15, 2: 0.5, 3: 0.5}, {1: 0.0, 2: 0.25, 3: 0.25}
-    ratios, verdicts = instant_intra_group(before, after, (1, 2))
-    ratios |= instant_inter_group(before, after, (1, 2), (3,))
-    rows = decay_update(tracker, (1, 2), ratios, verdicts)
+    rows = decay_update(tracker, (1, 2), before, after)
     assert [(r[0], r[1], r[5]) for r in rows] == [(1, 2, True), (1, 3, False),
                                                   (2, 1, True), (2, 3, False)]
     assert tracker.decayed[0, 2] == tracker.decayed[1, 2] == 0.25
@@ -99,10 +97,82 @@ def test_intra_pair_with_tiny_member_loss_is_skipped_both_ways():
 def test_decay_matches_geometric_closed_form(beta, c, n):
     tracker = AffinityTracker(2, beta=beta)
     for step in range(n):
-        ratios = instant_inter_group({2: 1.0}, {2: 1.0 - c}, (1,), (2,))
-        decay_update(tracker, (1,), ratios, {})
+        decay_update(tracker, (1,), {1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0 - c})
     expected = c * (1.0 - (1.0 - beta) ** n)
     assert tracker.decayed[0, 1] == pytest.approx(expected, abs=1e-12)
+
+
+def reference_decay_update(tracker, group, before, after):
+    """The fold as three passes: every ratio and verdict into dicts through
+    the instant functions, then the tracker walked over them."""
+    ratios = instant_inter_group(before, after, group,
+                                 [j for j in range(1, tracker.k + 1) if j not in group])
+    intra, verdicts = instant_intra_group(before, after, group)
+    ratios |= intra
+    beta, decayed = tracker.beta, tracker.decayed
+    rows = []
+    for s in sorted(group):
+        row = decayed[s - 1].tolist()
+        for t in sorted(ratios):
+            if t == s:
+                continue
+            r = ratios[t]
+            verdict = verdicts.get((s, t), NO_VERDICT)
+            if math.isnan(r) or (t in group and verdict == NO_VERDICT):
+                rows.append((s, t, float("nan"), row[t - 1], NO_VERDICT, True))
+                continue
+            push = -max(abs(r), abs(ratios[s])) if verdict == CONFLICT else r
+            row[t - 1] = (1.0 - beta) * row[t - 1] + beta * push
+            rows.append((s, t, r, row[t - 1], verdict, False))
+        decayed[s - 1] = row
+    return rows
+
+
+# A loss before a sub-step: below EPS_LOSS (the ratio is NaN), or not.
+LOSS = st.one_of(st.sampled_from([0.0, EPS_LOSS / 10, EPS_LOSS]),
+                 st.floats(1e-6, 10.0))
+# The loss after it: unchanged (a ratio of exactly 0), or any value, so
+# ratios of both signs meet inside one group.
+AFTER = st.one_of(st.none(), st.floats(0.0, 20.0))
+
+
+@st.composite
+def substeps(draw):
+    k = draw(st.integers(2, 8))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        group = tuple(sorted(draw(st.sets(st.integers(1, k), min_size=1, max_size=k))))
+        before = {j: draw(LOSS) for j in range(1, k + 1)}
+        after = {j: before[j] if a is None else a
+                 for j, a in ((j, draw(AFTER)) for j in range(1, k + 1))}
+        steps.append((group, before, after))
+    start = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k))
+    return k, draw(st.sampled_from([0.01, 0.3, 0.9])), start, steps
+
+
+@given(substeps())
+# a CONFLICT pair, then a pair whose one ratio is exactly 0 (POSITIVE)
+@example((2, 0.5, [0.0] * 4, [((1, 2), {1: 0.5, 2: 0.5}, {1: 0.7, 2: 0.35}),
+                              ((1, 2), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})]))
+# a member below EPS_LOSS: its pairs with the other member are skipped
+@example((3, 0.5, [0.1] * 9, [((1, 2), {1: 1e-15, 2: 0.5, 3: 0.5}, {1: 0.0, 2: 0.25, 3: 0.6})]))
+@settings(max_examples=300, deadline=None)
+def test_one_pass_fold_equals_the_instant_function_composition(case):
+    k, beta, start, steps = case
+    fast, slow = AffinityTracker(k, beta), AffinityTracker(k, beta)
+    fast.decayed[:] = slow.decayed[:] = np.reshape(start, (k, k))
+    for group, before, after in steps:
+        rows = decay_update(fast, group, before, after)
+        want = reference_decay_update(slow, group, before, after)
+        assert repr(rows) == repr(want)  # repr keeps every bit of a float and compares NaN equal
+        assert fast.decayed.tobytes() == slow.decayed.tobytes()
+
+
+def test_a_zero_ratio_is_positive():
+    tracker = AffinityTracker(2, beta=0.5)
+    rows = decay_update(tracker, (1, 2), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})
+    assert [r[4] for r in rows] == [POSITIVE, POSITIVE]
+    assert tracker.decayed[0, 1] == 0.25 and tracker.decayed[1, 0] == 0.0
 
 
 def test_tracker_rejects_bad_beta():

@@ -143,6 +143,21 @@ def test_report_run_against_itself_is_zero(tmp_path, capsys):
     assert lines[2].split(",")[3] == "0"
 
 
+def test_report_quotes_a_run_directory_with_a_comma(tmp_path):
+    cfg = write_cfg(tmp_path, TRIAD_CFG)
+    out = str(tmp_path / "a,b" / "run1")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    rep = str(tmp_path / "rep")
+    assert main(["report", out, "--baseline", out, "--out", rep]) == 0
+    for name, width in [("report.csv", 5), ("group_series.csv", 3), ("group_frequency.csv", 4)]:
+        with open(os.path.join(rep, name), newline="") as fh:
+            lines = fh.read().split("\n")
+        header = lines[1].split(",")
+        rows = list(csv.reader(lines[2:-1]))
+        assert len(header) == width and rows, name
+        assert all(len(row) == width and row[0] == out for row in rows), name
+
+
 def test_report_missing_directory_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TRIAD_CFG)
     out = str(tmp_path / "r")

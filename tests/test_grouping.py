@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtopt.affinity import AffinityTracker
-from mtopt.grouping import (GroupingError, GroupPartition, make_partition,
+from mtopt.grouping import (GroupingError, GroupPartition, _derive_partition, make_partition,
                             parse_groups, partition_tasks, serialize_partition,
                             shuffle_order, singletons)
 
@@ -136,3 +136,25 @@ def test_cached_and_directly_built_partitions_are_interchangeable():
         assert cached == direct and hash(cached) == hash(direct)
         assert serialize_partition(cached) == serialize_partition(direct)
         assert cached.with_order(order) is cached
+
+
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_cached_partition_equals_an_uncached_derivation(k, seed):
+    rng = np.random.default_rng(seed)
+    t = AffinityTracker(k, beta=0.01)
+    t.decayed[:] = rng.choice([-0.5, 0.0, 0.5], size=(k, k), p=[0.3, 0.2, 0.5])
+    edges = (np.minimum(t.decayed, t.decayed.T) > 0.0).tobytes()
+    _derive_partition.cache_clear()
+    for rule in ("components", "cliques"):
+        want = _derive_partition.__wrapped__(edges, k, rule)
+        first = partition_tasks(t, rule)
+        assert first == want
+        hits = _derive_partition.cache_info().hits
+        assert partition_tasks(t, rule) is first  # the second call is a hit
+        assert _derive_partition.cache_info().hits == hits + 1
+    # a tracker with other values but the same signs hits the same entry
+    t.decayed[:] = 2.0 * t.decayed
+    hits = _derive_partition.cache_info().hits
+    assert partition_tasks(t, "components") == _derive_partition.__wrapped__(edges, k, "components")
+    assert _derive_partition.cache_info().hits == hits + 1

@@ -4,10 +4,10 @@ import pytest
 from mtopt.analysis import descent_eta_bound, descent_substeps
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
 from mtopt.grouping import everything, make_partition, singletons
-from mtopt.models import Batch, TaskSuite, build_shared_trunk
+from mtopt.models import Batch, ModelError, TaskSuite, build_shared_trunk
 from mtopt.optim import (Adam, METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM,
                          METHOD_SELECTIVE, METHOD_SEPARATE, NumericAbort,
-                         PlainSGD, TrainConfig, TrainError, joint_step,
+                         PlainSGD, TrainConfig, TrainError, _grad_norms, joint_step,
                          selective_group_step, train)
 from tests.test_models import scalar_pair
 
@@ -150,7 +150,8 @@ def test_train_rejects_t_zero_and_runs_t_one():
 
 
 @pytest.mark.parametrize("field, value", [("repartition_stride", 0), ("grouping_rule", "pairs"),
-                                          ("order_mode", "SIDEWAYS")])
+                                          ("order_mode", "SIDEWAYS"), ("eta", float("nan")),
+                                          ("eta", float("inf")), ("eta", -float("inf"))])
 def test_train_config_refuses_what_would_fail_mid_training(field, value):
     with pytest.raises(TrainError, match=field.split("_")[0]):
         TrainConfig(**{field: value})
@@ -230,6 +231,74 @@ def test_adam_allocates_moments_once_per_block(monkeypatch):
         selective_group_step(model, batch, singletons(3), cfg, opt, None, it,
                              np.random.default_rng(0))
     assert len(calls) == 2 * len(opt.moments)  # m and v of each block, once
+
+
+class SetBlockSGD:
+    """SGD through ``set_block``: one checked copy per block."""
+
+    def apply(self, partition, grads, eta):
+        for name in sorted(grads):
+            partition.set_block(name, partition.block(name) - eta * grads[name])
+
+
+class SetBlockAdam(Adam):
+    """Adam's moment math with each update written through ``set_block``."""
+
+    def apply(self, partition, grads, eta):
+        for name in sorted(grads):
+            g = grads[name]
+            m, v, t = self.moments.get(name, (np.zeros_like(g), np.zeros_like(g), 0))
+            t += 1
+            m = self.beta1 * m + (1.0 - self.beta1) * g
+            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            self.moments[name] = (m, v, t)
+            mhat = m / (1.0 - self.beta1 ** t)
+            vhat = v / (1.0 - self.beta2 ** t)
+            partition.set_block(name, partition.block(name) - eta * mhat / (np.sqrt(vhat) + self.eps))
+
+
+def trunk_model():
+    ds, suite = gen_regression_suite(triad_spec(seed=0))
+    return build_shared_trunk(8, 2, suite, seed=0, in_dim=ds.train_x.shape[1])
+
+
+@pytest.mark.parametrize("fast, slow, eta", [(PlainSGD, SetBlockSGD, 0.05), (Adam, SetBlockAdam, 1e-3)])
+def test_in_place_step_equals_the_set_block_path_bitwise(fast, slow, eta):
+    models = trunk_model(), trunk_model()
+    opts = fast(), slow()
+    rng = np.random.default_rng(5)
+    for group in [(1,), (2, 3), (1, 2, 3), (3,)] * 3:
+        names = models[0].partition.block_ids(group)
+        grads = {n: rng.standard_normal(models[0].partition.block(n).shape) for n in names}
+        for model, opt in zip(models, opts):
+            version = model.partition.version
+            opt.apply(model.partition, grads, eta)
+            assert model.partition.version > version
+    blocks = [m.partition.all_blocks() for m in models]
+    assert sorted(blocks[0]) == sorted(blocks[1])
+    for name, value in blocks[0].items():
+        assert value.tobytes() == blocks[1][name].tobytes(), name
+
+
+@pytest.mark.parametrize("opt", [PlainSGD, Adam])
+def test_in_place_step_refuses_a_gradient_of_the_wrong_shape(opt):
+    model = trunk_model()
+    with pytest.raises(ModelError, match="trunk.0.b"):
+        opt().apply(model.partition, {"trunk.0.b": np.ones((1, 8))}, 0.1)
+
+
+def test_grad_norms_equal_the_ndarray_sum_form_bitwise():
+    model = trunk_model()
+    rng = np.random.default_rng(6)
+    group = (1, 3)
+    grads = {n: rng.standard_normal(model.partition.block(n).shape) * 10.0 ** rng.integers(-8, 8)
+             for n in model.partition.block_ids(group)}
+
+    def norm(names):
+        return float(np.sqrt(sum(float((grads[n] * grads[n]).sum()) for n in names)))
+    shared, task = _grad_norms(model.partition, group, grads)
+    assert repr(shared) == repr(norm(model.partition.shared))
+    assert repr(task) == repr({tid: norm(model.partition.per_task[tid]) for tid in group})
 
 
 def descent_violations(substeps):

@@ -84,3 +84,6 @@ def test_tracer_installs_and_training_never_reaches_the_tape(monkeypatch):
     names = {span[0] for span in t.spans}
     assert {"models.forward", "models.backward", "optim.step"} <= names
     assert "tensor.evaluate" not in names and "tensor.backward" not in names
+    # the per-layer affinity, grouping and optimizer metrics read these spans
+    assert {"affinity.update", "grouping.partition", "optim.apply"} <= names
+    assert sum(span[4] for span in t.spans if span[0] == "affinity.update") > 0
