@@ -67,6 +67,8 @@ def _apply_overrides(raw: dict[str, str], args) -> dict[str, str]:
 
 
 def cmd_run(args) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
     try:
         raw = read_kv_file(args.config)
         raw = _apply_overrides(raw, args)

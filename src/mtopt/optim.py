@@ -4,14 +4,16 @@ One batch is processed as a sequence of per-group sub-steps. Each sub-step
 backpropagates the weighted loss sum of one group, steps exactly the shared
 blocks plus that group's task blocks, re-forwards, and feeds the loss ratios
 into the affinity tracker. The methods differ only in their partition
-schedule: SELECTIVE re-derives the partition from the tracked affinity after
-the batch, SEPARATE keeps singletons, FIXED keeps a given partition, RANDOM
-draws a new one per batch, and JOINT keeps one group of all tasks and skips
-the trailing forward, so it neither measures nor tracks affinity.
+schedule, which :func:`train` owns: SELECTIVE re-derives the partition from
+the tracked affinity after the batch, SEPARATE keeps singletons, FIXED keeps
+a given partition, RANDOM draws a new one per batch, and JOINT keeps one
+group of all tasks and skips the trailing forward, so it neither measures
+nor tracks affinity. :func:`train` also shuffles the update order, and
+:func:`selective_group_step` runs one batch in the order it is given.
 
 Training keeps no per-iteration record: :func:`train` hands each finished
-iteration's report and affinity rows to a sink and keeps only the run's
-totals in its :class:`RunLog`, so memory stays flat in run length.
+iteration's report, with its affinity rows, to a sink and keeps only the
+run's totals in its :class:`RunLog`, so memory stays flat in run length.
 """
 
 from __future__ import annotations
@@ -99,6 +101,9 @@ class TrainConfig:
             raise TrainError(f"unknown grouping rule '{self.grouping_rule}'")
         if self.repartition_stride < 1:
             raise TrainError(f"repartition stride must be >= 1, got {self.repartition_stride}")
+        for tid, w in (self.weights or {}).items():  # 0.0 is allowed: SINGLE masks tasks with it
+            if not (math.isfinite(w) and w >= 0.0):
+                raise TrainError(f"weights must be finite and >= 0, got {w} for task {tid}")
 
 
 class PlainSGD:
@@ -152,6 +157,7 @@ class SubstepRecord:
     losses_after: dict[int, float] | None
     grad_norm_shared: float
     grad_norm_task: dict[int, float]
+    affinity_rows: list[tuple]  # (source, target, instant, decayed, verdict, skipped)
 
 
 @dataclass
@@ -177,19 +183,17 @@ class StepReport:
                              f"got forwards/backwards/steps {got}, want {want}")
 
 
-# (iter, substep, source, target, b_instant, b_decayed, verdict, skipped)
-AffinityRow = tuple
-Sink = Callable[[StepReport, list[AffinityRow]], None]
+Sink = Callable[[StepReport], None]
 
 
 @dataclass
 class RunLog:
     """The totals of one training run.
 
-    The per-iteration reports and affinity rows go to the sink given to
-    :func:`train`; the log keeps the counts summaries need, the pair
-    co-occurrence counts (Python ints, so :meth:`add` stays cheap), and the
-    last report, which :meth:`NumericAbort.after` names.
+    The per-iteration reports go to the sink given to :func:`train`; the
+    log keeps the counts summaries need, the pair co-occurrence counts
+    (Python ints, so :meth:`add` stays cheap), and the last report, which
+    :meth:`NumericAbort.after` names.
     """
 
     method: str
@@ -233,24 +237,21 @@ def _grad_norms(partition: ParamPartition, group, grads) -> tuple[float, dict[in
 
 
 def selective_group_step(model, batch: Batch, partition: GroupPartition, config: TrainConfig,
-                         optimizer, tracker: AffinityTracker | None, iteration: int,
-                         order_rng: np.random.Generator,
-                         rows: list[AffinityRow] | None = None) -> tuple[StepReport, GroupPartition]:
-    """One batch of per-group sequential sub-steps; returns the report and
-    the partition to use next (re-derived from the tracker when due).
+                         optimizer, tracker: AffinityTracker | None, iteration: int) -> StepReport:
+    """One batch of per-group sequential sub-steps, in ``partition``'s order.
 
-    The tracker's update rows are appended to ``rows`` when one is given.
-    JOINT skips the trailing forward, so it measures no affinity."""
+    Each sub-step's record carries the rows the tracker's update returned,
+    or none when untracked. JOINT skips the trailing forward, so it takes
+    no tracker."""
     weights = config.weights or model.suite.weights()
     joint = config.method == METHOD_JOINT
-    part = shuffle_order(partition, order_rng, config.order_mode)
     idx, group = 0, None
     try:
         losses0 = model.forward_all(batch)
         forwards, backwards, opt_steps = 1, 0, 0
         current = losses0
         substeps: list[SubstepRecord] = []
-        for idx, group in enumerate(part.ordered_groups(), start=1):
+        for idx, group in enumerate(partition.ordered_groups(), start=1):
             grads = model.backward_group(group, weights)
             backwards += 1
             optimizer.apply(model.partition, grads, config.eta)
@@ -260,32 +261,21 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                 after = model.forward_all(batch)
                 forwards += 1
             norm_shared, norm_task = _grad_norms(model.partition, group, grads)
-            if tracker is not None and after is not None:
-                # one pass over the losses before and after: every task's
-                # ratio once, each member pair's verdict inline
-                updates = decay_update(tracker, group, current, after)
-                if rows is not None:
-                    rows.extend((iteration, idx) + row for row in updates)
-            substeps.append(SubstepRecord(group, after, norm_shared, norm_task))
+            rows = [] if tracker is None else decay_update(tracker, group, current, after)
+            substeps.append(SubstepRecord(group, after, norm_shared, norm_task, rows))
             current = after
     except NonFiniteValue as e:
         raise NumericAbort(iteration, idx, group, str(e)) from e
-    report = StepReport(iteration, config.method, part, losses0, substeps,
+    report = StepReport(iteration, config.method, partition, losses0, substeps,
                         forwards, backwards, opt_steps)
     report.check_counts()
-    next_partition = part
-    if (config.method == METHOD_SELECTIVE and tracker is not None
-            and iteration % config.repartition_stride == 0):
-        next_partition = partition_tasks(tracker, config.grouping_rule)
-    return report, next_partition
+    return report
 
 
-def joint_step(model, batch: Batch, config: TrainConfig, optimizer,
-               iteration: int) -> StepReport:
+def joint_step(model, batch: Batch, config: TrainConfig, optimizer, iteration: int) -> StepReport:
     """All tasks in one backward and one optimizer step; no trailing forward."""
     return selective_group_step(model, batch, everything(model.suite.k),
-                                replace(config, method=METHOD_JOINT), optimizer, None,
-                                iteration, np.random.default_rng(0))[0]
+                                replace(config, method=METHOD_JOINT), optimizer, None, iteration)
 
 
 def _random_partition(k: int, m: int, rng: np.random.Generator) -> GroupPartition:
@@ -298,9 +288,11 @@ def _random_partition(k: int, m: int, rng: np.random.Generator) -> GroupPartitio
 def train(model, batches, config: TrainConfig, sink: Sink | None = None) -> RunLog:
     """Run ``config.iters`` batches from the stream and return the run's totals.
 
-    Each finished iteration's report and affinity rows go to ``sink(report,
-    rows)``, in iteration order, and are not kept; an iteration cut short by
-    a :class:`NumericAbort` reaches no sink.
+    Each iteration redraws RANDOM's partition, shuffles the update order,
+    steps, and re-derives SELECTIVE's partition when ``repartition_stride``
+    is due. Each finished iteration's report goes to ``sink(report)``, in
+    iteration order, and is not kept; an iteration cut short by a
+    :class:`NumericAbort` reaches no sink.
 
     The stream must yield batches deterministically; the update-order rng is
     derived from the seed on a separate stream, so runs are reproducible
@@ -314,11 +306,13 @@ def train(model, batches, config: TrainConfig, sink: Sink | None = None) -> RunL
     track = config.track_affinity
     if track is None:
         track = config.method == METHOD_SELECTIVE
-    tracker = AffinityTracker(k, config.beta) if track else None
+    tracker = AffinityTracker(k, config.beta) if track and config.method != METHOD_JOINT else None
     partition = {METHOD_JOINT: everything(k),
                  METHOD_FIXED: config.fixed_partition}.get(config.method, singletons(k))
     if partition.k != k:
         raise TrainError(f"fixed partition covers {partition.k} tasks, model has {k}")
+    if config.weights is not None and sorted(config.weights) != list(range(1, k + 1)):
+        raise TrainError(f"weights name tasks {sorted(config.weights)}, model has 1..{k}")
 
     stream = iter(batches)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,12 +323,15 @@ def train(model, batches, config: TrainConfig, sink: Sink | None = None) -> RunL
                 raise TrainError(f"batch stream ended at iteration {iteration} of {config.iters}")
             if config.method == METHOD_RANDOM:
                 partition = _random_partition(k, config.random_groups, order_rng)
-            rows = None if sink is None else []
-            report, partition = selective_group_step(model, batch, partition, config, optimizer,
-                                                     tracker, iteration, order_rng, rows)
+            partition = shuffle_order(partition, order_rng, config.order_mode)
+            report = selective_group_step(model, batch, partition, config, optimizer,
+                                          tracker, iteration)
+            if (config.method == METHOD_SELECTIVE and tracker is not None
+                    and iteration % config.repartition_stride == 0):
+                partition = partition_tasks(tracker, config.grouping_rule)
             log.add(report)
             if sink is not None:
-                sink(report, rows)
+                sink(report)
         try:
             log.final_losses = model.forward_all(batch)
         except NonFiniteValue as e:

@@ -54,10 +54,12 @@ def _steps_lines(report) -> list[str]:
     return lines
 
 
-def _affinity_lines(rows) -> list[str]:
-    return [",".join([str(it), str(sub), str(src), str(tgt), fmt(float(inst)), fmt(float(dec)),
+def _affinity_lines(report) -> list[str]:
+    """Each sub-step's affinity rows, led by the iteration and the sub-step index."""
+    return [",".join([str(report.iteration), str(idx), str(src), str(tgt), fmt(inst), fmt(dec),
                       verdict, "1" if skipped else "0"])
-            for it, sub, src, tgt, inst, dec, verdict, skipped in rows]
+            for idx, sub in enumerate(report.substeps, start=1)
+            for src, tgt, inst, dec, verdict, skipped in sub.affinity_rows]
 
 
 def write_csv(path, head: list[str], rows):
@@ -103,11 +105,10 @@ class RunWriter:
                 fh.write(header)
         return self.append
 
-    def append(self, report, rows):
+    def append(self, report):
         """Format one finished iteration into the open CSVs."""
         self._files["steps"].write("\n".join(_steps_lines(report)) + "\n")
-        if rows:
-            self._files["affinity"].write("\n".join(_affinity_lines(rows)) + "\n")
+        self._files["affinity"].write("".join(f"{line}\n" for line in _affinity_lines(report)))
         self._files["groups"].write(f'{report.iteration},"{serialize_partition(report.partition)}",'
                                     f'{report.partition.m}\n')
 
@@ -147,9 +148,20 @@ class RunDirError(ValueError):
     pass
 
 
+def _run_totals_ok(run: dict) -> bool:
+    """Whether a run's totals hold what ``mtopt report`` reads: a number or
+    null mean group count and a list of lists of numbers as frequencies."""
+    number = (int, float)
+    mean, freq = run.get("mean_group_count"), run.get("grouping_frequency", [])
+    return ((mean is None or isinstance(mean, number)) and isinstance(freq, list)
+            and all(isinstance(row, list) and all(isinstance(v, number) for v in row)
+                    for row in freq))
+
+
 def read_summary(rundir) -> dict:
     """A run directory's summary.json, checked for its schema, with its loss
-    maps keyed by task id."""
+    maps keyed by task id and its run totals checked for what ``mtopt
+    report`` reads."""
     path = os.path.join(rundir, "summary.json")
     if not os.path.isfile(path):
         if os.path.isdir(rundir):
@@ -164,10 +176,13 @@ def read_summary(rundir) -> dict:
         ok = summary["schema"] == SUMMARY_SCHEMA and {"method", "seed"} <= summary.keys()
         for key in ("final_losses", "eval_losses"):
             summary[key] = {int(t): float(v) for t, v in summary[key].items()}
+        runs = summary.get("runs", {})
+        ok = ok and isinstance(runs, dict) and all(map(_run_totals_ok, runs.values()))
     except (AttributeError, KeyError, TypeError, ValueError):
         ok = False
     if not ok:
-        raise RunDirError(f"{rundir}: summary.json is not a {SUMMARY_SCHEMA} summary with losses")
+        raise RunDirError(f"{rundir}: summary.json is not a {SUMMARY_SCHEMA} summary "
+                          "with losses and run totals")
     return summary
 
 

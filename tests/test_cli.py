@@ -274,15 +274,24 @@ def test_report_summary_not_json_exits_2(tmp_path, capsys):
     assert "not JSON" in err and run in err
 
 
-@pytest.mark.parametrize("losses", [None, {"x": 1.0, "y": 2.0}, {"1": "abc", "2": 1.0}],
-                         ids=["missing", "not-task-ids", "not-numbers"])
-def test_report_summary_with_bad_eval_losses_exits_2(tmp_path, capsys, losses):
+@pytest.mark.parametrize("keys, value", [
+    (("eval_losses",), None), (("eval_losses",), {"x": 1.0, "y": 2.0}),
+    (("eval_losses",), {"1": "abc", "2": 1.0}), (("runs",), [1]),
+    (("runs", "main", "mean_group_count"), "abc"), (("runs", "main", "grouping_frequency"), [["x"]]),
+], ids=["missing", "not-task-ids", "not-numbers", "runs-not-object", "mean-groups-not-number",
+        "frequency-not-numbers"])
+def test_report_summary_with_bad_eval_losses_exits_2(tmp_path, capsys, keys, value):
+    """A summary.json whose losses or run totals ``report`` cannot read
+    (``value`` None: the key is deleted) is refused before anything prints."""
     base, run = quad_run(tmp_path, "base", 2), quad_run(tmp_path, "run", 2)
     path = os.path.join(base, "summary.json")
     summary = json.load(open(path))
-    del summary["eval_losses"]
-    if losses is not None:
-        summary["eval_losses"] = losses
+    parent = summary
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    if value is not None:
+        parent[keys[-1]] = value
     with open(path, "w") as fh:
         json.dump(summary, fh)
     err = report_error(capsys, run, base)
@@ -649,6 +658,18 @@ def test_sweep_needs_at_least_one_worker(tmp_path, monkeypatch, capsys, workers)
     err = cli_error(capsys, ["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
     assert "--workers" in err
     assert not out.exists()
+
+
+def test_run_out_on_a_file_is_refused_before_any_set_up(tmp_path, monkeypatch, capsys):
+    def run_experiment(*args):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    err = cli_error(capsys, ["run", "--config", write_cfg(tmp_path, QUAD_CFG), "--out", str(afile)])
+    assert str(afile) in err and "not a directory" in err
+    assert afile.read_text() == ""
 
 
 def test_sweep_out_on_a_file_is_refused_before_any_cell_runs(tmp_path, monkeypatch, capsys):

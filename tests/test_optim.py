@@ -18,14 +18,18 @@ def quad_batches(n):
 
 
 class Collector:
-    """A sink that keeps every report and affinity row ``train`` hands it."""
+    """A sink that keeps every report ``train`` hands it, and each affinity
+    row as (iter, substep, source, target, b_instant, b_decayed, verdict,
+    skipped)."""
 
     def __init__(self):
         self.steps, self.affinity_rows = [], []
 
-    def __call__(self, report, rows):
+    def __call__(self, report):
         self.steps.append(report)
-        self.affinity_rows.extend(rows)
+        self.affinity_rows.extend((report.iteration, idx) + row
+                                  for idx, sub in enumerate(report.substeps, start=1)
+                                  for row in sub.affinity_rows)
 
 
 def fresh_quadratic(seed=0, k=3, rho=None):
@@ -36,16 +40,14 @@ def test_count_contract_two_groups():
     model, batch = fresh_quadratic()
     cfg = TrainConfig(method=METHOD_FIXED, eta=1e-3, iters=1, order_mode="FORWARD",
                       fixed_partition=make_partition([(1, 2), (3,)]))
-    report, _ = selective_group_step(model, batch, cfg.fixed_partition, cfg,
-                                     PlainSGD(), None, 1, np.random.default_rng(0))
+    report = selective_group_step(model, batch, cfg.fixed_partition, cfg, PlainSGD(), None, 1)
     assert (report.forwards, report.backwards, report.opt_steps) == (3, 2, 2)
 
 
 def test_count_contract_separate_and_joint():
     model, batch = fresh_quadratic()
     cfg = TrainConfig(method=METHOD_SEPARATE, eta=1e-3, iters=1, order_mode="FORWARD")
-    report, _ = selective_group_step(model, batch, singletons(3), cfg,
-                                     PlainSGD(), None, 1, np.random.default_rng(0))
+    report = selective_group_step(model, batch, singletons(3), cfg, PlainSGD(), None, 1)
     assert (report.forwards, report.backwards, report.opt_steps) == (4, 3, 3)
 
     model, batch = fresh_quadratic()
@@ -78,8 +80,7 @@ def test_positive_pair_step_decreases_both_losses():
     model, batch = scalar_pair()
     cfg = TrainConfig(method=METHOD_FIXED, eta=0.1, iters=1, order_mode="FORWARD",
                       fixed_partition=everything(2))
-    report, _ = selective_group_step(model, batch, everything(2), cfg,
-                                     PlainSGD(), None, 1, np.random.default_rng(0))
+    report = selective_group_step(model, batch, everything(2), cfg, PlainSGD(), None, 1)
     after = report.substeps[-1].losses_after
     assert after[1] < report.initial_losses[1]
     assert after[2] < report.initial_losses[2]
@@ -151,10 +152,22 @@ def test_train_rejects_t_zero_and_runs_t_one():
 
 @pytest.mark.parametrize("field, value", [("repartition_stride", 0), ("grouping_rule", "pairs"),
                                           ("order_mode", "SIDEWAYS"), ("eta", float("nan")),
-                                          ("eta", float("inf")), ("eta", -float("inf"))])
+                                          ("eta", float("inf")), ("eta", -float("inf")),
+                                          ("weights", {1: 1.0, 2: float("nan"), 3: 1.0}),
+                                          ("weights", {1: float("inf")}), ("weights", {1: -1.0})])
 def test_train_config_refuses_what_would_fail_mid_training(field, value):
     with pytest.raises(TrainError, match=field.split("_")[0]):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("weights", [{1: 1.0}, {1: 1.0, 2: 1.0, 4: 1.0}], ids=["too-few", "wrong-id"])
+def test_train_refuses_weights_not_naming_tasks_1_to_k_before_the_first_batch(weights):
+    model, _ = fresh_quadratic(k=3)
+    pulled = []
+    batches = (pulled.append(it) or Batch(None, {}, it) for it in range(1, 4))
+    with pytest.raises(TrainError, match="weights"):
+        train(model, batches, TrainConfig(iters=3, weights=weights))
+    assert pulled == []
 
 
 def test_two_runs_same_seed_are_identical():
@@ -213,8 +226,7 @@ def test_adam_shared_moments_advance_per_substep():
     opt = Adam()
     cfg = TrainConfig(method=METHOD_SEPARATE, eta=1e-3, iters=1, optimizer="adam",
                       order_mode="FORWARD")
-    selective_group_step(model, batch, singletons(3), cfg, opt, None, 1,
-                         np.random.default_rng(0))
+    selective_group_step(model, batch, singletons(3), cfg, opt, None, 1)
     assert opt.moments["shared.theta"][2] == 3   # one advance per sub-step
     assert opt.moments["task.1.theta"][2] == 1
 
@@ -228,8 +240,7 @@ def test_adam_allocates_moments_once_per_block(monkeypatch):
     zeros_like = np.zeros_like
     monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a.shape) or zeros_like(a))
     for it in (1, 2):
-        selective_group_step(model, batch, singletons(3), cfg, opt, None, it,
-                             np.random.default_rng(0))
+        selective_group_step(model, batch, singletons(3), cfg, opt, None, it)
     assert len(calls) == 2 * len(opt.moments)  # m and v of each block, once
 
 

@@ -61,7 +61,7 @@ def test_write_run_returns_complete_csv_paths(tmp_path, monkeypatch):
     with RunWriter(str(tmp_path / "run")) as writer:
         def sinks(label):
             append = writer.sink(label)
-            return lambda report, rows: (seen(report, rows), append(report, rows))
+            return lambda report: (seen(report), append(report))
         paths = write_run(writer, run_experiment(cfg, sinks), echo_dict(cfg))
         rows = tracer._count("runio.write", (), paths)  # as the tracer does, before the writer exits
     assert sorted(paths) == ["affinity", "config", "groups", "steps", "summary"]
@@ -78,8 +78,9 @@ def test_tracer_installs_and_training_never_reaches_the_tape(monkeypatch):
 
     cfg = validate_config(parse_kv_text("benchmark.kind = regression\nregression.preset = triad\n"
                                         "method = SELECTIVE\niters = 20\nbatch.size = 16\n"))
+    reports = Collector()
     with tracer.Tracer() as t:
-        run_experiment(cfg)
+        run_experiment(cfg, lambda label: reports)
     tracer.assert_untraced()
     names = {span[0] for span in t.spans}
     assert {"models.forward", "models.backward", "optim.step"} <= names
@@ -87,3 +88,14 @@ def test_tracer_installs_and_training_never_reaches_the_tape(monkeypatch):
     # the per-layer affinity, grouping and optimizer metrics read these spans
     assert {"affinity.update", "grouping.partition", "optim.apply"} <= names
     assert sum(span[4] for span in t.spans if span[0] == "affinity.update") > 0
+    # one step span per iteration, every repartition inside the training loop,
+    # and the group count the step spans report equals the trained one
+    assert sum(span[0] == "optim.step" for span in t.spans) == 20
+    for span in t.spans:
+        if span[0] == "grouping.partition":
+            parent = span[3]
+            while parent >= 0 and t.spans[parent][0] != "optim.train":
+                parent = t.spans[parent][3]
+            assert parent >= 0
+    mean_m = sum(report.partition.m for report in reports.steps) / len(reports.steps)
+    assert tracer.layer_metrics(t.spans)["grouping.groups_per_iter"] == mean_m
