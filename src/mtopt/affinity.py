@@ -10,11 +10,13 @@ measured on the same batch at both states. During training each sub-step
 yields one such ratio per target, shared by every member of the updated
 group, at no extra cost. :func:`decay_update` folds a sub-step's losses into
 the tracker in one pass, taking each ratio once and each member pair's sign
-verdict inline. :func:`instant_inter_group` and :func:`instant_intra_group`
-compute the same ratios and verdicts as dicts; they are the reference that
-fold is tested against. The oracles here redo the probe explicitly with
-snapshot/restore so properties can be checked against an independent
-reference path.
+verdict inline, and returns the ratios; it builds no log rows.
+:func:`affinity_rows` derives a sub-step's log rows from those ratios and the
+tracker matrix at the end of the batch, when a run is written.
+:func:`instant_inter_group` and :func:`instant_intra_group` compute the same
+ratios and verdicts as dicts; they are the reference that fold is tested
+against. The oracles here redo the probe explicitly with snapshot/restore so
+properties can be checked against an independent reference path.
 """
 
 from __future__ import annotations
@@ -90,40 +92,66 @@ def instant_intra_group(before: dict[int, float], after: dict[int, float],
 
 
 def decay_update(tracker: AffinityTracker, group, before: dict[int, float],
-                 after: dict[int, float]) -> list[tuple]:
-    """Fold one sub-step's losses on tasks 1..k into the tracker, member by member.
+                 after: dict[int, float]) -> list[float]:
+    """Fold one sub-step's losses on tasks 1..k into the tracker, member by
+    member, and return the k ratios (task t at index t - 1; NaN where the loss
+    before is below ``EPS_LOSS``).
 
     Each pair (member -> other task) takes the target's ratio. Pairs toward
     outside targets and member pairs whose two ratios are both >= 0
     (POSITIVE) take the standard exponential average; other member pairs
     (CONFLICT) are pushed down by the larger of the two members' magnitudes,
     symmetrically in both directions. Skipped pairs (a NaN ratio on the
-    target, or on either member) keep their previous tracked value.
-    Returns log rows (source, target, instant, decayed, verdict, skipped) in
-    (source, target) order.
+    target, or on either member) keep their previous tracked value. Only the
+    members' rows change, so the order they are folded in does not matter.
     """
-    beta, decayed = tracker.beta, tracker.decayed
-    ratios = [_ratio(before, after, j) for j in range(1, tracker.k + 1)]
-    rows: list[tuple] = []
-    for s in sorted(group):
+    beta, decayed, isnan = tracker.beta, tracker.decayed, math.isnan
+    nan = float("nan")
+    ratios = [nan if before[j] < EPS_LOSS else 1.0 - after[j] / before[j]
+              for j in range(1, tracker.k + 1)]
+    for s in group:
         rs = ratios[s - 1]
         row = decayed[s - 1].tolist()  # Python floats: the same IEEE operations, less overhead
+        for t, r in enumerate(ratios, start=1):
+            if t == s or isnan(r):
+                continue
+            if t not in group:
+                push = r
+            elif isnan(rs):
+                continue
+            elif r >= 0.0 and rs >= 0.0:
+                push = r
+            else:  # CONFLICT; x - y is x + (-y) in IEEE arithmetic, so one update serves both
+                push = -max(abs(r), abs(rs))
+            row[t - 1] = (1.0 - beta) * row[t - 1] + beta * push
+        decayed[s - 1] = row
+    return ratios
+
+
+def affinity_rows(group, ratios: list[float], decayed) -> list[tuple]:
+    """The log rows of one sub-step, in (source, target) order: (source,
+    target, instant, decayed, verdict, skipped) for each member and every
+    other task.
+
+    ``ratios`` is what :func:`decay_update` returned for the sub-step, and
+    ``decayed`` the tracker matrix (rows indexable by task id - 1) at the end
+    of its batch. The sub-steps of one batch update disjoint groups, and a
+    sub-step writes only its members' rows, so each member's row at the end
+    of the batch is the row its own sub-step left. The skip and verdict rule
+    is :func:`decay_update`'s; a skipped row's instant value is NaN.
+    """
+    rows: list[tuple] = []
+    nan, isnan = float("nan"), math.isnan
+    for s in sorted(group):
+        rs, row = ratios[s - 1], decayed[s - 1]
         for t, r in enumerate(ratios, start=1):
             if t == s:
                 continue
             inside = t in group
-            if math.isnan(r) or (inside and math.isnan(rs)):
-                rows.append((s, t, float("nan"), row[t - 1], NO_VERDICT, True))
-                continue
-            if not inside:
-                verdict, push = NO_VERDICT, r
-            elif r >= 0.0 and rs >= 0.0:
-                verdict, push = POSITIVE, r
-            else:  # x - y is x + (-y) in IEEE arithmetic, so one update serves both cases
-                verdict, push = CONFLICT, -max(abs(r), abs(rs))
-            row[t - 1] = (1.0 - beta) * row[t - 1] + beta * push
-            rows.append((s, t, r, row[t - 1], verdict, False))
-        decayed[s - 1] = row
+            skipped = isnan(r) or (inside and isnan(rs))
+            verdict = (NO_VERDICT if skipped or not inside
+                       else POSITIVE if r >= 0.0 and rs >= 0.0 else CONFLICT)
+            rows.append((s, t, nan if skipped else r, row[t - 1], verdict, skipped))
     return rows
 
 

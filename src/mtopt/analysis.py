@@ -76,7 +76,14 @@ def mean_group_count(log: RunLog) -> float:
 
 def grouping_frequency(log: RunLog) -> np.ndarray:
     """Fraction of iterations each unordered pair shared a group."""
-    return np.array(log.pair_counts, dtype=float) / max(1, log.iterations)
+    counts = [[0] * log.k for _ in range(log.k)]  # Python ints: exact
+    for groups, n in log.grouping_counts.items():
+        for group in groups:
+            for i in group:
+                row = counts[i - 1]
+                for j in group:
+                    row[j - 1] += n
+    return np.array(counts, dtype=float) / max(1, log.iterations)
 
 
 def summarize_run(log: RunLog) -> dict:

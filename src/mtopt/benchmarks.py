@@ -120,8 +120,9 @@ def property_instance(k: int, seed: int,
     """Normalized quadratic instance for the analytic check suites.
 
     ``align`` gives required signs of each leading task's shared-gradient dot
-    product with the last task (the probe target); targets are sign-flipped
-    to enforce it, resampling the rare exactly-orthogonal draw.
+    product with the last task (the probe target); the instance is built
+    again with those targets sign-flipped to enforce it, resampling the rare
+    exactly-orthogonal draw.
     """
     for attempt in range(32):
         model, batch = gen_quadratic_suite(QuadraticSpec(k=k, seed=seed * 1000 + attempt))
@@ -129,15 +130,13 @@ def property_instance(k: int, seed: int,
         if align is None:
             return model, batch
         anchor = grads[k]
-        ok = True
-        for pos, want in enumerate(align, start=1):
-            dot = float(grads[pos] @ anchor)
-            if abs(dot) < 1e-6:
-                ok = False
-                break
-            if np.sign(dot) != np.sign(want):
-                np.negative(model.b[pos], out=model.b[pos])
-        if ok:
+        dots = [float(grads[pos] @ anchor) for pos in range(1, len(align) + 1)]
+        if all(abs(dot) >= 1e-6 for dot in dots):
+            b = dict(model.b)
+            for pos, (dot, want) in enumerate(zip(dots, align), start=1):
+                if np.sign(dot) != np.sign(want):
+                    b[pos] = -b[pos]
+            model = QuadraticModel(model.suite, dict(model.a), dict(model.c), b)
             model.forward_all(batch)
             return model, batch
     raise BenchmarkError(f"could not build an aligned instance for seed {seed}")

@@ -11,6 +11,7 @@ import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from urllib.parse import quote
 
 from .analysis import SUITES, AnalysisError, delta_m_from_losses, run_property_suite
 from .config import ConfigError, echo_dict, parse_kv_text, read_kv_file, validate_config
@@ -91,7 +92,10 @@ def cmd_run(args) -> int:
 
 
 def _cell_name(overrides: dict[str, str]) -> str:
-    return "_".join(f"{k.replace('.', '-')}-{v}" for k, v in sorted(overrides.items()))
+    """One path component inside ``--out``: each character of a value that is
+    not a letter, a digit, '.', '_' or '-' is percent-encoded."""
+    return "_".join(f"{k.replace('.', '-')}-{quote(v, safe='').replace('~', '%7E')}"
+                    for k, v in sorted(overrides.items()))
 
 
 def _run_cell(base_raw: dict, overrides: dict, outdir: str) -> tuple[str, str]:

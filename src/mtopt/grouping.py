@@ -141,7 +141,7 @@ def _derive_partition(edges: bytes, k: int, rule: str) -> GroupPartition:
 def shuffle_order(partition: GroupPartition, rng: np.random.Generator,
                   mode: str = ORDER_RANDOM) -> GroupPartition:
     if mode == ORDER_RANDOM:
-        return partition.with_order(rng.permutation(partition.m))
+        return _partition(partition.groups, tuple(rng.permutation(partition.m).tolist()))
     if mode == ORDER_FORWARD:
         return partition.with_order(range(partition.m))
     if mode == ORDER_BACKWARD:

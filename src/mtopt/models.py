@@ -110,7 +110,10 @@ class ParamPartition:
     def writable(self, name: str, shape) -> np.ndarray:
         """The block ``name``, checked to take a value of ``shape`` in place.
         The caller writes it and bumps ``version``."""
-        target = self.block(name)
+        try:
+            target = self._index[name]
+        except KeyError:
+            raise ModelError(f"unknown parameter block '{name}'") from None
         if target.shape != shape:
             raise ModelError(f"block '{name}': shape {shape} != {target.shape}")
         return target
@@ -310,14 +313,18 @@ class QuadraticModel:
     """Tasks L_i = 0.5*||A_i s + C_i t_i - b_i||^2 with closed-form gradients.
 
     A, C and b are stacked (k, rows, ·) arrays, so all tasks share one row
-    count and one task dim, and one forward serves every task. The blocks
+    count and one task dim, and one forward serves every task. The stacks
+    are read-only: ``a``, ``c`` and ``b`` are read-only maps from a task id
+    to its row, and another target means another model. The blocks
     ``task.{tid}.theta`` are row views of one (k, task_dim) array, written in
-    place by the optimizers and ``ParamPartition.set_block``. ``a``, ``c`` and
-    ``b`` are read-only maps from a task id to its row; only an in-place write
-    changes the model.
+    place by the optimizers and ``ParamPartition.set_block``, which bump
+    ``partition.version``.
 
     Data-free: the batch argument is accepted for interface compatibility and
-    ignored. The tape route is available through :meth:`tape_graph` for
+    ignored. So ``forward_all`` is memoized on ``partition.version``: a
+    forward at the version of the last one (a batch's first forward after
+    the previous sub-step's trailing one) returns its losses again, in a
+    fresh dict. The tape route is available through :meth:`tape_graph` for
     cross-checking gradients.
     """
 
@@ -339,24 +346,30 @@ class QuadraticModel:
                 raise ModelError(
                     f"task {tid}: (rows, shared dim, task dim) {dims} != {first} of task {ids[0]}")
         self._a, self._c, self._b = (np.stack([m[tid] for tid in ids]) for m in (a, c, b))
+        for stack in (self._a, self._c, self._b):
+            stack.flags.writeable = False
         self.a, self.c, self.b = (MappingProxyType(dict(zip(ids, m))) for m in (self._a, self._c, self._b))
+        self._ids = ids
+        self._names = {tid: f"task.{tid}.theta" for tid in ids}
         self._theta = np.zeros((len(ids), first[2]))
         self.partition = ParamPartition(
             shared={"shared.theta": np.zeros(first[1])},
-            per_task={tid: {f"task.{tid}.theta": t} for tid, t in zip(ids, self._theta)})
+            per_task={tid: {self._names[tid]: t} for tid, t in zip(ids, self._theta)})
         self._residuals: np.ndarray | None = None
+        self._losses: list[float] = []
         self._forward_version: int | None = None
 
     def forward_all(self, batch: Batch | None = None) -> dict[int, float]:
-        s = self.partition.shared["shared.theta"]
-        res = self._a @ s + (self._c @ self._theta[:, :, None])[:, :, 0] - self._b
-        losses = 0.5 * np.vecdot(res, res)
-        finite = np.isfinite(losses)
-        if not finite.all():
-            raise NonFiniteValue(f"task {self.suite.ids[int(finite.argmin())]} quadratic loss is non-finite")
-        self._residuals = res
-        self._forward_version = self.partition.version
-        return dict(zip(self.suite.ids, losses.tolist()))
+        if self._forward_version != self.partition.version:
+            s = self.partition.shared["shared.theta"]
+            res = self._a @ s + (self._c @ self._theta[:, :, None])[:, :, 0] - self._b
+            losses = 0.5 * np.vecdot(res, res)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                raise NonFiniteValue(f"task {self._ids[int(finite.argmin())]} quadratic loss is non-finite")
+            self._residuals, self._losses = res, losses.tolist()
+            self._forward_version = self.partition.version
+        return dict(zip(self._ids, self._losses))
 
     def backward_group(self, group, weights: dict[int, float]) -> dict[str, np.ndarray]:
         if self._forward_version != self.partition.version or self._residuals is None:
@@ -366,7 +379,7 @@ class QuadraticModel:
         for tid in sorted(group):
             r = self._residuals[tid - 1]
             gs = gs + weights[tid] * (self._a[tid - 1].T @ r)
-            out[f"task.{tid}.theta"] = weights[tid] * (self._c[tid - 1].T @ r)
+            out[self._names[tid]] = weights[tid] * (self._c[tid - 1].T @ r)
         out["shared.theta"] = gs
         return out
 

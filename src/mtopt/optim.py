@@ -12,8 +12,11 @@ nor tracks affinity. :func:`train` also shuffles the update order, and
 :func:`selective_group_step` runs one batch in the order it is given.
 
 Training keeps no per-iteration record: :func:`train` hands each finished
-iteration's report, with its affinity rows, to a sink and keeps only the
-run's totals in its :class:`RunLog`, so memory stays flat in run length.
+iteration's report to a sink and keeps only the run's totals in its
+:class:`RunLog`, so memory stays flat in run length. The loop builds no log
+rows: each sub-step's record keeps the ratios the tracker folded, and the
+report keeps the tracker matrix at the end of the batch, from which
+:func:`affinity.affinity_rows` derives the rows when a run is written.
 """
 
 from __future__ import annotations
@@ -111,8 +114,7 @@ class PlainSGD:
 
     def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
         partition.version += 1  # first, so a step cut short by a shape error still counts
-        for name in sorted(grads):
-            g = grads[name]
+        for name, g in grads.items():  # the blocks are disjoint, so their order does not matter
             p = partition.writable(name, g.shape)
             p -= eta * g  # the same IEEE operations as set_block(name, p - eta * g)
 
@@ -157,11 +159,15 @@ class SubstepRecord:
     losses_after: dict[int, float] | None
     grad_norm_shared: float
     grad_norm_task: dict[int, float]
-    affinity_rows: list[tuple]  # (source, target, instant, decayed, verdict, skipped)
+    ratios: list[float] | None  # what decay_update returned; None when untracked
 
 
 @dataclass
 class StepReport:
+    """One batch. ``decayed`` is a copy of the tracker matrix, as row lists,
+    when the batch ends (None when untracked); with each sub-step's
+    ``ratios`` it gives that sub-step's rows through ``affinity_rows``."""
+
     iteration: int
     method: str
     partition: GroupPartition
@@ -170,6 +176,7 @@ class StepReport:
     forwards: int
     backwards: int
     opt_steps: int
+    decayed: list[list[float]] | None = None
 
     def check_counts(self):
         m = self.partition.m
@@ -191,9 +198,10 @@ class RunLog:
     """The totals of one training run.
 
     The per-iteration reports go to the sink given to :func:`train`; the
-    log keeps the counts summaries need, the pair co-occurrence counts
-    (Python ints, so :meth:`add` stays cheap), and the last report, which
-    :meth:`NumericAbort.after` names.
+    log keeps the counts summaries need, the number of iterations each
+    distinct grouping ran (``analysis.grouping_frequency`` builds the pair
+    counts from them), and the last report, which :meth:`NumericAbort.after`
+    names.
     """
 
     method: str
@@ -204,13 +212,10 @@ class RunLog:
     backwards: int = 0
     opt_steps: int = 0
     group_count_sum: int = 0
-    pair_counts: list[list[int]] = field(init=False)  # [i-1][j-1]: iterations i and j shared a group
+    grouping_counts: dict[tuple[tuple[int, ...], ...], int] = field(default_factory=dict)
     last: StepReport | None = None
     final_losses: dict[int, float] = field(default_factory=dict)
     eval_losses: dict[int, float] | None = None
-
-    def __post_init__(self):
-        self.pair_counts = [[0] * self.k for _ in range(self.k)]
 
     def add(self, report: StepReport):
         self.iterations += 1
@@ -218,11 +223,8 @@ class RunLog:
         self.backwards += report.backwards
         self.opt_steps += report.opt_steps
         self.group_count_sum += report.partition.m
-        for group in report.partition.groups:
-            for i in group:
-                row = self.pair_counts[i - 1]
-                for j in group:
-                    row[j - 1] += 1
+        groups = report.partition.groups
+        self.grouping_counts[groups] = self.grouping_counts.get(groups, 0) + 1
         self.last = report
 
 
@@ -232,7 +234,11 @@ def _grad_norms(partition: ParamPartition, group, grads) -> tuple[float, dict[in
     gradient would round differently. ``np.add.reduce`` is what
     ``ndarray.sum`` calls, and ``math.sqrt`` rounds as ``np.sqrt`` does."""
     def norm(names) -> float:
-        return math.sqrt(sum(float(np.add.reduce(grads[n] * grads[n], axis=None)) for n in names))
+        total = 0  # sum()'s start: 0 + x is exactly x
+        for n in names:
+            g = grads[n]
+            total += float(np.add.reduce(g * g, axis=None))
+        return math.sqrt(total)
     return norm(partition.shared), {tid: norm(partition.per_task[tid]) for tid in group}
 
 
@@ -240,9 +246,9 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                          optimizer, tracker: AffinityTracker | None, iteration: int) -> StepReport:
     """One batch of per-group sequential sub-steps, in ``partition``'s order.
 
-    Each sub-step's record carries the rows the tracker's update returned,
-    or none when untracked. JOINT skips the trailing forward, so it takes
-    no tracker."""
+    Each sub-step's record carries the ratios the tracker folded, or None
+    when untracked, and the report carries the tracker matrix as the batch
+    left it. JOINT skips the trailing forward, so it takes no tracker."""
     weights = config.weights or model.suite.weights()
     joint = config.method == METHOD_JOINT
     idx, group = 0, None
@@ -261,13 +267,14 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                 after = model.forward_all(batch)
                 forwards += 1
             norm_shared, norm_task = _grad_norms(model.partition, group, grads)
-            rows = [] if tracker is None else decay_update(tracker, group, current, after)
-            substeps.append(SubstepRecord(group, after, norm_shared, norm_task, rows))
+            ratios = None if tracker is None else decay_update(tracker, group, current, after)
+            substeps.append(SubstepRecord(group, after, norm_shared, norm_task, ratios))
             current = after
     except NonFiniteValue as e:
         raise NumericAbort(iteration, idx, group, str(e)) from e
     report = StepReport(iteration, config.method, partition, losses0, substeps,
-                        forwards, backwards, opt_steps)
+                        forwards, backwards, opt_steps,
+                        None if tracker is None else tracker.decayed.tolist())
     report.check_counts()
     return report
 

@@ -16,6 +16,7 @@ import json
 import os
 from typing import TextIO
 
+from .affinity import affinity_rows
 from .analysis import summarize_run
 from .experiments import RunResult
 from .grouping import serialize_partition
@@ -39,27 +40,33 @@ def fmt(x: float) -> str:
 
 
 def _steps_lines(report) -> list[str]:
-    f, b = report.forwards, report.backwards
-    lines = [",".join([str(report.iteration), "0", "", str(tid),
-                       fmt(report.initial_losses[tid]), "", "", str(f), str(b)])
-             for tid in sorted(report.initial_losses)]
+    """Each sub-step's loss rows; a sub-step's shared gradient norm is formatted once."""
+    it, counts = str(report.iteration), f"{report.forwards},{report.backwards}"
+    initial = report.initial_losses
+    lines = [f"{it},0,,{tid},{fmt(initial[tid])},,,{counts}" for tid in sorted(initial)]
     for idx, sub in enumerate(report.substeps, start=1):
-        group = " ".join(str(t) for t in sub.group)
-        tids = sorted(sub.losses_after) if sub.losses_after else sorted(report.initial_losses)
-        for tid in tids:
-            loss = fmt(sub.losses_after[tid]) if sub.losses_after else ""
-            gtask = fmt(sub.grad_norm_task[tid]) if tid in sub.grad_norm_task else ""
-            lines.append(",".join([str(report.iteration), str(idx), group, str(tid),
-                                   loss, fmt(sub.grad_norm_shared), gtask, str(f), str(b)]))
+        head = f"{it},{idx},{' '.join(map(str, sub.group))}"
+        shared, after, norms = fmt(sub.grad_norm_shared), sub.losses_after, sub.grad_norm_task
+        for tid in sorted(after) if after else sorted(initial):
+            loss = fmt(after[tid]) if after else ""
+            gtask = fmt(norms[tid]) if tid in norms else ""
+            lines.append(f"{head},{tid},{loss},{shared},{gtask},{counts}")
     return lines
 
 
 def _affinity_lines(report) -> list[str]:
-    """Each sub-step's affinity rows, led by the iteration and the sub-step index."""
-    return [",".join([str(report.iteration), str(idx), str(src), str(tgt), fmt(inst), fmt(dec),
-                      verdict, "1" if skipped else "0"])
-            for idx, sub in enumerate(report.substeps, start=1)
-            for src, tgt, inst, dec, verdict, skipped in sub.affinity_rows]
+    """Each sub-step's affinity rows, derived from its ratios and the tracker
+    matrix the batch left, led by the iteration and the sub-step index. Each
+    ratio is formatted once per sub-step, not once per row."""
+    if report.decayed is None:
+        return []
+    lines = []
+    for idx, sub in enumerate(report.substeps, start=1):
+        head, texts = f"{report.iteration},{idx}", [fmt(r) for r in sub.ratios]
+        for src, tgt, _, dec, verdict, skipped in affinity_rows(sub.group, sub.ratios, report.decayed):
+            inst = "nan" if skipped else texts[tgt - 1]
+            lines.append(f"{head},{src},{tgt},{inst},{fmt(dec)},{verdict},{1 if skipped else 0}")
+    return lines
 
 
 def write_csv(path, head: list[str], rows):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtopt.affinity import (CONFLICT, EPS_LOSS, NO_VERDICT, POSITIVE, AffinityError,
-                            AffinityTracker, decay_update, group_shared_affinity,
+                            AffinityTracker, affinity_rows, decay_update, group_shared_affinity,
                             group_update_affinity, instant_inter_group,
                             instant_intra_group, inter_task_affinity,
                             two_step_affinity)
@@ -14,11 +14,18 @@ from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, property_instan
 from tests.test_models import scalar_pair
 
 
+def fold(tracker, group, before, after):
+    """One sub-step as a batch of its own: ``decay_update``, then the rows
+    derived from its ratios and the matrix it left."""
+    return affinity_rows(group, decay_update(tracker, group, before, after),
+                         tracker.decayed.tolist())
+
+
 def test_inter_group_hand_value():
     ratios = instant_inter_group({3: 0.5}, {3: 0.405}, group=(1, 2), targets=(3,))
     assert ratios[3] == pytest.approx(0.19)
-    rows = decay_update(AffinityTracker(3, beta=0.5), (1, 2),
-                        {1: 0.5, 2: 0.5, 3: 0.5}, {1: 0.4, 2: 0.4, 3: 0.405})
+    rows = fold(AffinityTracker(3, beta=0.5), (1, 2),
+                {1: 0.5, 2: 0.5, 3: 0.5}, {1: 0.4, 2: 0.4, 3: 0.405})
     assert [(r[0], r[1]) for r in rows] == [(1, 2), (1, 3), (2, 1), (2, 3)]
     assert rows[1][2] == rows[3][2] == ratios[3]
 
@@ -52,7 +59,7 @@ def test_intra_group_verdicts():
 def test_intra_singleton_emits_no_pairs():
     ratios, verdicts = instant_intra_group({1: 0.5}, {1: 0.4}, (1,))
     assert verdicts == {}
-    assert decay_update(AffinityTracker(1, beta=0.5), (1,), {1: 0.5}, {1: 0.4}) == []
+    assert fold(AffinityTracker(1, beta=0.5), (1,), {1: 0.5}, {1: 0.4}) == []
 
 
 def test_decay_hand_values():
@@ -69,7 +76,7 @@ def test_decay_conflict_hand_value():
     ratios, verdicts = instant_intra_group(before, after, (1, 2))
     assert ratios[2] == pytest.approx(0.3)
     assert ratios[1] == pytest.approx(-0.4)
-    rows = decay_update(tracker, (1, 2), before, after)
+    rows = fold(tracker, (1, 2), before, after)
     assert tracker.decayed[0, 1] == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert tracker.decayed[1, 0] == pytest.approx(0.9 * 0.2 - 0.1 * 0.4)
     assert all(r[4] == CONFLICT for r in rows)
@@ -78,7 +85,7 @@ def test_decay_conflict_hand_value():
 def test_skipped_pairs_keep_previous_value():
     tracker = AffinityTracker(2, beta=0.5)
     tracker.decayed[0, 1] = 0.3
-    rows = decay_update(tracker, (1,), {1: 0.5, 2: 1e-16}, {1: 0.5, 2: 0.0})
+    rows = fold(tracker, (1,), {1: 0.5, 2: 1e-16}, {1: 0.5, 2: 0.0})
     assert tracker.decayed[0, 1] == 0.3
     assert rows[0][5] is True
 
@@ -86,7 +93,7 @@ def test_skipped_pairs_keep_previous_value():
 def test_intra_pair_with_tiny_member_loss_is_skipped_both_ways():
     tracker = AffinityTracker(3, beta=0.5)
     before, after = {1: 1e-15, 2: 0.5, 3: 0.5}, {1: 0.0, 2: 0.25, 3: 0.25}
-    rows = decay_update(tracker, (1, 2), before, after)
+    rows = fold(tracker, (1, 2), before, after)
     assert [(r[0], r[1], r[5]) for r in rows] == [(1, 2, True), (1, 3, False),
                                                   (2, 1, True), (2, 3, False)]
     assert tracker.decayed[0, 2] == tracker.decayed[1, 2] == 0.25
@@ -162,15 +169,49 @@ def test_one_pass_fold_equals_the_instant_function_composition(case):
     fast, slow = AffinityTracker(k, beta), AffinityTracker(k, beta)
     fast.decayed[:] = slow.decayed[:] = np.reshape(start, (k, k))
     for group, before, after in steps:
-        rows = decay_update(fast, group, before, after)
+        rows = fold(fast, group, before, after)
         want = reference_decay_update(slow, group, before, after)
         assert repr(rows) == repr(want)  # repr keeps every bit of a float and compares NaN equal
         assert fast.decayed.tobytes() == slow.decayed.tobytes()
 
 
+@st.composite
+def batches(draw):
+    """One batch: a random partition of tasks 1..k in a random update order,
+    the losses before its first sub-step and the losses after each."""
+    k = draw(st.integers(2, 8))
+    tasks = draw(st.permutations(range(1, k + 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1), max_size=k - 1)))
+    groups = [tuple(sorted(tasks[a:b])) for a, b in zip([0] + cuts, cuts + [k])]
+    losses = [{j: draw(LOSS) for j in range(1, k + 1)}]
+    for _ in groups:  # each sub-step's losses after are the next one's before
+        losses.append({j: losses[-1][j] if a is None else a
+                       for j, a in ((j, draw(st.one_of(AFTER, LOSS))) for j in range(1, k + 1))})
+    start = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k))
+    return k, draw(st.sampled_from([0.01, 0.3, 0.9])), start, groups, losses
+
+
+@given(batches())
+@settings(max_examples=300, deadline=None)
+def test_rows_derived_from_the_matrix_a_batch_leaves_equal_the_reference_fold(case):
+    """Each sub-step writes only its members' rows, so its log rows can be
+    derived from its ratios and the tracker matrix at the end of the batch."""
+    k, beta, start, groups, losses = case
+    fast, slow = AffinityTracker(k, beta), AffinityTracker(k, beta)
+    fast.decayed[:] = slow.decayed[:] = np.reshape(start, (k, k))
+    ratios = [decay_update(fast, g, before, after)
+              for g, before, after in zip(groups, losses, losses[1:])]
+    want = [reference_decay_update(slow, g, before, after)
+            for g, before, after in zip(groups, losses, losses[1:])]
+    end = fast.decayed.tolist()
+    got = [affinity_rows(g, r, end) for g, r in zip(groups, ratios)]
+    assert repr(got) == repr(want)  # repr keeps every bit of a float and compares NaN equal
+    assert fast.decayed.tobytes() == slow.decayed.tobytes()
+
+
 def test_a_zero_ratio_is_positive():
     tracker = AffinityTracker(2, beta=0.5)
-    rows = decay_update(tracker, (1, 2), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})
+    rows = fold(tracker, (1, 2), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})
     assert [r[4] for r in rows] == [POSITIVE, POSITIVE]
     assert tracker.decayed[0, 1] == 0.25 and tracker.decayed[1, 0] == 0.0
 

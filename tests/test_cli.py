@@ -523,6 +523,35 @@ def test_sweep_refuses_two_cells_with_one_name(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_sweep_cells_stay_inside_out_whatever_their_values(tmp_path, monkeypatch):
+    """A '/' in an axis value is percent-encoded, so a cell cannot name a
+    directory outside --out."""
+    work = tmp_path / "work"
+    (work / "a").mkdir(parents=True)
+    rows = "a,y1,y2\n" + "".join(f"{i},{i % 3},{i % 5}\n" for i in range(8))
+    (work / "d.csv").write_text(rows)
+    (tmp_path / "x.csv").write_text(rows)
+    (work / "u.cfg").write_text("benchmark.kind = csv\ncsv.inputs = a\ncsv.targets.1 = y1\n"
+                                "csv.targets.2 = y2\niters = 2\nmodel.width = 2\n"
+                                "sweep.csv.path = d.csv,a/../../x.csv\n")
+    monkeypatch.chdir(work)
+    assert main(["sweep", "--config", "u.cfg", "--out", "o"]) == 0
+    assert sorted(os.listdir(work)) == ["a", "d.csv", "o", "u.cfg"]
+    assert sorted(os.listdir(tmp_path)) == ["work", "x.csv"]
+    cells = ["csv-path-a%2F..%2F..%2Fx.csv", "csv-path-d.csv"]
+    assert sorted(d for d in os.listdir("o") if os.path.isdir(os.path.join("o", d))) == cells
+    with open(os.path.join("o", "index.csv")) as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()[2:]] == cells
+    assert all(os.path.isfile(os.path.join("o", cell, "summary.json")) for cell in cells)
+
+
+def test_cell_names_of_plain_values_are_unchanged():
+    assert cli._cell_name({"method": "SELECTIVE", "seed": "3", "eta": "1e-2",
+                           "csv.path": "data_v1.csv"}) == \
+        "csv-path-data_v1.csv_eta-1e-2_method-SELECTIVE_seed-3"
+    assert cli._cell_name({"csv.path": "~/x y,z%"}) == "csv-path-%7E%2Fx%20y%2Cz%25"
+
+
 def test_sweep_rejects_bad_cell_before_any_cell_runs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUAD_CFG + "quadratic.k = 3\nsweep.weights = 1,2\n", "sweep.cfg")
     out = tmp_path / "sweep"

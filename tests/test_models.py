@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mtopt.models import (Batch, ModelError, ParamPartition, QuadraticModel,
                           TaskSuite, build_shared_trunk, restore, snapshot)
+from mtopt.optim import Adam, PlainSGD
 from mtopt.tensor import NonFiniteValue, backward, evaluate
 
 
@@ -142,10 +143,52 @@ def test_quadratic_inputs_are_read_only_maps_of_live_rows():
     with pytest.raises(TypeError):
         model.b[1] = np.array([5.0])
     assert model.forward_all(batch)[1] == 2.0
-    np.negative(model.b[1], out=model.b[1])
+    model = QuadraticModel(model.suite, dict(model.a), dict(model.c), {1: -model.b[1], 2: model.b[2]})
     assert model.forward_all(batch)[1] == 2.0  # 0.5 * (0 + 2)^2
     model.partition.set_block("task.1.theta", np.array([-2.0]))
     assert model.forward_all(batch) == {1: 0.0, 2: 0.5}
+
+
+def test_writing_into_quadratic_data_raises():
+    model, batch = scalar_pair(a1=2.0, with_task_params=True)
+    for data in (model.a, model.c, model.b):
+        with pytest.raises(ValueError, match="read-only"):
+            data[1][0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.negative(data[2], out=data[2])
+    assert model.forward_all(batch) == {1: 2.0, 2: 0.5}
+
+
+def test_every_parameter_write_makes_the_quadratic_forward_recompute():
+    """The forward is memoized on ``partition.version``, so each mutation
+    path must bump it: a stale memo would return the losses before the write."""
+    def fresh():
+        model, _ = scalar_pair(a1=2.0, a2=-1.0, with_task_params=True)
+        return model, model.forward_all(None)
+
+    def optimizer_step(opt):
+        def step(model):
+            opt.apply(model.partition, model.backward_group((1, 2), {1: 1.0, 2: 1.0}), 0.1)
+        return step
+
+    def restore_after_a_forward(model):
+        snap = snapshot(model, ["shared.theta"])
+        model.partition.set_block("shared.theta", np.array([1.0]))
+        model.forward_all(None)  # the memo now holds this state's losses
+        restore(model, snap)
+
+    paths = {"PlainSGD.apply": optimizer_step(PlainSGD()), "Adam.apply": optimizer_step(Adam()),
+             "set_block": lambda m: m.partition.set_block("task.2.theta", np.array([0.5])),
+             "restore": restore_after_a_forward}
+    for name, write in paths.items():
+        model, before = fresh()
+        write(model)
+        s = float(model.partition.shared["shared.theta"][0])
+        t = {tid: float(model.partition.per_task[tid][f"task.{tid}.theta"][0]) for tid in (1, 2)}
+        want = {1: 0.5 * (s + t[1] - 2.0) ** 2, 2: 0.5 * (s + t[2] + 1.0) ** 2}
+        assert model.forward_all(None) == want, name
+        if name != "restore":
+            assert want != before, name
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,10 +222,15 @@ def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, se
     assert sorted(grads) == sorted(["shared.theta"] + [f"task.{t}.theta" for t in group])
 
     bad = int(rng.integers(1, k + 1))
+    b = dict(model.b)
     for t in range(bad, k + 1):  # the error names the first non-finite task
-        model.b[t][int(rng.integers(rows))] = float(rng.choice([np.inf, -np.inf, np.nan]))
+        b[t] = b[t].copy()
+        b[t][int(rng.integers(rows))] = float(rng.choice([np.inf, -np.inf, np.nan]))
+    broken = QuadraticModel(suite, dict(model.a), dict(model.c), b)
+    for name, value in model.partition.all_blocks().items():
+        broken.partition.set_block(name, value)
     with pytest.raises(NonFiniteValue, match=f"task {bad} quadratic loss"):
-        model.forward_all(None)
+        broken.forward_all(None)
 
 
 def test_snapshot_restore_round_trip_bitwise():

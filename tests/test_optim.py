@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtopt.affinity import affinity_rows
 from mtopt.analysis import descent_eta_bound, descent_substeps
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
 from mtopt.grouping import everything, make_partition, singletons
@@ -27,9 +28,10 @@ class Collector:
 
     def __call__(self, report):
         self.steps.append(report)
-        self.affinity_rows.extend((report.iteration, idx) + row
-                                  for idx, sub in enumerate(report.substeps, start=1)
-                                  for row in sub.affinity_rows)
+        if report.decayed is not None:
+            self.affinity_rows.extend((report.iteration, idx) + row
+                                      for idx, sub in enumerate(report.substeps, start=1)
+                                      for row in affinity_rows(sub.group, sub.ratios, report.decayed))
 
 
 def fresh_quadratic(seed=0, k=3, rho=None):
