@@ -8,11 +8,11 @@ hypothetical (or actual) gradient step:
 
 measured on the same batch at both states. During training each sub-step
 yields one such ratio per target, shared by every member of the updated
-group, at no extra cost. :func:`decay_update` folds a sub-step's losses into
-the tracker in one pass, taking each ratio once and each member pair's sign
-verdict inline, and returns the ratios; it builds no log rows.
-:func:`affinity_rows` derives a sub-step's log rows from those ratios and the
-tracker matrix at the end of the batch, when a run is written.
+group, at no extra cost; :func:`loss_ratios` states that expression once.
+:func:`decay_update` folds a sub-step's losses into the tracker in one pass,
+taking each ratio once and each member pair's sign verdict inline, and
+returns the rows it wrote. :func:`affinity_rows` derives a sub-step's log
+rows from its ratios and those rows when a run is written.
 :func:`instant_inter_group` and :func:`instant_intra_group` compute the same
 ratios and verdicts as dicts; they are the reference that fold is tested
 against. The oracles here redo the probe explicitly with snapshot/restore so
@@ -91,11 +91,18 @@ def instant_intra_group(before: dict[int, float], after: dict[int, float],
     return ratios, verdicts
 
 
+def loss_ratios(before: dict[int, float], after: dict[int, float], k: int) -> list[float]:
+    """The ratio of each task 1..k (task t at index t - 1) over one sub-step;
+    NaN where the loss before is below ``EPS_LOSS``."""
+    nan = float("nan")
+    return [nan if before[j] < EPS_LOSS else 1.0 - after[j] / before[j] for j in range(1, k + 1)]
+
+
 def decay_update(tracker: AffinityTracker, group, before: dict[int, float],
-                 after: dict[int, float]) -> list[float]:
+                 after: dict[int, float]) -> list[list[float]]:
     """Fold one sub-step's losses on tasks 1..k into the tracker, member by
-    member, and return the k ratios (task t at index t - 1; NaN where the loss
-    before is below ``EPS_LOSS``).
+    member, and return each member's tracker row as the fold left it, in
+    ``group`` order.
 
     Each pair (member -> other task) takes the target's ratio. Pairs toward
     outside targets and member pairs whose two ratios are both >= 0
@@ -106,9 +113,8 @@ def decay_update(tracker: AffinityTracker, group, before: dict[int, float],
     members' rows change, so the order they are folded in does not matter.
     """
     beta, decayed, isnan = tracker.beta, tracker.decayed, math.isnan
-    nan = float("nan")
-    ratios = [nan if before[j] < EPS_LOSS else 1.0 - after[j] / before[j]
-              for j in range(1, tracker.k + 1)]
+    ratios = loss_ratios(before, after, tracker.k)
+    rows = []
     for s in group:
         rs = ratios[s - 1]
         row = decayed[s - 1].tolist()  # Python floats: the same IEEE operations, less overhead
@@ -125,25 +131,23 @@ def decay_update(tracker: AffinityTracker, group, before: dict[int, float],
                 push = -max(abs(r), abs(rs))
             row[t - 1] = (1.0 - beta) * row[t - 1] + beta * push
         decayed[s - 1] = row
-    return ratios
+        rows.append(row)
+    return rows
 
 
-def affinity_rows(group, ratios: list[float], decayed) -> list[tuple]:
+def affinity_rows(group, ratios: list[float], rows: list[list[float]]) -> list[tuple]:
     """The log rows of one sub-step, in (source, target) order: (source,
     target, instant, decayed, verdict, skipped) for each member and every
     other task.
 
-    ``ratios`` is what :func:`decay_update` returned for the sub-step, and
-    ``decayed`` the tracker matrix (rows indexable by task id - 1) at the end
-    of its batch. The sub-steps of one batch update disjoint groups, and a
-    sub-step writes only its members' rows, so each member's row at the end
-    of the batch is the row its own sub-step left. The skip and verdict rule
-    is :func:`decay_update`'s; a skipped row's instant value is NaN.
+    ``ratios`` are the sub-step's :func:`loss_ratios`, and ``rows`` what
+    :func:`decay_update` returned for it. The skip and verdict rule is
+    :func:`decay_update`'s; a skipped row's instant value is NaN.
     """
-    rows: list[tuple] = []
+    out: list[tuple] = []
     nan, isnan = float("nan"), math.isnan
-    for s in sorted(group):
-        rs, row = ratios[s - 1], decayed[s - 1]
+    for s, row in sorted(zip(group, rows)):  # members are distinct: the rows are never compared
+        rs = ratios[s - 1]
         for t, r in enumerate(ratios, start=1):
             if t == s:
                 continue
@@ -151,8 +155,8 @@ def affinity_rows(group, ratios: list[float], decayed) -> list[tuple]:
             skipped = isnan(r) or (inside and isnan(rs))
             verdict = (NO_VERDICT if skipped or not inside
                        else POSITIVE if r >= 0.0 and rs >= 0.0 else CONFLICT)
-            rows.append((s, t, nan if skipped else r, row[t - 1], verdict, skipped))
-    return rows
+            out.append((s, t, nan if skipped else r, row[t - 1], verdict, skipped))
+    return out
 
 
 # -- slow oracles ----------------------------------------------------------

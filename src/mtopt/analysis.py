@@ -71,7 +71,8 @@ def delta_m_from_losses(losses: dict[int, float], baseline: dict[int, float]) ->
 def mean_group_count(log: RunLog) -> float:
     if not log.iterations:
         raise AnalysisError("run log has no partition history")
-    return log.group_count_sum / log.iterations  # exact int sum: equals np.mean bit for bit
+    total = sum(n * len(groups) for groups, n in log.grouping_counts.items())
+    return total / log.iterations  # exact int sum: equals np.mean bit for bit
 
 
 def grouping_frequency(log: RunLog) -> np.ndarray:

@@ -57,13 +57,10 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _apply_overrides(raw: dict[str, str], args) -> dict[str, str]:
+    """``raw`` with the ``--seed`` override of run and sweep applied."""
     out = dict(raw)
     if args.seed is not None:
         out["seed"] = str(args.seed)
-    if getattr(args, "method", None):
-        out["method"] = args.method
-    if getattr(args, "order", None):
-        out["order"] = args.order
     return out
 
 
@@ -71,9 +68,7 @@ def cmd_run(args) -> int:
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
     try:
-        raw = read_kv_file(args.config)
-        raw = _apply_overrides(raw, args)
-        cfg = validate_config(raw)
+        cfg = validate_config(_apply_overrides(read_kv_file(args.config), args))
     except (OSError, ConfigError) as e:
         return _fail(str(e), EXIT_USAGE)
     try:
@@ -140,10 +135,9 @@ def cmd_sweep(args) -> int:
                 raise ConfigError("sweep needs --config or --preset")
             raw = read_kv_file(args.config)
             base, cells = _expand_grid(raw)
-        if args.seed is not None:
-            if any("seed" in cell for cell in cells):
-                raise ConfigError("--seed would be ignored: every sweep cell sets its own seed")
-            base["seed"] = str(args.seed)
+        if args.seed is not None and any("seed" in cell for cell in cells):
+            raise ConfigError("--seed would be ignored: every sweep cell sets its own seed")
+        base = _apply_overrides(base, args)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         names = set()
@@ -286,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--config", required=True, help="key=value config file")
     pr.add_argument("--out", required=True, help="run directory to write")
     pr.add_argument("--seed", type=int, help="override config seed (>= 0)")
-    pr.add_argument("--method", help="override config method")
-    pr.add_argument("--order", help="override group update order")
     pr.set_defaults(fn=cmd_run)
 
     ps = sub.add_parser("sweep", help="expand a grid and run every cell")

@@ -88,10 +88,7 @@ class ParamPartition:
                 self._index[name] = value
 
     def all_blocks(self) -> dict[str, np.ndarray]:
-        out = dict(self.shared)
-        for blocks in self.per_task.values():
-            out.update(blocks)
-        return out
+        return dict(self._index)
 
     def block(self, name: str) -> np.ndarray:
         try:

@@ -14,9 +14,9 @@ nor tracks affinity. :func:`train` also shuffles the update order, and
 Training keeps no per-iteration record: :func:`train` hands each finished
 iteration's report to a sink and keeps only the run's totals in its
 :class:`RunLog`, so memory stays flat in run length. The loop builds no log
-rows: each sub-step's record keeps the ratios the tracker folded, and the
-report keeps the tracker matrix at the end of the batch, from which
-:func:`affinity.affinity_rows` derives the rows when a run is written.
+rows: each sub-step's record keeps the tracker rows its fold wrote, from
+which, with the sub-step's losses, :func:`affinity.affinity_rows` derives the
+log rows when a run is written.
 """
 
 from __future__ import annotations
@@ -155,39 +155,28 @@ OPTIMIZERS = {PlainSGD.kind: PlainSGD, Adam.kind: Adam}
 
 @dataclass
 class SubstepRecord:
+    """One group's sub-step. ``losses_after`` is None for JOINT, which skips
+    the trailing forward; ``rows`` holds the members' tracker rows as
+    :func:`decay_update` left them, in ``group`` order, or None untracked."""
+
     group: tuple[int, ...]
     losses_after: dict[int, float] | None
     grad_norm_shared: float
     grad_norm_task: dict[int, float]
-    ratios: list[float] | None  # what decay_update returned; None when untracked
+    rows: list[list[float]] | None
 
 
 @dataclass
 class StepReport:
-    """One batch. ``decayed`` is a copy of the tracker matrix, as row lists,
-    when the batch ends (None when untracked); with each sub-step's
-    ``ratios`` it gives that sub-step's rows through ``affinity_rows``."""
+    """One batch: the losses before its first sub-step, then each sub-step."""
 
     iteration: int
-    method: str
     partition: GroupPartition
     initial_losses: dict[int, float]
     substeps: list[SubstepRecord]
     forwards: int
     backwards: int
     opt_steps: int
-    decayed: list[list[float]] | None = None
-
-    def check_counts(self):
-        m = self.partition.m
-        if self.method == METHOD_JOINT:
-            want = (1, 1, 1)
-        else:
-            want = (m + 1, m, m)
-        got = (self.forwards, self.backwards, self.opt_steps)
-        if got != want:
-            raise TrainError(f"count contract broken at iteration {self.iteration}: "
-                             f"got forwards/backwards/steps {got}, want {want}")
 
 
 Sink = Callable[[StepReport], None]
@@ -199,9 +188,9 @@ class RunLog:
 
     The per-iteration reports go to the sink given to :func:`train`; the
     log keeps the counts summaries need, the number of iterations each
-    distinct grouping ran (``analysis.grouping_frequency`` builds the pair
-    counts from them), and the last report, which :meth:`NumericAbort.after`
-    names.
+    distinct grouping ran (``analysis`` derives the mean group count and the
+    pair counts from them), and the last report, which
+    :meth:`NumericAbort.after` names.
     """
 
     method: str
@@ -211,7 +200,6 @@ class RunLog:
     forwards: int = 0
     backwards: int = 0
     opt_steps: int = 0
-    group_count_sum: int = 0
     grouping_counts: dict[tuple[tuple[int, ...], ...], int] = field(default_factory=dict)
     last: StepReport | None = None
     final_losses: dict[int, float] = field(default_factory=dict)
@@ -222,7 +210,6 @@ class RunLog:
         self.forwards += report.forwards
         self.backwards += report.backwards
         self.opt_steps += report.opt_steps
-        self.group_count_sum += report.partition.m
         groups = report.partition.groups
         self.grouping_counts[groups] = self.grouping_counts.get(groups, 0) + 1
         self.last = report
@@ -246,9 +233,10 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                          optimizer, tracker: AffinityTracker | None, iteration: int) -> StepReport:
     """One batch of per-group sequential sub-steps, in ``partition``'s order.
 
-    Each sub-step's record carries the ratios the tracker folded, or None
-    when untracked, and the report carries the tracker matrix as the batch
-    left it. JOINT skips the trailing forward, so it takes no tracker."""
+    Each sub-step's record carries the tracker rows its fold wrote, or None
+    when untracked. JOINT skips the trailing forward, so it takes no tracker.
+    The counts must keep the contract: M + 1 forwards and M backwards and
+    optimizer steps for M groups, or one of each for JOINT."""
     weights = config.weights or model.suite.weights()
     joint = config.method == METHOD_JOINT
     idx, group = 0, None
@@ -267,16 +255,17 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
                 after = model.forward_all(batch)
                 forwards += 1
             norm_shared, norm_task = _grad_norms(model.partition, group, grads)
-            ratios = None if tracker is None else decay_update(tracker, group, current, after)
-            substeps.append(SubstepRecord(group, after, norm_shared, norm_task, ratios))
+            rows = None if tracker is None else decay_update(tracker, group, current, after)
+            substeps.append(SubstepRecord(group, after, norm_shared, norm_task, rows))
             current = after
     except NonFiniteValue as e:
         raise NumericAbort(iteration, idx, group, str(e)) from e
-    report = StepReport(iteration, config.method, partition, losses0, substeps,
-                        forwards, backwards, opt_steps,
-                        None if tracker is None else tracker.decayed.tolist())
-    report.check_counts()
-    return report
+    got, m = (forwards, backwards, opt_steps), partition.m
+    want = (1, 1, 1) if joint else (m + 1, m, m)
+    if got != want:
+        raise TrainError(f"count contract broken at iteration {iteration}: "
+                         f"got forwards/backwards/steps {got}, want {want}")
+    return StepReport(iteration, partition, losses0, substeps, forwards, backwards, opt_steps)
 
 
 def joint_step(model, batch: Batch, config: TrainConfig, optimizer, iteration: int) -> StepReport:

@@ -16,7 +16,7 @@ import json
 import os
 from typing import TextIO
 
-from .affinity import affinity_rows
+from .affinity import affinity_rows, loss_ratios
 from .analysis import summarize_run
 from .experiments import RunResult
 from .grouping import serialize_partition
@@ -55,15 +55,18 @@ def _steps_lines(report) -> list[str]:
 
 
 def _affinity_lines(report) -> list[str]:
-    """Each sub-step's affinity rows, derived from its ratios and the tracker
-    matrix the batch left, led by the iteration and the sub-step index. Each
-    ratio is formatted once per sub-step, not once per row."""
-    if report.decayed is None:
-        return []
-    lines = []
+    """Each sub-step's affinity rows, led by the iteration and the sub-step
+    index. Its ratios come from the losses before it and its own losses
+    after, its decayed values from the tracker rows it wrote. Each ratio is
+    formatted once per sub-step, not once per row. An untracked run has none."""
+    lines, before = [], report.initial_losses
     for idx, sub in enumerate(report.substeps, start=1):
-        head, texts = f"{report.iteration},{idx}", [fmt(r) for r in sub.ratios]
-        for src, tgt, _, dec, verdict, skipped in affinity_rows(sub.group, sub.ratios, report.decayed):
+        if sub.rows is None:
+            break
+        ratios = loss_ratios(before, sub.losses_after, len(before))
+        before = sub.losses_after
+        head, texts = f"{report.iteration},{idx}", [fmt(r) for r in ratios]
+        for src, tgt, _, dec, verdict, skipped in affinity_rows(sub.group, ratios, sub.rows):
             inst = "nan" if skipped else texts[tgt - 1]
             lines.append(f"{head},{src},{tgt},{inst},{fmt(dec)},{verdict},{1 if skipped else 0}")
     return lines

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from mtopt.affinity import (CONFLICT, EPS_LOSS, NO_VERDICT, POSITIVE, AffinityError,
                             AffinityTracker, affinity_rows, decay_update, group_shared_affinity,
                             group_update_affinity, instant_inter_group,
-                            instant_intra_group, inter_task_affinity,
+                            instant_intra_group, inter_task_affinity, loss_ratios,
                             two_step_affinity)
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, property_instance
 from tests.test_models import scalar_pair
 
 
 def fold(tracker, group, before, after):
-    """One sub-step as a batch of its own: ``decay_update``, then the rows
-    derived from its ratios and the matrix it left."""
-    return affinity_rows(group, decay_update(tracker, group, before, after),
-                         tracker.decayed.tolist())
+    """One sub-step: ``decay_update``, then the log rows derived from its
+    ratios and the tracker rows it wrote."""
+    return affinity_rows(group, loss_ratios(before, after, tracker.k),
+                         decay_update(tracker, group, before, after))
 
 
 def test_inter_group_hand_value():
@@ -173,40 +173,6 @@ def test_one_pass_fold_equals_the_instant_function_composition(case):
         want = reference_decay_update(slow, group, before, after)
         assert repr(rows) == repr(want)  # repr keeps every bit of a float and compares NaN equal
         assert fast.decayed.tobytes() == slow.decayed.tobytes()
-
-
-@st.composite
-def batches(draw):
-    """One batch: a random partition of tasks 1..k in a random update order,
-    the losses before its first sub-step and the losses after each."""
-    k = draw(st.integers(2, 8))
-    tasks = draw(st.permutations(range(1, k + 1)))
-    cuts = sorted(draw(st.sets(st.integers(1, k - 1), max_size=k - 1)))
-    groups = [tuple(sorted(tasks[a:b])) for a, b in zip([0] + cuts, cuts + [k])]
-    losses = [{j: draw(LOSS) for j in range(1, k + 1)}]
-    for _ in groups:  # each sub-step's losses after are the next one's before
-        losses.append({j: losses[-1][j] if a is None else a
-                       for j, a in ((j, draw(st.one_of(AFTER, LOSS))) for j in range(1, k + 1))})
-    start = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k))
-    return k, draw(st.sampled_from([0.01, 0.3, 0.9])), start, groups, losses
-
-
-@given(batches())
-@settings(max_examples=300, deadline=None)
-def test_rows_derived_from_the_matrix_a_batch_leaves_equal_the_reference_fold(case):
-    """Each sub-step writes only its members' rows, so its log rows can be
-    derived from its ratios and the tracker matrix at the end of the batch."""
-    k, beta, start, groups, losses = case
-    fast, slow = AffinityTracker(k, beta), AffinityTracker(k, beta)
-    fast.decayed[:] = slow.decayed[:] = np.reshape(start, (k, k))
-    ratios = [decay_update(fast, g, before, after)
-              for g, before, after in zip(groups, losses, losses[1:])]
-    want = [reference_decay_update(slow, g, before, after)
-            for g, before, after in zip(groups, losses, losses[1:])]
-    end = fast.decayed.tolist()
-    got = [affinity_rows(g, r, end) for g, r in zip(groups, ratios)]
-    assert repr(got) == repr(want)  # repr keeps every bit of a float and compares NaN equal
-    assert fast.decayed.tobytes() == slow.decayed.tobytes()
 
 
 def test_a_zero_ratio_is_positive():

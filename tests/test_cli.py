@@ -9,9 +9,11 @@ from concurrent.futures import Future
 import pytest
 
 import mtopt
-from mtopt import cli
+from mtopt import cli, experiments
 from mtopt.cli import main
 from mtopt.config import parse_kv_text, validate_config
+from mtopt.models import Batch
+from mtopt.optim import NumericAbort
 from mtopt.experiments import run_experiment
 from mtopt.runio import read_summary
 from tests.test_optim import Collector
@@ -85,11 +87,10 @@ def test_rerun_reproduces_csv_bytes(tmp_path):
         assert read(os.path.join(a, name)) == read(os.path.join(b, name)), name
 
 
-def test_seed_and_method_overrides_reach_config_echo(tmp_path):
-    cfg = write_cfg(tmp_path, TRIAD_CFG)
+def test_seed_override_and_config_method_reach_config_echo(tmp_path):
+    cfg = write_cfg(tmp_path, TRIAD_CFG.replace("method = SELECTIVE", "method = JOINT"))
     out = str(tmp_path / "o")
-    assert main(["run", "--config", cfg, "--out", out, "--seed", "7",
-                 "--method", "JOINT"]) == 0
+    assert main(["run", "--config", cfg, "--out", out, "--seed", "7"]) == 0
     echo = json.load(open(os.path.join(out, "config.json")))
     assert echo["config"]["seed"] == "7"
     assert echo["config"]["method"] == "JOINT"
@@ -629,6 +630,26 @@ def test_sweep_records_missing_csv_as_cell_error(tmp_path, capsys):
         lines = fh.read().splitlines()
     assert len(lines) == 2 + 2
     assert all(",error:" in line for line in lines[2:])
+
+
+def test_sweep_records_a_numeric_failure_and_exits_3(tmp_path, capsys):
+    text = TRIAD_CFG.replace("method = SELECTIVE", "method = JOINT") + "sweep.eta = 0.05,1e300\n"
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, text, "sweep.cfg"), "--out", str(out)]) == 3
+    with open(out / "index.csv") as fh:
+        assert fh.read().splitlines()[2:] == ["eta-0.05,eta-0.05,ok", "eta-1e300,eta-1e300,numeric:2"]
+    assert "mtopt: cell eta-1e300: numeric:2" in capsys.readouterr().err
+
+
+def test_non_finite_eval_forward_names_the_last_substep():
+    """Training ends finite, and the eval batch's targets overflow the loss."""
+    cfg = validate_config(parse_kv_text(TRIAD_CFG.replace("method = SELECTIVE", "method = JOINT")
+                                        .replace("iters = 25", "iters = 2")))
+    make_model, batches, evb = experiments._setup(cfg)
+    huge = Batch(evb.inputs, {tid: 1e200 * y for tid, y in evb.targets.items()}, evb.sample_id)
+    with pytest.raises(NumericAbort) as info:
+        experiments._train(cfg, (make_model, batches, huge), "JOINT", None, None)
+    assert str(info.value).startswith("iteration 2, substep 1, group 1 2 3: eval forward on batch")
 
 
 def test_sweep_index_quotes_a_status_with_commas(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,3 +41,21 @@ def test_parse_then_validate_returns_a_config_or_raises_config_error(pairs, junk
         tasks = [t for group in cfg.fixed_partition.groups for t in group]
         assert len(tasks) == len(set(tasks)), tasks
     assert all(cfg.csv_targets.values()), cfg.csv_targets
+
+
+CSV = "benchmark.kind = csv\ncsv.path = data.csv\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("method = FIXED\n", "field 'fixed.partition': required for method FIXED"),
+    ("method = RANDOM\n", "field 'random.groups': required for method RANDOM"),
+    ("benchmark.kind = csv\n", "field 'csv.path': required for csv benchmarks"),
+    (CSV, "field 'csv.inputs': required for csv benchmarks"),
+    (CSV + "csv.inputs = x\n", "field 'csv.targets.<task>': at least one task required"),
+    (CSV + "csv.inputs = x\ncsv.targets.2 = y\n",
+     "field 'csv.targets': task ids must be contiguous from 1, got [2]"),
+], ids=["fixed", "random", "csv-path", "csv-inputs", "csv-targets", "csv-target-ids"])
+def test_a_missing_required_key_is_named(text, message):
+    with pytest.raises(ConfigError) as info:
+        validate_config(parse_kv_text(text))
+    assert str(info.value) == message

@@ -191,6 +191,17 @@ def test_every_parameter_write_makes_the_quadratic_forward_recompute():
             assert want != before, name
 
 
+def test_quadratic_backward_needs_a_fresh_forward():
+    model, _ = scalar_pair(with_task_params=True)
+    weights = {1: 1.0, 2: 1.0}
+    with pytest.raises(ModelError, match="without a fresh forward"):
+        model.backward_group((1,), weights)  # no forward yet
+    model.forward_all(None)
+    model.partition.set_block("task.1.theta", np.array([0.5]))
+    with pytest.raises(ModelError, match="without a fresh forward"):
+        model.backward_group((1,), weights)  # the forward is of the state before the write
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 5), st.integers(0, 4),
        st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtopt.affinity import affinity_rows
+from mtopt.affinity import affinity_rows, loss_ratios
 from mtopt.analysis import descent_eta_bound, descent_substeps
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
 from mtopt.grouping import everything, make_partition, singletons
@@ -28,10 +28,14 @@ class Collector:
 
     def __call__(self, report):
         self.steps.append(report)
-        if report.decayed is not None:
+        before = report.initial_losses
+        for idx, sub in enumerate(report.substeps, start=1):
+            if sub.rows is None:
+                break
+            ratios = loss_ratios(before, sub.losses_after, len(before))
+            before = sub.losses_after
             self.affinity_rows.extend((report.iteration, idx) + row
-                                      for idx, sub in enumerate(report.substeps, start=1)
-                                      for row in affinity_rows(sub.group, sub.ratios, report.decayed))
+                                      for row in affinity_rows(sub.group, ratios, sub.rows))
 
 
 def fresh_quadratic(seed=0, k=3, rho=None):
@@ -150,6 +154,24 @@ def test_train_rejects_t_zero_and_runs_t_one():
     sink = Collector()
     log = train(model, quad_batches(1), TrainConfig(method=METHOD_JOINT, eta=1e-3, iters=1), sink)
     assert log.iterations == len(sink.steps) == 1
+
+
+def test_non_finite_final_forward_names_the_last_substep():
+    """JOINT has no trailing forward, so the forward after the last batch is
+    the first to see the step that overflowed."""
+    model, _ = fresh_quadratic(k=2)
+    with pytest.raises(NumericAbort) as info:
+        train(model, quad_batches(1), TrainConfig(method=METHOD_JOINT, eta=1e300, iters=1))
+    assert str(info.value) == "iteration 1, substep 1, group 1 2: task 1 quadratic loss is non-finite"
+    assert (info.value.iteration, info.value.substep) == (1, 1)
+
+
+def test_batch_stream_ending_early_is_a_train_error():
+    model, _ = fresh_quadratic()
+    sink = Collector()
+    with pytest.raises(TrainError, match="batch stream ended at iteration 3 of 5"):
+        train(model, quad_batches(2), TrainConfig(method=METHOD_SELECTIVE, iters=5), sink)
+    assert len(sink.steps) == 2
 
 
 @pytest.mark.parametrize("field, value", [("repartition_stride", 0), ("grouping_rule", "pairs"),

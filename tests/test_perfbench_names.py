@@ -87,8 +87,9 @@ def test_tracer_installs_and_training_never_reaches_the_tape(monkeypatch):
     assert "tensor.evaluate" not in names and "tensor.backward" not in names
     # the per-layer affinity, grouping and optimizer metrics read these spans
     assert {"affinity.update", "grouping.partition", "optim.apply"} <= names
-    # one affinity.update span per sub-step; decay_update returns ratios, not
-    # rows, so the row count the tracer takes from it (affinity.rows_per_iter) is 0
+    # one affinity.update span per sub-step; decay_update returns tracker rows
+    # as lists, not log-row tuples, so the row count the tracer takes from it
+    # (affinity.rows_per_iter) is 0
     updates = [span for span in t.spans if span[0] == "affinity.update"]
     assert len(updates) == sum(len(report.substeps) for report in reports.steps)
     assert sum(span[4] for span in updates) == 0
