@@ -30,19 +30,8 @@ def _unit_spectral(m: np.ndarray) -> np.ndarray:
 
 
 def _aligned_targets(k: int, rows: int, rho: float, rng: np.random.Generator) -> list[np.ndarray]:
-    """Unit target vectors with every pairwise cosine exactly rho.
-
-    Feasible iff rho >= -1/(k-1) (the equi-correlation Gram matrix must be
-    PSD) and the ambient dimension has room for k directions.
-    """
-    if not -1.0 <= rho <= 1.0:
-        raise BenchmarkError(f"alignment must be in [-1,1], got {rho}")
-    if k > 2 and rho < -1.0 / (k - 1) - 1e-12:
-        raise BenchmarkError(
-            f"pairwise alignment {rho} is infeasible for {k} tasks: "
-            f"the equi-correlation matrix is not PSD below -1/(k-1) = {-1.0 / (k - 1):.4f}")
-    if rows < k:
-        raise BenchmarkError(f"need at least {k} target rows for {k} aligned tasks, got {rows}")
+    """Unit target vectors with every pairwise cosine exactly rho, for a
+    (k, rows, rho) that :class:`QuadraticSpec` has found feasible."""
     gram = (1.0 - rho) * np.eye(k) + rho * np.ones((k, k))
     evals, evecs = np.linalg.eigh(gram)
     factor = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None)))
@@ -64,6 +53,20 @@ class QuadraticSpec:
             raise BenchmarkError("need at least 2 tasks")
         if min(self.shared_dim, self.rows) < 1 or self.task_dim < 0:
             raise BenchmarkError("dimensions must be positive (task_dim may be 0)")
+        if self.rho is None:
+            return
+        # k unit targets with pairwise cosine rho exist iff the equi-correlation
+        # Gram matrix is PSD (rho >= -1/(k-1)) and there are at least k rows
+        k, rho = self.k, self.rho
+        if not -1.0 <= rho <= 1.0:
+            raise BenchmarkError(f"alignment must be in [-1,1], got {rho}")
+        if k > 2 and rho < -1.0 / (k - 1) - 1e-12:
+            raise BenchmarkError(
+                f"pairwise alignment {rho} is infeasible for {k} tasks: "
+                f"the equi-correlation matrix is not PSD below -1/(k-1) = {-1.0 / (k - 1):.4f}")
+        if self.rows < k:
+            raise BenchmarkError(f"need at least {k} target rows for {k} aligned tasks, "
+                                 f"got {self.rows}")
 
 
 def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:

@@ -1,5 +1,8 @@
 """Experiment runner: run / sweep / verify / report.
 
+``run`` and every sweep cell train through one function, and a sweep checks
+every cell's config before any cell runs.
+
 Exit codes: 0 success, 1 property violation (verify), 2 usage or validation
 error, 3 numeric failure during training.
 """
@@ -14,8 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from urllib.parse import quote
 
 from .analysis import SUITES, AnalysisError, delta_m_from_losses, run_property_suite
-from .config import ConfigError, echo_dict, parse_kv_text, read_kv_file, validate_config
-from .experiments import run_experiment
+from .config import (ConfigError, ExperimentConfig, echo_dict, parse_kv_text, read_kv_file,
+                     validate_config)
+from .experiments import RunResult, run_experiment
 from .optim import NumericAbort
 from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunDirError, RunWriter, fmt, read_group_series,
                     read_summary, write_csv, write_json, write_run)
@@ -56,28 +60,25 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _apply_overrides(raw: dict[str, str], args) -> dict[str, str]:
-    """``raw`` with the ``--seed`` override of run and sweep applied."""
-    out = dict(raw)
-    if args.seed is not None:
-        out["seed"] = str(args.seed)
-    return out
+def _train_into(cfg: ExperimentConfig, outdir: str) -> tuple[RunResult, dict[str, str]]:
+    """Train a checked config into run directory ``outdir``; returns (result, file paths)."""
+    with RunWriter(outdir) as writer:
+        result = run_experiment(cfg, writer.sink)
+        return result, write_run(writer, result, echo_dict(cfg))
 
 
 def cmd_run(args) -> int:
     if os.path.exists(args.out) and not os.path.isdir(args.out):
         return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
     try:
-        cfg = validate_config(_apply_overrides(read_kv_file(args.config), args))
-    except (OSError, ConfigError) as e:
-        return _fail(str(e), EXIT_USAGE)
-    try:
-        with RunWriter(args.out) as writer:
-            result = run_experiment(cfg, writer.sink)
-            paths = write_run(writer, result, echo_dict(cfg))
+        raw = read_kv_file(args.config)
+        if args.seed is not None:
+            raw["seed"] = str(args.seed)
+        cfg = validate_config(raw)
+        result, paths = _train_into(cfg, args.out)
     except NumericAbort as e:
         return _fail(f"numeric failure: {e}", EXIT_NUMERIC)
-    except (OSError, ConfigError) as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e), EXIT_USAGE)
     if cfg.verbosity:
         losses = " ".join(f"{t}={fmt(v)}" for t, v in sorted(result.eval_losses.items()))
@@ -93,15 +94,10 @@ def _cell_name(overrides: dict[str, str]) -> str:
                     for k, v in sorted(overrides.items()))
 
 
-def _run_cell(base_raw: dict, overrides: dict, outdir: str) -> tuple[str, str]:
-    """Worker for one sweep cell; returns (cell name, status)."""
-    name = _cell_name(overrides)
-    raw = dict(base_raw)
-    raw.update(overrides)
+def _run_cell(name: str, cfg: ExperimentConfig, outdir: str) -> tuple[str, str]:
+    """Worker for one checked sweep cell; returns (cell name, status)."""
     try:
-        cfg = validate_config(raw)
-        with RunWriter(os.path.join(outdir, name)) as writer:
-            write_run(writer, run_experiment(cfg, writer.sink), echo_dict(cfg))
+        _train_into(cfg, os.path.join(outdir, name))
         return name, "ok"
     except NumericAbort as e:
         return name, f"numeric:{e.iteration}"
@@ -125,6 +121,8 @@ def cmd_sweep(args) -> int:
         return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
     try:
         if args.preset:
+            if args.config:
+                raise ConfigError("sweep takes --config or --preset, not both")
             if args.preset != "triad-ablation":
                 raise ConfigError(f"unknown preset '{args.preset}'")
             base = parse_kv_text(TRIAD_ABLATION_BASE)
@@ -133,41 +131,36 @@ def cmd_sweep(args) -> int:
         else:
             if not args.config:
                 raise ConfigError("sweep needs --config or --preset")
-            raw = read_kv_file(args.config)
-            base, cells = _expand_grid(raw)
-        if args.seed is not None and any("seed" in cell for cell in cells):
-            raise ConfigError("--seed would be ignored: every sweep cell sets its own seed")
-        base = _apply_overrides(base, args)
+            base, cells = _expand_grid(read_kv_file(args.config))
+        if args.seed is not None:
+            if any("seed" in cell for cell in cells):
+                raise ConfigError("--seed would be ignored: every sweep cell sets its own seed")
+            base["seed"] = str(args.seed)
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        names = set()
-        for cell in cells:  # validate every cell before any compute
+        configs = {}
+        for cell in cells:  # check every cell before any compute
             name = _cell_name(cell)
-            if name in names:
+            if name in configs:
                 raise ConfigError(f"sweep cell '{name}' appears twice")
-            names.add(name)
-            merged = dict(base)
-            merged.update(cell)
-            validate_config(merged)
+            configs[name] = validate_config({**base, **cell})
         os.makedirs(args.out, exist_ok=True)
     except (OSError, ConfigError) as e:
         return _fail(str(e), EXIT_USAGE)
 
-    pending, done = [], []
-    for cell in cells:
-        name = _cell_name(cell)
+    results, pending = [], []
+    for name, cfg in configs.items():
         if args.resume and os.path.exists(os.path.join(args.out, name, "summary.json")):
-            done.append((name, "kept"))
+            results.append((name, "kept"))
         else:
-            pending.append(cell)
-    results = list(done)
+            pending.append((name, cfg, args.out))
     workers = min(args.workers, len(pending))  # the pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, base, cell, args.out) for cell in pending]
+            futures = [pool.submit(_run_cell, *cell) for cell in pending]
             results.extend(f.result() for f in futures)
     else:
-        results.extend(_run_cell(base, cell, args.out) for cell in pending)
+        results.extend(_run_cell(*cell) for cell in pending)
 
     results.sort()
     try:
@@ -237,10 +230,7 @@ def cmd_report(args) -> int:
             dm = delta_m_from_losses(s["eval_losses"], base["eval_losses"])
         except AnalysisError as e:
             return _fail(f"{d} against baseline {args.baseline}: {e}", EXIT_USAGE)
-        mean_m = None
-        runs = s.get("runs", {})
-        if "main" in runs:
-            mean_m = runs["main"].get("mean_group_count")
+        mean_m = s.get("runs", {}).get("main", {}).get("mean_group_count")
         rows.append((d, s["method"], s["seed"], dm, mean_m))
 
     print(f"baseline: {args.baseline} ({base['method']})")

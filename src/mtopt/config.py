@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .benchmarks import QuadraticSpec, RegressionSuiteSpec
+from .benchmarks import BenchmarkError, QuadraticSpec, RegressionSuiteSpec
 from .grouping import GROUPING_RULES, ORDERS, GroupPartition, parse_groups
 from .models import ACTIVATIONS
 from .optim import METHOD_FIXED, METHOD_RANDOM, METHODS, OPTIMIZERS, TrainConfig
@@ -256,11 +256,17 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("field 'csv.path': required for csv benchmarks")
         if not cfg.csv_inputs:
             raise ConfigError("field 'csv.inputs': required for csv benchmarks")
-        if not cfg.csv_targets:
-            raise ConfigError("field 'csv.targets.<task>': at least one task required")
         ids = sorted(cfg.csv_targets)
         if ids != list(range(1, len(ids) + 1)):
             raise ConfigError(f"field 'csv.targets': task ids must be contiguous from 1, got {ids}")
+        if len(ids) < 2:
+            raise ConfigError(f"field 'csv.targets.<task>': at least 2 tasks required, "
+                              f"got {len(ids)}")
+    else:
+        try:
+            generator_spec(cfg)
+        except BenchmarkError as e:
+            raise ConfigError(f"{cfg.benchmark_kind} benchmark: {e}") from None
 
     k = task_count(cfg)
     if cfg.weights is not None and len(cfg.weights) != k:

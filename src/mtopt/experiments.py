@@ -35,7 +35,7 @@ def _setup(cfg: ExperimentConfig):
     """(model factory, batch-stream factory, eval batch); the data-free
     quadratic benchmark has no eval batch and trains one model."""
     if cfg.benchmark_kind == "quadratic":
-        try:
+        try:  # the spec is checked; a draw can still fail, e.g. on a degenerate target
             model = gen_quadratic_suite(generator_spec(cfg))[0]
         except BenchmarkError as e:
             raise ConfigError(f"quadratic benchmark: {e}") from None
@@ -85,8 +85,7 @@ def _train(cfg: ExperimentConfig, setup, method: str, weights, sink: Sink | None
     return log
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   sinks: Callable[[str], Sink] | None = None) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, sinks: Callable[[str], Sink]) -> RunResult:
     """Set up and train every run of ``cfg``, one log per label.
 
     ``sinks(label)`` gives the sink of the run with that label; it is called
@@ -96,7 +95,7 @@ def run_experiment(cfg: ExperimentConfig,
     k = task_count(cfg)
 
     def run(label, method, weights):
-        return _train(cfg, setup, method, weights, sinks and sinks(label))
+        return _train(cfg, setup, method, weights, sinks(label))
 
     if cfg.method != METHOD_SINGLE:
         log = run("main", cfg.method, cfg.weights)

@@ -135,8 +135,7 @@ class Adam:
 
     def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
         partition.version += 1
-        for name in sorted(grads):
-            g = grads[name]
+        for name, g in grads.items():
             p = partition.writable(name, g.shape)
             if name not in self.moments:
                 self.moments[name] = (np.zeros_like(g), np.zeros_like(g), 0)

@@ -622,6 +622,26 @@ def test_non_utf8_config_is_usage_error(tmp_path, capsys, cmd, axes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd, axes", [("run", ""), ("sweep", "sweep.seed = 1,2\n")])
+def test_csv_with_one_target_task_is_refused_before_any_compute(tmp_path, monkeypatch, capsys,
+                                                                cmd, axes):
+    cells = stub_cells(monkeypatch)
+    text = csv_cfg(tmp_path, "x,y1\n1,2\n3,4\n").replace("csv.targets.2 = y2\n", axes)
+    out = tmp_path / "x"
+    err = cli_error(capsys, [cmd, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    assert "csv.targets" in err and "at least 2 tasks" in err
+    assert cells == [] and not out.exists()
+
+
+def test_sweep_refuses_an_infeasible_alignment_cell_before_any_cell_runs(tmp_path, capsys):
+    text = QUAD_CFG + "quadratic.k = 3\nsweep.quadratic.rho = 0.5,-1\n"
+    out = tmp_path / "sweep"
+    err = cli_error(capsys, ["sweep", "--config", write_cfg(tmp_path, text, "sweep.cfg"),
+                             "--out", str(out)])
+    assert err.startswith("mtopt: quadratic benchmark: ") and "infeasible" in err
+    assert not out.exists()
+
+
 def test_sweep_records_missing_csv_as_cell_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, csv_cfg(tmp_path, None) + "sweep.seed = 1,2\n", "sweep.cfg")
     out = tmp_path / "sweep"
@@ -672,12 +692,13 @@ def test_sweep_index_does_not_depend_on_the_out_path(tmp_path):
 
 
 def stub_cells(monkeypatch):
-    """Replace the cell worker so a sweep trains nothing; return the cells it got."""
+    """Replace the cell worker so a sweep trains nothing; return the raw config of
+    each cell it got."""
     cells = []
 
-    def run_cell(base, cell, outdir):
-        cells.append(dict(base, **cell))
-        return cli._cell_name(cell), "ok"
+    def run_cell(name, cfg, outdir):
+        cells.append(cfg.raw)
+        return name, "ok"
 
     monkeypatch.setattr(cli, "_run_cell", run_cell)
     return cells
@@ -690,6 +711,17 @@ def test_triad_ablation_preset_expands_to_thirty_valid_cells(tmp_path, monkeypat
     assert sorted({c["seed"] for c in cells}) == ["0", "1", "2", "3", "4"]
     for cell in cells:
         validate_config(cell)
+
+
+def test_sweep_refuses_a_preset_with_a_config_before_any_cell_runs(tmp_path, monkeypatch,
+                                                                   capsys):
+    cells = stub_cells(monkeypatch)
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,2\n", "sweep.cfg")
+    out = tmp_path / "s"
+    err = cli_error(capsys, ["sweep", "--preset", "triad-ablation", "--config", cfg,
+                             "--out", str(out)])
+    assert "--config" in err and "--preset" in err
+    assert cells == [] and not out.exists()
 
 
 def test_sweep_seed_is_refused_where_every_cell_sets_a_seed(tmp_path, monkeypatch, capsys):

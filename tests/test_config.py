@@ -51,10 +51,13 @@ CSV = "benchmark.kind = csv\ncsv.path = data.csv\n"
     ("method = RANDOM\n", "field 'random.groups': required for method RANDOM"),
     ("benchmark.kind = csv\n", "field 'csv.path': required for csv benchmarks"),
     (CSV, "field 'csv.inputs': required for csv benchmarks"),
-    (CSV + "csv.inputs = x\n", "field 'csv.targets.<task>': at least one task required"),
+    (CSV + "csv.inputs = x\n", "field 'csv.targets.<task>': at least 2 tasks required, got 0"),
+    (CSV + "csv.inputs = x\ncsv.targets.1 = y\n",
+     "field 'csv.targets.<task>': at least 2 tasks required, got 1"),
     (CSV + "csv.inputs = x\ncsv.targets.2 = y\n",
      "field 'csv.targets': task ids must be contiguous from 1, got [2]"),
-], ids=["fixed", "random", "csv-path", "csv-inputs", "csv-targets", "csv-target-ids"])
+], ids=["fixed", "random", "csv-path", "csv-inputs", "csv-targets", "csv-one-target",
+        "csv-target-ids"])
 def test_a_missing_required_key_is_named(text, message):
     with pytest.raises(ConfigError) as info:
         validate_config(parse_kv_text(text))

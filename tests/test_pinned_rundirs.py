@@ -10,15 +10,23 @@ moves one byte of a run directory fails here. The JSON report and stdout of
 the JSON reports of two runs whose tightened margins make suites fail, which
 pin the violation counts and residuals of T3, T4 and T5. Re-pin only for an
 intended change of output.
+
+Each pinned run directory is also checked against ``perfbench/replay.py``,
+which reads only the CSV text: every run's forward and backward counts, and
+for the tracked SELECTIVE cases every affinity row, bit for bit. Where the
+grouping rule is ``components`` at stride 1, the only grouping the replay
+knows, every logged partition is checked too.
 """
 
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
 from mtopt.cli import main
+from tests.test_perfbench_names import PERFBENCH
 
 PINNED_FILES = ("steps.csv", "affinity.csv", "groups.csv", "summary.json")
 VERIFY_REPORT_SHA256 = "202caa6fa5d928887f39e1c4249ae08e3a8e03176139ace5dca6b3392bfc3d37"
@@ -108,8 +116,29 @@ def test_pins_cover_every_case():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_rundir_bytes_match_pins(case, tmp_path):
-    assert rundir_digests(CASES[case], str(tmp_path)) == _pinned()[case]
+def test_rundir_bytes_match_pins(case, tmp_path, monkeypatch):
+    config = CASES[case]
+    assert rundir_digests(config, str(tmp_path)) == _pinned()[case]
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import replay
+
+    out = os.path.join(str(tmp_path), "out")
+    steps = replay.iterations(replay.read_rows(os.path.join(out, "steps.csv")))
+    assert replay.count_problems(steps, config["method"] in ("JOINT", "SINGLE")) == []
+    if config["method"] != "SELECTIVE" or config.get("track.affinity") == "false":
+        return
+    with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+        k = json.load(fh)["k"]
+    rows, partitions = replay.replay_affinity(steps, k, float(config["beta"]))
+    assert rows
+    logged = replay.read_rows(os.path.join(out, "affinity.csv"))
+    assert replay.compare_affinity(rows, logged, rel=0.0) == []
+    if (config.get("grouping.rule", "components") == "components"
+            and config.get("repartition.stride", "1") == "1"):
+        groups = replay.read_rows(os.path.join(out, "groups.csv"))
+        assert replay.compare_partitions(partitions, groups, k) == []
 
 
 def _sha256(path) -> str:
