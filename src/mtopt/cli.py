@@ -4,13 +4,16 @@
 every cell's config before any cell runs.
 
 Exit codes: 0 success, 1 property violation (verify), 2 usage or validation
-error, 3 numeric failure during training.
+error, 3 numeric failure during training. Commands raise; :func:`main` alone
+turns a command's ``NumericAbort`` into exit 3 and its ``OSError`` or
+``ValueError`` into exit 2, each with one ``mtopt: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,8 +24,8 @@ from .config import (ConfigError, ExperimentConfig, echo_dict, parse_kv_text, re
                      validate_config)
 from .experiments import RunResult, run_experiment
 from .optim import NumericAbort
-from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunDirError, RunWriter, fmt, read_group_series,
-                    read_summary, write_csv, write_json, write_run)
+from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunWriter, fmt, read_group_series, read_summary,
+                    write_csv, write_json, write_run)
 from .tensor import NonFiniteValue
 
 EXIT_OK = 0
@@ -60,6 +63,12 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _check_out(out: str | None):
+    """Refuse an ``--out`` that exists and is not a directory."""
+    if out and os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out} exists and is not a directory")
+
+
 def _train_into(cfg: ExperimentConfig, outdir: str) -> tuple[RunResult, dict[str, str]]:
     """Train a checked config into run directory ``outdir``; returns (result, file paths)."""
     with RunWriter(outdir) as writer:
@@ -68,18 +77,12 @@ def _train_into(cfg: ExperimentConfig, outdir: str) -> tuple[RunResult, dict[str
 
 
 def cmd_run(args) -> int:
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
-    try:
-        raw = read_kv_file(args.config)
-        if args.seed is not None:
-            raw["seed"] = str(args.seed)
-        cfg = validate_config(raw)
-        result, paths = _train_into(cfg, args.out)
-    except NumericAbort as e:
-        return _fail(f"numeric failure: {e}", EXIT_NUMERIC)
-    except (OSError, ValueError) as e:
-        return _fail(str(e), EXIT_USAGE)
+    _check_out(args.out)
+    raw = read_kv_file(args.config)
+    if args.seed is not None:
+        raw["seed"] = str(args.seed)
+    cfg = validate_config(raw)
+    result, paths = _train_into(cfg, args.out)
     if cfg.verbosity:
         losses = " ".join(f"{t}={fmt(v)}" for t, v in sorted(result.eval_losses.items()))
         print(f"run {cfg.method} seed={cfg.seed}: eval losses {losses}")
@@ -92,6 +95,17 @@ def _cell_name(overrides: dict[str, str]) -> str:
     not a letter, a digit, '.', '_' or '-' is percent-encoded."""
     return "_".join(f"{k.replace('.', '-')}-{quote(v, safe='').replace('~', '%7E')}"
                     for k, v in sorted(overrides.items()))
+
+
+def _finished(celldir: str, cfg: ExperimentConfig) -> bool:
+    """Whether ``celldir`` holds a finished run of ``cfg``: a summary.json, and a
+    config.json that echoes ``cfg``; an unreadable config.json means unfinished."""
+    try:
+        with open(os.path.join(celldir, "config.json"), encoding="utf-8") as fh:
+            same = json.load(fh)["config"] == echo_dict(cfg)
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
+    return same and os.path.exists(os.path.join(celldir, "summary.json"))
 
 
 def _run_cell(name: str, cfg: ExperimentConfig, outdir: str) -> tuple[str, str]:
@@ -117,40 +131,36 @@ def _expand_grid(raw: dict[str, str]) -> tuple[dict[str, str], list[dict[str, st
 
 
 def cmd_sweep(args) -> int:
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
-    try:
-        if args.preset:
-            if args.config:
-                raise ConfigError("sweep takes --config or --preset, not both")
-            if args.preset != "triad-ablation":
-                raise ConfigError(f"unknown preset '{args.preset}'")
-            base = parse_kv_text(TRIAD_ABLATION_BASE)
-            cells = [dict(cell, seed=str(seed))
-                     for seed in TRIAD_ABLATION_SEEDS for cell in TRIAD_ABLATION_CELLS]
-        else:
-            if not args.config:
-                raise ConfigError("sweep needs --config or --preset")
-            base, cells = _expand_grid(read_kv_file(args.config))
-        if args.seed is not None:
-            if any("seed" in cell for cell in cells):
-                raise ConfigError("--seed would be ignored: every sweep cell sets its own seed")
-            base["seed"] = str(args.seed)
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        configs = {}
-        for cell in cells:  # check every cell before any compute
-            name = _cell_name(cell)
-            if name in configs:
-                raise ConfigError(f"sweep cell '{name}' appears twice")
-            configs[name] = validate_config({**base, **cell})
-        os.makedirs(args.out, exist_ok=True)
-    except (OSError, ConfigError) as e:
-        return _fail(str(e), EXIT_USAGE)
+    _check_out(args.out)
+    if args.preset:
+        if args.config:
+            raise ConfigError("sweep takes --config or --preset, not both")
+        if args.preset != "triad-ablation":
+            raise ConfigError(f"unknown preset '{args.preset}'")
+        base = parse_kv_text(TRIAD_ABLATION_BASE)
+        cells = [dict(cell, seed=str(seed))
+                 for seed in TRIAD_ABLATION_SEEDS for cell in TRIAD_ABLATION_CELLS]
+    else:
+        if not args.config:
+            raise ConfigError("sweep needs --config or --preset")
+        base, cells = _expand_grid(read_kv_file(args.config))
+    if args.seed is not None:
+        if any("seed" in cell for cell in cells):
+            raise ConfigError("--seed would be ignored: every sweep cell sets its own seed")
+        base["seed"] = str(args.seed)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    configs = {}
+    for cell in cells:  # check every cell before any compute
+        name = _cell_name(cell)
+        if name in configs:
+            raise ConfigError(f"sweep cell '{name}' appears twice")
+        configs[name] = validate_config({**base, **cell})
+    os.makedirs(args.out, exist_ok=True)
 
     results, pending = [], []
     for name, cfg in configs.items():
-        if args.resume and os.path.exists(os.path.join(args.out, name, "summary.json")):
+        if args.resume and _finished(os.path.join(args.out, name), cfg):
             results.append((name, "kept"))
         else:
             pending.append((name, cfg, args.out))
@@ -163,12 +173,9 @@ def cmd_sweep(args) -> int:
         results.extend(_run_cell(*cell) for cell in pending)
 
     results.sort()
-    try:
-        # each cell's dir is relative to the index
-        write_csv(os.path.join(args.out, "index.csv"), [INDEX_SCHEMA, INDEX_HEADER],
-                  ((n, n, status) for n, status in results))
-    except OSError as e:
-        return _fail(str(e), EXIT_USAGE)
+    # each cell's dir is relative to the index
+    write_csv(os.path.join(args.out, "index.csv"), [INDEX_SCHEMA, INDEX_HEADER],
+              ((n, n, status) for n, status in results))
     bad = [r for r in results if r[1].startswith(("numeric", "error"))]
     for name, status in bad:
         print(f"mtopt: cell {name}: {status}", file=sys.stderr)
@@ -190,10 +197,8 @@ def cmd_verify(args) -> int:
     reports = []
     for s in suites:
         n = SUITES[s].instances if args.instances is None else args.instances
-        try:  # a bad instance count or margin scale is refused before the first suite runs
+        try:
             rep = run_property_suite(s, n, seed=args.seed, margin_scale=args.margin_scale)
-        except AnalysisError as e:
-            return _fail(str(e), EXIT_USAGE)
         except NonFiniteValue as e:
             return _fail(f"numeric failure: suite {s}: {e}", EXIT_NUMERIC)
         reports.append(rep)
@@ -201,29 +206,22 @@ def cmd_verify(args) -> int:
         print(f"{s} [{SUITES[s].title}]: {status}, {rep.instances} instances, "
               f"max residual {rep.max_residual:.3e}")
     if args.out:
-        try:
-            write_json(args.out, {
-                "schema": "mtopt.verify.v1", "seed": args.seed,
-                "suites": {r.suite: {"instances": r.instances, "violations": r.violations,
-                                     "max_residual": r.max_residual, "regime": r.regime}
-                           for r in reports}})
-        except OSError as e:
-            return _fail(str(e), EXIT_USAGE)
+        write_json(args.out, {
+            "schema": "mtopt.verify.v1", "seed": args.seed,
+            "suites": {r.suite: {"instances": r.instances, "violations": r.violations,
+                                 "max_residual": r.max_residual, "regime": r.regime}
+                       for r in reports}})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
 def cmd_report(args) -> int:
-    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-        return _fail(f"--out {args.out} exists and is not a directory", EXIT_USAGE)
-    try:
-        base = read_summary(args.baseline)
-        summaries = [(d, read_summary(d)) for d in args.rundirs]
-        series = []
-        for d in args.rundirs if args.out else []:
-            if os.path.exists(os.path.join(d, "groups.csv")):
-                series.extend((d, it, m) for it, m in read_group_series(d))
-    except (OSError, RunDirError) as e:
-        return _fail(str(e), EXIT_USAGE)
+    _check_out(args.out)
+    base = read_summary(args.baseline)
+    summaries = [(d, read_summary(d)) for d in args.rundirs]
+    series = []
+    for d in args.rundirs if args.out else []:
+        if os.path.exists(os.path.join(d, "groups.csv")):
+            series.extend((d, it, m) for it, m in read_group_series(d))
     rows = []
     for d, s in summaries:
         try:
@@ -247,17 +245,14 @@ def cmd_report(args) -> int:
                     freq.extend((d, i, j, fmt(float(v))) for j, v in enumerate(row, start=1))
         report = [(d, method, seed, fmt(dm), "" if mean_m is None else fmt(float(mean_m)))
                   for d, method, seed, dm, mean_m in rows]
-        try:
-            os.makedirs(args.out, exist_ok=True)
-            write_csv(os.path.join(args.out, "report.csv"),
-                      ["# schema=mtopt.report.v1", "dir,method,seed,delta_m_pct,mean_group_count"],
-                      report)
-            write_csv(os.path.join(args.out, "group_series.csv"),
-                      ["# schema=mtopt.groupseries.v1", "dir,iter,m"], series)
-            write_csv(os.path.join(args.out, "group_frequency.csv"),
-                      ["# schema=mtopt.groupfreq.v1", "dir,task_i,task_j,frequency"], freq)
-        except OSError as e:
-            return _fail(str(e), EXIT_USAGE)
+        os.makedirs(args.out, exist_ok=True)
+        write_csv(os.path.join(args.out, "report.csv"),
+                  ["# schema=mtopt.report.v1", "dir,method,seed,delta_m_pct,mean_group_count"],
+                  report)
+        write_csv(os.path.join(args.out, "group_series.csv"),
+                  ["# schema=mtopt.groupseries.v1", "dir,iter,m"], series)
+        write_csv(os.path.join(args.out, "group_frequency.csv"),
+                  ["# schema=mtopt.groupfreq.v1", "dir,task_i,task_j,frequency"], freq)
     return EXIT_OK
 
 
@@ -277,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--preset", help="built-in sweep: triad-ablation")
     ps.add_argument("--out", required=True)
     ps.add_argument("--seed", type=int, help="override base seed (>= 0)")
-    ps.add_argument("--resume", action="store_true", help="skip completed cells")
+    ps.add_argument("--resume", action="store_true",
+                    help="skip cells already finished with the same config")
     ps.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     ps.set_defaults(fn=cmd_sweep)
 
@@ -304,7 +300,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code else EXIT_OK
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except NumericAbort as e:
+        return _fail(f"numeric failure: {e}", EXIT_NUMERIC)
+    except (OSError, ValueError) as e:
+        return _fail(str(e), EXIT_USAGE)
 
 
 def entrypoint():

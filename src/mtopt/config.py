@@ -241,6 +241,7 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
     cfg.csv_path = raw.get("csv.path")
     if "csv.inputs" in raw:
         cfg.csv_inputs = [c.strip() for c in raw["csv.inputs"].split(",") if c.strip()]
+    target_keys: dict[int, str] = {}
     for key, value in raw.items():
         if key.startswith("csv.targets."):
             tail = key[len("csv.targets."):]
@@ -248,6 +249,9 @@ def validate_config(raw: dict[str, str]) -> ExperimentConfig:
                 tid = int(tail)
             except ValueError:
                 raise ConfigError(f"field '{key}': task id '{tail}' is not an integer") from None
+            if tid in target_keys:
+                raise ConfigError(f"fields '{target_keys[tid]}' and '{key}' both name task {tid}")
+            target_keys[tid] = key
             cfg.csv_targets[tid] = [c.strip() for c in value.split(",") if c.strip()]
             if not cfg.csv_targets[tid]:
                 raise ConfigError(f"field '{key}': names no column")

@@ -121,14 +121,14 @@ def _derive_partition(edges: bytes, k: int, rule: str) -> GroupPartition:
                         labels[j] = 1
                         comp.append(j)
                         stack.append(j)
-            groups.append(tuple(sorted(comp)))
+            groups.append(comp)
     elif rule == "cliques":
         groups = []
         for i in range(1, k + 1):
             placed = False
             for gi, g in enumerate(groups):
                 if all(pos[i - 1][j - 1] for j in g):
-                    groups[gi] = tuple(sorted(g + (i,)))
+                    groups[gi] = g + (i,)
                     placed = True
                     break
             if not placed:

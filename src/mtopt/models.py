@@ -369,7 +369,7 @@ class QuadraticModel:
         return dict(zip(self._ids, self._losses))
 
     def backward_group(self, group, weights: dict[int, float]) -> dict[str, np.ndarray]:
-        if self._forward_version != self.partition.version or self._residuals is None:
+        if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
         gs = np.zeros(self._a.shape[2])
         out: dict[str, np.ndarray] = {}

@@ -47,7 +47,7 @@ def _steps_lines(report) -> list[str]:
     for idx, sub in enumerate(report.substeps, start=1):
         head = f"{it},{idx},{' '.join(map(str, sub.group))}"
         shared, after, norms = fmt(sub.grad_norm_shared), sub.losses_after, sub.grad_norm_task
-        for tid in sorted(after) if after else sorted(initial):
+        for tid in sorted(initial):
             loss = fmt(after[tid]) if after else ""
             gtask = fmt(norms[tid]) if tid in norms else ""
             lines.append(f"{head},{tid},{loss},{shared},{gtask},{counts}")
@@ -92,8 +92,9 @@ class RunWriter:
     Nothing is created until the first :meth:`sink` call, which run_experiment
     makes only after set-up has succeeded. Opening removes a stale
     summary.json and config.json, so a directory whose run stops early does
-    not look finished (``sweep --resume`` keeps a cell with a summary): its
-    CSVs hold every completed iteration and it has neither file.
+    not look finished (``sweep --resume`` keeps a cell with a summary and the
+    same config): its CSVs hold every completed iteration and it has neither
+    file.
     :func:`write_run` finishes the directory.
     """
 

@@ -10,6 +10,7 @@ import pytest
 
 import mtopt
 from mtopt import cli, experiments
+from mtopt.benchmarks import BenchmarkError
 from mtopt.cli import main
 from mtopt.config import parse_kv_text, validate_config
 from mtopt.models import Batch
@@ -852,3 +853,52 @@ def test_numeric_failure_names_substep_and_group(tmp_path):
     err = numeric_failure(tmp_path, TRIAD_CFG.replace("eta = 0.05", "eta = 1e6")
                           .replace("iters = 25", "iters = 300"))
     assert ", group " in err and "substep -1" not in err
+
+
+def test_sweep_resume_retrains_cells_finished_with_another_config(tmp_path, capsys):
+    out, axis = str(tmp_path / "sweep"), "sweep.seed = 1,2\n"
+    short = write_cfg(tmp_path, QUAD_CFG + axis, "short.cfg")
+    long = write_cfg(tmp_path, QUAD_CFG.replace("iters = 5", "iters = 50") + axis, "long.cfg")
+
+    def resume(cfg):
+        assert main(["sweep", "--config", cfg, "--out", out, "--resume"]) == 0
+        with open(os.path.join(out, "index.csv")) as fh:
+            statuses = [line.rsplit(",", 1)[1] for line in fh.read().splitlines()[2:]]
+        iters = [read_summary(os.path.join(out, cell))["runs"]["main"]["iterations"]
+                 for cell in ("seed-1", "seed-2")]
+        return statuses, iters
+
+    assert resume(short) == (["ok", "ok"], [5, 5])
+    with open(os.path.join(out, "seed-2", "config.json"), "w") as fh:
+        fh.write("{")  # an unreadable echo: the cell is unfinished
+    assert resume(short) == (["kept", "ok"], [5, 5])
+    assert resume(long) == (["ok", "ok"], [50, 50])
+    assert resume(long) == (["kept", "kept"], [50, 50])
+
+
+def raising(error):
+    """A stand-in for a callee that fails with ``error``."""
+    def callee(*args, **kwargs):
+        raise error
+    return callee
+
+
+def test_verify_suite_value_error_is_one_line_and_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_property_suite", raising(BenchmarkError("no instance")))
+    err = cli_error(capsys, ["verify", "--suites", "T1", "--instances", "2"])
+    assert err == "mtopt: no instance"
+
+
+def test_report_group_series_value_error_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys):
+    run = quad_run(tmp_path, "run", 2)
+    monkeypatch.setattr(cli, "read_group_series", raising(ValueError("no series")))
+    err = cli_error(capsys, ["report", run, "--baseline", run, "--out", str(tmp_path / "rep")])
+    assert err == "mtopt: no series"
+
+
+def test_sweep_validation_value_error_is_one_line_and_exit_2(tmp_path, monkeypatch, capsys):
+    cells = stub_cells(monkeypatch)
+    monkeypatch.setattr(cli, "validate_config", raising(ValueError("no config")))
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.seed = 1,2\n", "sweep.cfg")
+    err = cli_error(capsys, ["sweep", "--config", cfg, "--out", str(tmp_path / "s")])
+    assert err == "mtopt: no config" and cells == []

@@ -56,8 +56,10 @@ CSV = "benchmark.kind = csv\ncsv.path = data.csv\n"
      "field 'csv.targets.<task>': at least 2 tasks required, got 1"),
     (CSV + "csv.inputs = x\ncsv.targets.2 = y\n",
      "field 'csv.targets': task ids must be contiguous from 1, got [2]"),
+    (CSV + "csv.inputs = x\ncsv.targets.1 = y1\ncsv.targets.2 = y2\ncsv.targets.01 = y3\n",
+     "fields 'csv.targets.1' and 'csv.targets.01' both name task 1"),
 ], ids=["fixed", "random", "csv-path", "csv-inputs", "csv-targets", "csv-one-target",
-        "csv-target-ids"])
+        "csv-target-ids", "csv-target-twice"])
 def test_a_missing_required_key_is_named(text, message):
     with pytest.raises(ConfigError) as info:
         validate_config(parse_kv_text(text))

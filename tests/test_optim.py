@@ -7,7 +7,7 @@ from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_
 from mtopt.grouping import everything, make_partition, singletons
 from mtopt.models import Batch, ModelError, TaskSuite, build_shared_trunk
 from mtopt.optim import (Adam, METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM,
-                         METHOD_SELECTIVE, METHOD_SEPARATE, NumericAbort,
+                         METHOD_SELECTIVE, METHOD_SEPARATE, METHODS, NumericAbort,
                          PlainSGD, TrainConfig, TrainError, _grad_norms, joint_step,
                          selective_group_step, train)
 from tests.test_models import scalar_pair
@@ -206,6 +206,46 @@ def test_two_runs_same_seed_are_identical():
     assert a.affinity_rows == b.affinity_rows
     assert [s.partition for s in a.steps] == [s.partition for s in b.steps]
     assert logs[0].final_losses == logs[1].final_losses
+
+
+@pytest.mark.parametrize("family", ["quadratic", "mlp"])
+@pytest.mark.parametrize("method", METHODS)
+def test_each_batch_makes_the_calls_its_report_counts(monkeypatch, family, method):
+    """The forwards, backwards and optimizer steps each batch really makes
+    are the report's counts: M + 1, M and M for M groups, or 1, 1 and 1 for
+    JOINT."""
+    if family == "quadratic":
+        model, _ = fresh_quadratic(seed=2)
+        batches = quad_batches(12)
+    else:
+        ds, suite = gen_regression_suite(triad_spec(seed=0))
+        model = build_shared_trunk(8, 2, suite, seed=0, in_dim=ds.train_x.shape[1])
+        batches = ds.stream(16, 12, 0)
+    calls = [0, 0, 0]
+
+    def counted(slot, fn):
+        def call(*args):
+            calls[slot] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(model, "forward_all", counted(0, model.forward_all))
+    monkeypatch.setattr(model, "backward_group", counted(1, model.backward_group))
+    monkeypatch.setattr(PlainSGD, "apply", counted(2, PlainSGD.apply))
+    seen = []
+
+    def sink(report):
+        m = report.partition.m
+        want = (1, 1, 1) if method == METHOD_JOINT else (m + 1, m, m)
+        seen.append((tuple(calls), (report.forwards, report.backwards, report.opt_steps), want))
+        calls[:] = [0, 0, 0]
+
+    extra = {METHOD_FIXED: {"fixed_partition": make_partition([(1, 3), (2,)])},
+             METHOD_RANDOM: {"random_groups": 2}}.get(method, {})
+    train(model, batches, TrainConfig(method=method, eta=0.01, iters=12, seed=3, **extra), sink)
+    assert len(seen) == 12
+    for real, counts, want in seen:
+        assert real == counts == want
 
 
 def test_random_method_uses_requested_group_count():
