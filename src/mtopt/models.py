@@ -16,13 +16,26 @@ Both expose ``forward_all`` / ``backward_group`` and support exact
 snapshot/restore of selected parameter blocks, which the slow affinity
 oracles rely on. Each family fixes its task loss: the MLP's heads are all
 scored by squared error, and the quadratic's losses are its closed form.
+
+Parameters live in one float64 buffer (:class:`ParamPartition`): the
+shared blocks first, then each task's blocks, and every named block is a
+view of it. The MLP also reads its heads of one output width as (k, width,
+out) and (k, 1, out) stacks, and the quadratic its task blocks as one
+(k, task_dim) array. A gradient (:class:`Gradient`) is one flat array
+holding the shared blocks and the group's task blocks as the buffer lays
+them out (:class:`GradLayout`); indexing it by block name gives a view.
+Each ``backward_group`` call returns a fresh gradient, so gradients of
+several groups can be held at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +67,31 @@ class TaskSuite:
         return {tid: 1.0 for tid in self.ids}
 
 
+def stack_targets(targets: dict[int, np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
+    """The 2-d targets grouped by column count: each group's task ids, ascending,
+    map to their targets stacked as one (len(ids), rows, columns) array."""
+    widths: dict[int, list[int]] = {}
+    for tid in sorted(targets):
+        widths.setdefault(targets[tid].shape[1], []).append(tid)
+    return {tuple(ids): np.stack([as_array(targets[tid]) for tid in ids]) for ids in widths.values()}
+
+
+def target_rows(stacks: dict[tuple[int, ...], np.ndarray]) -> dict[int, np.ndarray]:
+    """Each task's target as a row view of its stack, in task id order."""
+    rows = {tid: row for ids, stack in stacks.items() for tid, row in zip(ids, stack)}
+    return rows if len(stacks) == 1 else dict(sorted(rows.items()))
+
+
 @dataclass
 class Batch:
+    """Inputs and per-task targets. ``stacks``, when given, holds the targets
+    stacked as :func:`stack_targets` stacks them; :meth:`of_stacks` builds a
+    batch whose ``targets`` are row views of its stacks."""
+
     inputs: np.ndarray | None
     targets: dict[int, np.ndarray]
     sample_id: int = 0
+    stacks: dict[tuple[int, ...], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.inputs is not None:
@@ -69,23 +102,43 @@ class Batch:
                         f"batch {self.sample_id}: target of task {tid} has {t.shape[0]} rows, inputs have {n}"
                     )
 
+    @classmethod
+    def of_stacks(cls, inputs: np.ndarray, stacks: dict[tuple[int, ...], np.ndarray],
+                  sample_id: int) -> Batch:
+        return cls(inputs, target_rows(stacks), sample_id, stacks)
 
-@dataclass
+
 class ParamPartition:
-    """Named parameter blocks, split into the shared trunk and per-task sets."""
+    """Named parameter blocks, split into the shared trunk and per-task sets.
 
-    shared: dict[str, np.ndarray]
-    per_task: dict[int, dict[str, np.ndarray]]
-    version: int = 0  # bumped on every in-place mutation; guards stale tapes
-    _index: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    Every block is a view of one float64 ``buffer``: the shared blocks first,
+    in order, then each task's blocks, task after task in ``per_task`` order,
+    so each set is one contiguous region. Writes go through the views in
+    place and bump ``version``, which guards stale forwards.
+    """
 
-    def __post_init__(self):
-        self._index = dict(self.shared)
-        for tid, blocks in self.per_task.items():
+    def __init__(self, shared: dict[str, np.ndarray], per_task: dict[int, dict[str, np.ndarray]]):
+        sets = [(0, shared), *per_task.items()]  # 0 stands for the shared set
+        self.buffer = np.concatenate([v.ravel() for _, blocks in sets for v in blocks.values()],
+                                     dtype=np.float64)
+        self.version = 0
+        self._index: dict[str, np.ndarray] = {}
+        self._regions: dict[int, tuple[int, int]] = {}  # each set's (start, stop) in the buffer
+        self._layouts: dict = {}
+        views = []
+        pos = 0
+        for key, blocks in sets:
+            start, out = pos, {}
             for name, value in blocks.items():
                 if name in self._index:
                     raise ModelError(f"block '{name}' appears in more than one parameter set")
-                self._index[name] = value
+                view = self.buffer[pos:pos + value.size]
+                out[name] = self._index[name] = view if value.ndim == 1 else view.reshape(value.shape)
+                pos += value.size
+            self._regions[key] = (start, pos)
+            views.append(out)
+        self.shared = views[0]
+        self.per_task = dict(zip(per_task, views[1:]))
 
     def all_blocks(self) -> dict[str, np.ndarray]:
         return dict(self._index)
@@ -104,20 +157,88 @@ class ParamPartition:
                 names.extend(sorted(self.per_task[tid]))
         return names
 
-    def writable(self, name: str, shape) -> np.ndarray:
-        """The block ``name``, checked to take a value of ``shape`` in place.
-        The caller writes it and bumps ``version``."""
-        try:
-            target = self._index[name]
-        except KeyError:
-            raise ModelError(f"unknown parameter block '{name}'") from None
-        if target.shape != shape:
-            raise ModelError(f"block '{name}': shape {shape} != {target.shape}")
-        return target
-
     def set_block(self, name: str, value: np.ndarray):
-        self.writable(name, value.shape)[...] = value
+        target = self.block(name)
+        if target.shape != value.shape:
+            raise ModelError(f"block '{name}': shape {value.shape} != {target.shape}")
+        target[...] = value
         self.version += 1
+
+    def layout(self, group) -> GradLayout:
+        """The layout of a gradient over the shared set and ``group``'s task sets."""
+        layout = self._layouts.get(group)
+        if layout is None:
+            key = tuple(sorted(group))
+            unknown = set(key) - set(self.per_task)
+            if unknown:
+                raise ModelError(f"no parameter sets for tasks {sorted(unknown)}")
+            layout = self._layouts[group] = GradLayout(self, key)
+        return layout
+
+
+class GradLayout:
+    """Where a gradient over the shared set and ``group``'s task sets keeps
+    each block: ``size`` floats holding the buffer's regions of those sets, in
+    buffer order and back to back.
+
+    ``names`` lists the blocks in the order a gradient iterates them: the
+    shared blocks, then each member's blocks in ascending task id. ``blocks``
+    maps a name to its (start, stop, shape) in the gradient, ``norms`` lists
+    the (start, stop) of each block of the shared set (key 0) and of each
+    member, ``regions`` gives each set's (key, buffer start, buffer stop,
+    gradient start) in buffer order, and ``steps`` the same regions merged
+    where adjacent, as (buffer view, gradient start, gradient stop). It
+    keeps the partition's ``buffer``, not the partition, so a partition and
+    its cached layouts form no reference cycle and free with their model.
+    """
+
+    def __init__(self, partition: ParamPartition, group: tuple[int, ...]):
+        self.buffer, self.group = partition.buffer, group
+        members = set(group)
+        keys = [0] + [tid for tid in partition.per_task if tid in members]
+        self.blocks: dict[str, tuple[int, int, tuple[int, ...]]] = {}
+        self.norms: dict[int, list[tuple[int, int]]] = {}
+        self.regions: list[tuple[int, int, int, int]] = []
+        pos = 0
+        for key in keys:
+            start, stop = partition._regions[key]
+            self.regions.append((key, start, stop, pos))
+            for name, view in (partition.shared if key == 0 else partition.per_task[key]).items():
+                self.blocks[name] = (pos, pos + view.size, view.shape)
+                self.norms.setdefault(key, []).append((pos, pos + view.size))
+                pos += view.size
+        self.size = pos
+        self.names = tuple(partition.shared) + tuple(
+            name for tid in group for name in partition.per_task[tid])
+        merged: list[list[int]] = []
+        for _, start, stop, at in self.regions:
+            if merged and merged[-1][1] == start:
+                merged[-1][1] = stop
+            else:
+                merged.append([start, stop, at])
+        self.steps = [(partition.buffer[a:b], at, at + b - a) for a, b, at in merged]
+
+
+class Gradient(Mapping):
+    """One backward's gradient. ``flat`` is a fresh array laid out by
+    ``layout``; indexing it by block name gives a view of ``flat``."""
+
+    __slots__ = ("layout", "flat", "_views")
+
+    def __init__(self, layout: GradLayout, flat: np.ndarray):
+        self.layout, self.flat, self._views = layout, flat, None
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if self._views is None:
+            self._views = {n: self.flat[a:b].reshape(shape)
+                           for n, (a, b, shape) in self.layout.blocks.items()}
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self.layout.names)
+
+    def __len__(self) -> int:
+        return len(self.layout.names)
 
 
 def snapshot(model, block_ids) -> dict[str, np.ndarray]:
@@ -129,39 +250,88 @@ def restore(model, snap: dict[str, np.ndarray]):
         model.partition.set_block(name, value)
 
 
+class _Heads(NamedTuple):
+    """The heads of one output width, as row-stacked views of the buffer:
+    ``w`` (k, width, out) and ``b`` (k, 1, out)."""
+
+    tids: tuple[int, ...]
+    w: np.ndarray
+    b: np.ndarray
+
+
 class MLPModel:
     """Shared MLP trunk + one affine head per task, trained in closed form.
 
-    ``forward_all`` and ``backward_group`` make the numpy call the tape
+    ``forward_all`` and ``backward_group`` make the numpy calls the tape
     interpreter makes for each op of ``graph``, in the interpreter's order, so
     every loss and gradient is bitwise the interpreter's. Where the
     interpreter would allocate a new array for a bias add, a squared error or
     a ``tanh`` adjoint, they write into the array just allocated (``z = h @ w;
     z += b``), and the activation overwrites its pre-activation; that gives
-    the same bits. The backward computes no adjoint toward the input.
+    the same bits. The heads of one output width run as one stack: a batched
+    ``np.matmul`` runs one product per head, and a row-wise reduce sums each
+    head's squares as the interpreter's full reduce does. The backward
+    computes no adjoint toward the input.
 
     They check only what could go unseen: the pre-activations (``tanh`` and
     ``relu`` can hide an infinity; every other op carries it to a loss), the
     losses, the batch's shapes against the weights (numpy would broadcast an
-    ``(n,)`` target against an ``(n, 1)`` prediction), and the gradients they
-    return. Where a check fails, the model runs the interpreter on ``graph``
-    with the same bindings, and the interpreter raises the error that names
-    the failing op.
+    ``(n,)`` target against an ``(n, 1)`` prediction; checked once per
+    batch), and the gradients they return. Where a check fails, the model
+    runs the interpreter on ``graph`` with the same bindings, and the
+    interpreter raises the error that names the failing op.
     """
 
-    def __init__(self, suite: TaskSuite, partition: ParamPartition, graph: Graph,
-                 loss_nodes: dict[int, int], activation: str):
+    def __init__(self, suite: TaskSuite, partition: ParamPartition, activation: str):
         self.suite = suite
         self.partition = partition
-        self.graph = graph
-        self.loss_nodes = loss_nodes
         self.activation = activation
-        self._trunk = [(f"trunk.{i}.w", f"trunk.{i}.b") for i in range(len(partition.shared) // 2)]
-        self._heads = {tid: (f"head.{tid}.w", f"head.{tid}.b") for tid in suite.ids}
+        shared = partition.shared
+        self._trunk = [(shared[f"trunk.{i}.w"], shared[f"trunk.{i}.b"]) for i in range(len(shared) // 2)]
+        self._trunk_t = [w.T for w, _ in self._trunk]
+        runs: list[tuple[tuple[int, ...], int]] = []  # tasks of one width whose regions follow each other
+        for tid, blocks in partition.per_task.items():
+            out = next(iter(blocks.values())).shape[1]  # the head weight's
+            if runs and runs[-1][1] == out:
+                runs[-1] = (runs[-1][0] + (tid,), out)
+            else:
+                runs.append(((tid,), out))
+        self._heads: list[_Heads] = []
+        for tids, out in runs:
+            start, stop = partition._regions[tids[0]]
+            rows = partition.buffer[start:start + len(tids) * (stop - start)].reshape(len(tids), -1)
+            w = rows[:, :-out].reshape(len(tids), -1, out)
+            self._heads.append(_Heads(tids, w, rows[:, None, -out:]))
+        self._plans: dict = {}
         self._forward_version: int | None = None
-        self._batch: Batch | None = None
+        # the last batch checked, its inputs and its targets stacked per head stack
+        self._bound: tuple[Batch | None, np.ndarray | None, list[np.ndarray]] = (None, None, [])
         self._acts: list[np.ndarray] = []  # the input, then each layer's activation
-        self._residuals: dict[int, np.ndarray] = {}  # prediction - target, per task
+        self._residuals: list[np.ndarray] = []  # prediction - target, per head stack
+
+    @cached_property
+    def _tape(self) -> tuple[Graph, dict[int, int]]:
+        g = Graph()
+        h = g.leaf("input")
+        for layer in range(len(self._trunk)):
+            h = g.bias_add(g.matmul(h, g.leaf(f"trunk.{layer}.w")), g.leaf(f"trunk.{layer}.b"))
+            h = g.tanh(h) if self.activation == "tanh" else g.relu(h)
+        loss_nodes: dict[int, int] = {}
+        for tid in self.suite.ids:
+            pred = g.bias_add(g.matmul(h, g.leaf(f"head.{tid}.w")), g.leaf(f"head.{tid}.b"))
+            loss_nodes[tid] = g.mark_output(g.squared_error(pred, g.leaf(f"target.{tid}")))
+        return g, loss_nodes
+
+    @property
+    def graph(self) -> Graph:
+        """The objective as the tape interpreter runs it, built at first use;
+        a run whose checks all pass never builds it."""
+        return self._tape[0]
+
+    @property
+    def loss_nodes(self) -> dict[int, int]:
+        """Each task's loss node in :attr:`graph`."""
+        return self._tape[1]
 
     def _replay(self, batch: Batch, group=None, weights=None):
         """Run the interpreter where a closed-form check failed; it raises."""
@@ -178,86 +348,132 @@ class MLPModel:
             raise NonFiniteValue(f"{stage} on batch {batch.sample_id}: {e}") from e
         raise AssertionError(f"the tape interpreter passed a {stage} the closed form refused")
 
-    def forward_all(self, batch: Batch) -> dict[int, float]:
-        self._forward_version = None  # a failed forward leaves nothing to differentiate
+    def _bind(self, batch: Batch) -> tuple[Batch, np.ndarray, list[np.ndarray]]:
+        """Check ``batch`` against the weights and stack its targets per head stack."""
         if batch.inputs is None:
             raise ModelError("MLP model needs batch inputs")
         for tid in self.suite.ids:
             if tid not in batch.targets:
                 raise ModelError(f"batch {batch.sample_id}: no target for task {tid}")
-        shared, heads = self.partition.shared, self.partition.per_task
         x = as_array(batch.inputs)
-        targets = {tid: as_array(batch.targets[tid]) for tid in self.suite.ids}
-        fits = x.ndim == 2 and x.shape[1] == shared["trunk.0.w"].shape[0]
-        if not (fits and all(targets[tid].shape == (len(x), heads[tid][w].shape[1])
-                             for tid, (w, _) in self._heads.items())):
+        fits = x.ndim == 2 and x.shape[1] == self._trunk[0][0].shape[0]
+        if not (fits and all(as_array(batch.targets[tid]).shape == (len(x), heads.w.shape[2])
+                             for heads in self._heads for tid in heads.tids)):
             self._replay(batch)
-        acts, residuals, losses = [x], {}, {}
+        given = batch.stacks or {}
+        stacks = []
+        for heads in self._heads:
+            stack = given.get(heads.tids)
+            shape = (len(heads.tids), len(x), heads.w.shape[2])
+            if stack is None or stack.dtype != np.float64 or stack.shape != shape:
+                stack = np.stack([as_array(batch.targets[tid]) for tid in heads.tids])
+            stacks.append(stack)
+        self._bound = (batch, x, stacks)
+        return self._bound
+
+    def forward_all(self, batch: Batch) -> dict[int, float]:
+        self._forward_version = None  # a failed forward leaves nothing to differentiate
+        _, x, stacks = self._bound if self._bound[0] is batch else self._bind(batch)
+        acts, residuals, losses = [x], [], {}
         with np.errstate(all="ignore"):  # failures are checked
             for w, b in self._trunk:
-                z = acts[-1] @ shared[w]
-                z += shared[b]
+                z = acts[-1] @ w
+                z += b
                 if not np.isfinite(z).all():
                     self._replay(batch)
                 acts.append(np.tanh(z, out=z) if self.activation == "tanh" else np.maximum(z, 0.0, out=z))
-            for tid, (w, b) in self._heads.items():
-                d = acts[-1] @ heads[tid][w]
-                d += heads[tid][b]
-                d -= targets[tid]
+            for heads, target in zip(self._heads, stacks):
+                d = np.matmul(acts[-1], heads.w)
+                d += heads.b
+                d -= target
                 sq = d * d
-                residuals[tid] = d
-                losses[tid] = float(sq.sum() / sq.size)
+                size = d.size // len(d)
+                means = np.add.reduce(sq.reshape(len(d), size), axis=1)
+                means /= size
+                residuals.append(d)
+                losses.update(zip(heads.tids, means.tolist()))
         if not all(map(math.isfinite, losses.values())):
             self._replay(batch)
-        self._acts, self._residuals, self._batch = acts, residuals, batch
+        if len(self._heads) > 1:
+            losses = {tid: losses[tid] for tid in self.suite.ids}
+        self._acts, self._residuals = acts, residuals
         self._forward_version = self.partition.version
         return losses
 
-    def backward_group(self, group, weights: dict[int, float]) -> dict[str, np.ndarray]:
-        """Gradients of sum_i w_i * L_i over shared + the group's task blocks.
+    def _plan(self, group):
+        """The layout of ``group``'s gradient; per head stack with members, the
+        stack index, the members' rows (a slice where they are adjacent) and
+        ids, and where their task sets lie in the gradient; per member in
+        descending id, its (part, row, transposed weight); and per trunk
+        layer, where its weight and bias lie in the gradient."""
+        layout = self.partition.layout(group)
+        members = set(layout.group)
+        parts, adjoint = [], {}
+        for c, heads in enumerate(self._heads):
+            rows = [i for i, tid in enumerate(heads.tids) if tid in members]
+            if not rows:
+                continue
+            for j, i in enumerate(rows):
+                adjoint[heads.tids[i]] = (len(parts), j, heads.w[i].T)
+            tids = [heads.tids[i] for i in rows]
+            sel = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows)
+            parts.append((c, sel, tids, layout.blocks[f"head.{tids[0]}.w"][0],
+                          layout.blocks[f"head.{tids[-1]}.b"][1]))
+        trunk = [(slice(*layout.blocks[f"trunk.{i}.w"][:2]), slice(*layout.blocks[f"trunk.{i}.b"][:2]))
+                 for i in range(len(self._trunk))]
+        adjoint = [adjoint[tid] for tid in sorted(members, reverse=True)]
+        plan = self._plans[group] = (layout, parts, adjoint, trunk)
+        return plan
 
-        Uses the cached forward; parameters must not have changed since. The
-        heads' adjoints to the trunk are summed in descending task id, the
-        interpreter's reverse node order.
+    def backward_group(self, group, weights: dict[int, float]) -> Gradient:
+        """Gradient of sum_i w_i * L_i over shared + the group's task blocks.
+
+        Uses the cached forward; parameters must not have changed since. Each
+        call writes a fresh gradient. The heads' adjoints to the trunk are
+        summed in descending task id, the interpreter's reverse node order.
         """
         if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
-        shared, acts = self.partition.shared, self._acts
-        grads: dict[str, np.ndarray] = {}
-        up = None  # the adjoint of the current layer's activation
-        # Every temporary as wide as the trunk is dropped as soon as it is
-        # used, so a backward holds at most two: fewer pages to fault in.
+        layout, parts, adjoint, trunk = self._plans.get(group) or self._plan(group)
+        acts = self._acts
+        head_t = acts[-1].T
+        flat = np.empty(layout.size)
+        stacked = []
+        # Two arrays as wide as the trunk serve the whole backward: fewer
+        # pages to fault in than one fresh array per product.
         with np.errstate(all="ignore"):
-            for tid in sorted(group, reverse=True):
-                w, b = self._heads[tid]
-                d = self._residuals[tid]
-                g = d * (2.0 / d.size)
-                g *= weights[tid]
-                grads[w] = acts[-1].T @ g
-                grads[b] = g.sum(axis=0)
-                if up is None:
-                    up = g @ self.partition.per_task[tid][w].T
-                else:
-                    up += g @ self.partition.per_task[tid][w].T
+            for c, sel, tids, start, stop in parts:
+                d = self._residuals[c]
+                g = d[sel] * (2.0 / (d.size // len(d)))
+                g *= (weights[tids[0]] if len(tids) == 1
+                      else np.array([weights[t] for t in tids])[:, None, None])
+                out = d.shape[2]
+                rows = flat[start:stop].reshape(len(tids), -1)  # the members' task sets
+                np.matmul(head_t, g, out=rows[:, :-out].reshape(len(tids), -1, out))
+                np.add.reduce(g, axis=1, out=rows[:, -out:])
+                stacked.append(g)
+            part, row, w_t = adjoint[0]
+            up = stacked[part][row] @ w_t  # the adjoint of the current layer's activation
+            spare = np.empty_like(up)  # takes turns with up to hold each later (n, width) result
+            for part, row, w_t in adjoint[1:]:
+                up += np.matmul(stacked[part][row], w_t, out=spare)
             for layer in reversed(range(len(self._trunk))):
-                w, b = self._trunk[layer]
                 h = acts[layer + 1]
                 if self.activation == "tanh":  # up * (1 - h * h), written into h * h
-                    slope = h * h
-                    np.subtract(1.0, slope, out=slope)
-                    slope *= up
-                    up = slope
+                    np.multiply(h, h, out=spare)
+                    np.subtract(1.0, spare, out=spare)
+                    spare *= up
+                    up, spare = spare, up
                 else:  # relu: subgradient at 0 taken as 0; h > 0 exactly where z > 0
                     up *= h > 0.0
-                grads[b] = up.sum(axis=0)
-                grads[w] = acts[layer].T @ up
+                w, b = trunk[layer]
+                np.add.reduce(up, axis=0, out=flat[b])
+                np.matmul(acts[layer].T, up, out=flat[w].reshape(self._trunk[layer][0].shape))
                 if layer:
-                    up = up @ shared[w].T
-        out = {name: grads[name] for pair in self._trunk for name in pair}
-        out.update((name, grads[name]) for tid in sorted(group) for name in self._heads[tid])
-        if not all(np.isfinite(g).all() for g in out.values()):
-            self._replay(self._batch, group, weights)
-        return out
+                    up, spare = np.matmul(up, self._trunk_t[layer], out=spare), up
+        if not np.isfinite(flat).all():
+            self._replay(self._bound[0], group, weights)
+        return Gradient(layout, flat)
 
 
 def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
@@ -292,18 +508,10 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
             f"head.{tid}.w": init(width, (width, out_dims[tid])),
             f"head.{tid}.b": init(width, (out_dims[tid],)),
         }
-    partition = ParamPartition(shared=shared, per_task=per_task)
-
-    g = Graph()
-    h = g.leaf("input")
-    for layer in range(depth):
-        h = g.bias_add(g.matmul(h, g.leaf(f"trunk.{layer}.w")), g.leaf(f"trunk.{layer}.b"))
-        h = g.tanh(h) if activation == "tanh" else g.relu(h)
-    loss_nodes: dict[int, int] = {}
-    for tid in suite.ids:
-        pred = g.bias_add(g.matmul(h, g.leaf(f"head.{tid}.w")), g.leaf(f"head.{tid}.b"))
-        loss_nodes[tid] = g.mark_output(g.squared_error(pred, g.leaf(f"target.{tid}")))
-    return MLPModel(suite, partition, g, loss_nodes, activation)
+    # heads of one width side by side, so each width's heads stack in the buffer
+    order = sorted(suite.ids, key=lambda tid: (out_dims[tid], tid))
+    partition = ParamPartition(shared=shared, per_task={tid: per_task[tid] for tid in order})
+    return MLPModel(suite, partition, activation)
 
 
 class QuadraticModel:
@@ -313,8 +521,9 @@ class QuadraticModel:
     count and one task dim, and one forward serves every task. The stacks
     are read-only: ``a``, ``c`` and ``b`` are read-only maps from a task id
     to its row, and another target means another model. The blocks
-    ``task.{tid}.theta`` are row views of one (k, task_dim) array, written in
-    place by the optimizers and ``ParamPartition.set_block``, which bump
+    ``task.{tid}.theta`` are the rows of the buffer's task region, which the
+    forward reads as one (k, task_dim) array; the optimizers and
+    ``ParamPartition.set_block`` write them in place and bump
     ``partition.version``.
 
     Data-free: the batch argument is accepted for interface compatibility and
@@ -348,10 +557,10 @@ class QuadraticModel:
         self.a, self.c, self.b = (MappingProxyType(dict(zip(ids, m))) for m in (self._a, self._c, self._b))
         self._ids = ids
         self._names = {tid: f"task.{tid}.theta" for tid in ids}
-        self._theta = np.zeros((len(ids), first[2]))
-        self.partition = ParamPartition(
-            shared={"shared.theta": np.zeros(first[1])},
-            per_task={tid: {self._names[tid]: t} for tid, t in zip(ids, self._theta)})
+        zeros = np.zeros(first[2])  # copied into the buffer once per task
+        self.partition = ParamPartition(shared={"shared.theta": np.zeros(first[1])},
+                                        per_task={tid: {self._names[tid]: zeros} for tid in ids})
+        self._theta = self.partition.buffer[first[1]:].reshape(len(ids), first[2])
         self._residuals: np.ndarray | None = None
         self._losses: list[float] = []
         self._forward_version: int | None = None
@@ -368,17 +577,19 @@ class QuadraticModel:
             self._forward_version = self.partition.version
         return dict(zip(self._ids, self._losses))
 
-    def backward_group(self, group, weights: dict[int, float]) -> dict[str, np.ndarray]:
+    def backward_group(self, group, weights: dict[int, float]) -> Gradient:
+        """A fresh gradient of sum_i w_i * L_i over shared + the group's task blocks."""
         if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
-        gs = np.zeros(self._a.shape[2])
-        out: dict[str, np.ndarray] = {}
-        for tid in sorted(group):
+        layout = self.partition.layout(group)
+        flat = np.zeros(layout.size)  # the shared gradient, then each member's in id order
+        shared, at, width = flat[:self._a.shape[2]], self._a.shape[2], self._c.shape[2]
+        for tid in layout.group:
             r = self._residuals[tid - 1]
-            gs = gs + weights[tid] * (self._a[tid - 1].T @ r)
-            out[self._names[tid]] = weights[tid] * (self._c[tid - 1].T @ r)
-        out["shared.theta"] = gs
-        return out
+            shared += weights[tid] * (self._a[tid - 1].T @ r)
+            np.multiply(weights[tid], self._c[tid - 1].T @ r, out=flat[at:at + width])
+            at += width
+        return Gradient(layout, flat)
 
     def hessian_bound(self) -> float:
         """Largest eigenvalue of any task's full Hessian [A C]^T [A C]."""

@@ -17,6 +17,12 @@ iteration's report to a sink and keeps only the run's totals in its
 rows: each sub-step's record keeps the tracker rows its fold wrote, from
 which, with the sub-step's losses, :func:`affinity.affinity_rows` derives the
 log rows when a run is written.
+
+A sub-step's gradient is the flat :class:`models.Gradient` its backward
+returned, laid out as the parameter buffer's regions of the shared set and
+the group's task sets. The optimizers step those regions of the buffer in
+place, merged where they are adjacent, and the gradient norms read the
+flat array.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 from .affinity import AffinityTracker, decay_update
 from .grouping import (GROUPING_RULES, GroupPartition, ORDER_RANDOM, ORDERS, everything,
                        make_partition, partition_tasks, shuffle_order, singletons)
-from .models import Batch, ParamPartition
+from .models import Batch, Gradient, ModelError, ParamPartition
 from .tensor import NonFiniteValue
 
 METHOD_SELECTIVE = "SELECTIVE"
@@ -109,44 +115,75 @@ class TrainConfig:
                 raise TrainError(f"weights must be finite and >= 0, got {w} for task {tid}")
 
 
+def _begin_step(partition: ParamPartition, grads: Gradient):
+    """The layout of ``grads``, checked to be ``partition``'s and to fit
+    ``grads``; counts the step about to write the buffer."""
+    layout = grads.layout
+    if layout.buffer is not partition.buffer:
+        raise ModelError("the gradient was laid out for another parameter partition")
+    if grads.flat.shape != (layout.size,):
+        raise ModelError(f"gradient of shape {grads.flat.shape} for a layout of {layout.size} floats")
+    partition.version += 1
+    return layout
+
+
 class PlainSGD:
     kind = "sgd"
 
-    def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
-        partition.version += 1  # first, so a step cut short by a shape error still counts
-        for name, g in grads.items():  # the blocks are disjoint, so their order does not matter
-            p = partition.writable(name, g.shape)
-            p -= eta * g  # the same IEEE operations as set_block(name, p - eta * g)
+    def apply(self, partition: ParamPartition, grads: Gradient, eta: float):
+        """Step each of the gradient's buffer regions, merged where adjacent."""
+        g = grads.flat
+        for p, start, stop in _begin_step(partition, grads).steps:
+            p -= eta * g[start:stop]  # the same IEEE operations as set_block(name, p - eta * g)
 
 
 class Adam:
-    """Adaptive moments with one (m, v, t) triple per parameter block.
+    """Adaptive moments over the partition's buffer.
 
-    Shared-block moments advance once per sub-step, so a batch with M groups
-    moves them M times; that is the only state-consistent reading of
-    per-group optimizer sub-steps.
+    ``m`` and ``v`` are flat, laid out as the buffer, and allocated at the
+    first step. ``steps`` counts the steps of the shared set (key 0) and of
+    each task's set. The shared count advances once per sub-step, so a batch
+    with M groups moves it M times, and a task's count advances once per
+    sub-step of a group that holds the task; that is the only
+    state-consistent reading of per-group optimizer sub-steps. Adjacent
+    regions whose counts agree step as one.
     """
 
     kind = "adam"
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self):
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self.steps: dict[int, int] = {}
 
-    def apply(self, partition: ParamPartition, grads: dict[str, np.ndarray], eta: float):
-        partition.version += 1
-        for name, g in grads.items():
-            p = partition.writable(name, g.shape)
-            if name not in self.moments:
-                self.moments[name] = (np.zeros_like(g), np.zeros_like(g), 0)
-            m, v, t = self.moments[name]
-            t += 1
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.moments[name] = (m, v, t)
-            mhat = m / (1.0 - self.beta1 ** t)
-            vhat = v / (1.0 - self.beta2 ** t)
-            p -= eta * mhat / (np.sqrt(vhat) + self.eps)
+    def apply(self, partition: ParamPartition, grads: Gradient, eta: float):
+        layout = _begin_step(partition, grads)
+        if self.m is None:
+            self.m, self.v = np.zeros(partition.buffer.size), np.zeros(partition.buffer.size)
+            self.steps = dict.fromkeys([0, *partition.per_task], 0)
+        runs: list[list[int]] = []  # [buffer start, buffer stop, gradient start, count]
+        for key, start, stop, at in layout.regions:
+            t = self.steps[key] = self.steps[key] + 1
+            if runs and runs[-1][1] == start and runs[-1][3] == t:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop, at, t])
+        for start, stop, at, t in runs:
+            g = grads.flat[at:at + stop - start]
+            m, v = self.m[start:stop], self.v[start:stop]
+            mhat, vhat = np.empty((2, stop - start))
+            m *= self.beta1  # in place, the same operations as beta1 * m + (1 - beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=mhat)
+            v *= self.beta2
+            v += np.multiply(np.multiply(g, g, out=vhat), 1.0 - self.beta2, out=vhat)
+            np.divide(m, 1.0 - self.beta1 ** t, out=mhat)
+            np.divide(v, 1.0 - self.beta2 ** t, out=vhat)
+            mhat *= eta
+            np.sqrt(vhat, out=vhat)
+            vhat += self.eps
+            mhat /= vhat
+            partition.buffer[start:stop] -= mhat  # eta * mhat / (sqrt(vhat) + eps)
 
 
 OPTIMIZERS = {PlainSGD.kind: PlainSGD, Adam.kind: Adam}
@@ -214,18 +251,21 @@ class RunLog:
         self.last = report
 
 
-def _grad_norms(partition: ParamPartition, group, grads) -> tuple[float, dict[int, float]]:
+def _grad_norms(grads: Gradient) -> tuple[float, dict[int, float]]:
     """Gradient norms of the shared set and of each member's set. Each sums
-    the per-block squares in block order; one sum over the concatenated
-    gradient would round differently. ``np.add.reduce`` is what
-    ``ndarray.sum`` calls, and ``math.sqrt`` rounds as ``np.sqrt`` does."""
-    def norm(names) -> float:
+    the per-block squares in block order, each block reduced on its view of
+    one square of the flat gradient; one sum over the concatenated gradient
+    would round differently. ``np.add.reduce`` is what ``ndarray.sum`` calls,
+    and ``math.sqrt`` rounds as ``np.sqrt`` does."""
+    sq = grads.flat * grads.flat
+
+    def norm(bounds) -> float:
         total = 0  # sum()'s start: 0 + x is exactly x
-        for n in names:
-            g = grads[n]
-            total += float(np.add.reduce(g * g, axis=None))
+        for start, stop in bounds:
+            total += float(np.add.reduce(sq[start:stop]))
         return math.sqrt(total)
-    return norm(partition.shared), {tid: norm(partition.per_task[tid]) for tid in group}
+    bounds = grads.layout.norms
+    return norm(bounds[0]), {tid: norm(bounds[tid]) for tid in grads.layout.group}
 
 
 def selective_group_step(model, batch: Batch, partition: GroupPartition, config: TrainConfig,
@@ -253,7 +293,7 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
             if not joint:
                 after = model.forward_all(batch)
                 forwards += 1
-            norm_shared, norm_task = _grad_norms(model.partition, group, grads)
+            norm_shared, norm_task = _grad_norms(grads)
             rows = None if tracker is None else decay_update(tracker, group, current, after)
             substeps.append(SubstepRecord(group, after, norm_shared, norm_task, rows))
             current = after

@@ -5,7 +5,7 @@ from mtopt.affinity import affinity_rows, loss_ratios
 from mtopt.analysis import descent_eta_bound, descent_substeps
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
 from mtopt.grouping import everything, make_partition, singletons
-from mtopt.models import Batch, ModelError, TaskSuite, build_shared_trunk
+from mtopt.models import Batch, Gradient, ModelError, TaskSuite, build_shared_trunk
 from mtopt.optim import (Adam, METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM,
                          METHOD_SELECTIVE, METHOD_SEPARATE, METHODS, NumericAbort,
                          PlainSGD, TrainConfig, TrainError, _grad_norms, joint_step,
@@ -291,21 +291,20 @@ def test_adam_shared_moments_advance_per_substep():
     cfg = TrainConfig(method=METHOD_SEPARATE, eta=1e-3, iters=1, optimizer="adam",
                       order_mode="FORWARD")
     selective_group_step(model, batch, singletons(3), cfg, opt, None, 1)
-    assert opt.moments["shared.theta"][2] == 3   # one advance per sub-step
-    assert opt.moments["task.1.theta"][2] == 1
+    assert opt.steps[0] == 3   # the shared set: one advance per sub-step
+    assert opt.steps[1] == 1
 
 
-def test_adam_allocates_moments_once_per_block(monkeypatch):
+def test_adam_allocates_moments_once_per_block():
     model, batch = fresh_quadratic(seed=14)
     opt = Adam()
     cfg = TrainConfig(method=METHOD_SEPARATE, eta=1e-3, iters=1, optimizer="adam",
                       order_mode="FORWARD")
-    calls = []
-    zeros_like = np.zeros_like
-    monkeypatch.setattr(np, "zeros_like", lambda a: calls.append(a.shape) or zeros_like(a))
-    for it in (1, 2):
-        selective_group_step(model, batch, singletons(3), cfg, opt, None, it)
-    assert len(calls) == 2 * len(opt.moments)  # m and v of each block, once
+    selective_group_step(model, batch, singletons(3), cfg, opt, None, 1)
+    m, v = opt.m, opt.v
+    selective_group_step(model, batch, singletons(3), cfg, opt, None, 2)
+    assert opt.m is m and opt.v is v  # m and v of every block, allocated once
+    assert opt.m.shape == opt.v.shape == model.partition.buffer.shape
 
 
 class SetBlockSGD:
@@ -316,8 +315,14 @@ class SetBlockSGD:
             partition.set_block(name, partition.block(name) - eta * grads[name])
 
 
-class SetBlockAdam(Adam):
-    """Adam's moment math with each update written through ``set_block``."""
+class SetBlockAdam:
+    """Adam's moment math with one (m, v, t) per block, each update written
+    through ``set_block``."""
+
+    beta1, beta2, eps = Adam.beta1, Adam.beta2, Adam.eps
+
+    def __init__(self):
+        self.moments = {}
 
     def apply(self, partition, grads, eta):
         for name in sorted(grads):
@@ -332,6 +337,12 @@ class SetBlockAdam(Adam):
             partition.set_block(name, partition.block(name) - eta * mhat / (np.sqrt(vhat) + self.eps))
 
 
+def as_gradient(partition, group, grads):
+    """A gradient from one array per block, laid out as ``backward_group`` lays it out."""
+    layout = partition.layout(group)
+    return Gradient(layout, np.concatenate([grads[n].ravel() for n in layout.blocks]))
+
+
 def trunk_model():
     ds, suite = gen_regression_suite(triad_spec(seed=0))
     return build_shared_trunk(8, 2, suite, seed=0, in_dim=ds.train_x.shape[1])
@@ -342,12 +353,12 @@ def test_in_place_step_equals_the_set_block_path_bitwise(fast, slow, eta):
     models = trunk_model(), trunk_model()
     opts = fast(), slow()
     rng = np.random.default_rng(5)
-    for group in [(1,), (2, 3), (1, 2, 3), (3,)] * 3:
+    for group in [(1,), (2, 3), (1, 2, 3), (3,), (1, 3)] * 3:
         names = models[0].partition.block_ids(group)
         grads = {n: rng.standard_normal(models[0].partition.block(n).shape) for n in names}
         for model, opt in zip(models, opts):
             version = model.partition.version
-            opt.apply(model.partition, grads, eta)
+            opt.apply(model.partition, as_gradient(model.partition, group, grads), eta)
             assert model.partition.version > version
     blocks = [m.partition.all_blocks() for m in models]
     assert sorted(blocks[0]) == sorted(blocks[1])
@@ -358,8 +369,12 @@ def test_in_place_step_equals_the_set_block_path_bitwise(fast, slow, eta):
 @pytest.mark.parametrize("opt", [PlainSGD, Adam])
 def test_in_place_step_refuses_a_gradient_of_the_wrong_shape(opt):
     model = trunk_model()
-    with pytest.raises(ModelError, match="trunk.0.b"):
-        opt().apply(model.partition, {"trunk.0.b": np.ones((1, 8))}, 0.1)
+    grads = {n: np.ones(model.partition.block(n).shape) for n in model.partition.block_ids()}
+    grads["trunk.0.b"] = np.ones(9)
+    version = model.partition.version
+    with pytest.raises(ModelError, match="gradient of shape"):
+        opt().apply(model.partition, as_gradient(model.partition, (), grads), 0.1)
+    assert model.partition.version == version  # refused before any write
 
 
 def test_grad_norms_equal_the_ndarray_sum_form_bitwise():
@@ -371,7 +386,7 @@ def test_grad_norms_equal_the_ndarray_sum_form_bitwise():
 
     def norm(names):
         return float(np.sqrt(sum(float((grads[n] * grads[n]).sum()) for n in names)))
-    shared, task = _grad_norms(model.partition, group, grads)
+    shared, task = _grad_norms(as_gradient(model.partition, group, grads))
     assert repr(shared) == repr(norm(model.partition.shared))
     assert repr(task) == repr({tid: norm(model.partition.per_task[tid]) for tid in group})
 
