@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .models import Batch, QuadraticModel, TaskSuite, stack_targets, target_rows
+from .models import Batch, QuadraticModel, TaskSuite
 
 
 MIN_TASK_GRAD = 0.3  # resample a target until its task-head gradient is not degenerate
@@ -186,25 +185,13 @@ class RegressionSuiteSpec:
 
 @dataclass
 class TabularDataset:
-    """Inputs and per-task targets of a train and an eval split, the targets
-    stacked per width as :func:`models.stack_targets` stacks them."""
-
     train_x: np.ndarray
-    train_stacks: dict[tuple[int, ...], np.ndarray]
+    train_targets: dict[int, np.ndarray]
     eval_x: np.ndarray
-    eval_stacks: dict[tuple[int, ...], np.ndarray]
-
-    @cached_property
-    def train_targets(self) -> dict[int, np.ndarray]:
-        return target_rows(self.train_stacks)
-
-    @cached_property
-    def eval_targets(self) -> dict[int, np.ndarray]:
-        return target_rows(self.eval_stacks)
+    eval_targets: dict[int, np.ndarray]
 
     def stream(self, batch_size: int, iters: int, seed: int):
-        """Deterministic minibatch stream (sampling with replacement); each
-        batch gathers its inputs and each target stack once.
+        """Deterministic minibatch stream (sampling with replacement).
 
         A batch size at or above the dataset size switches to full-batch
         iterations with no resampling.
@@ -213,14 +200,16 @@ class TabularDataset:
         n = self.train_x.shape[0]
         for it in range(1, iters + 1):
             if batch_size >= n:
-                yield Batch.of_stacks(self.train_x, self.train_stacks, it)
+                yield Batch(inputs=self.train_x, targets=dict(self.train_targets),
+                            sample_id=it)
                 continue
             rows = rng.integers(0, n, size=batch_size)
-            yield Batch.of_stacks(self.train_x[rows],
-                                  {ids: stack[:, rows] for ids, stack in self.train_stacks.items()}, it)
+            yield Batch(inputs=self.train_x[rows],
+                        targets={tid: t[rows] for tid, t in self.train_targets.items()},
+                        sample_id=it)
 
     def eval_batch(self) -> Batch:
-        return Batch.of_stacks(self.eval_x, self.eval_stacks, -1)
+        return Batch(inputs=self.eval_x, targets=dict(self.eval_targets), sample_id=-1)
 
 
 def gen_regression_suite(spec: RegressionSuiteSpec) -> tuple[TabularDataset, TaskSuite]:
@@ -235,15 +224,20 @@ def gen_regression_suite(spec: RegressionSuiteSpec) -> tuple[TabularDataset, Tas
         return np.tanh(x @ w) @ v
 
     latent, other, nuis = draw_latent(), draw_latent(), draw_latent()
-    ys = []
-    for idx in range(spec.k - 1):
+    targets: dict[int, np.ndarray] = {}
+    for idx, tid in enumerate(range(1, spec.k)):
         sign = 1.0 if idx % 2 == 0 else -1.0
-        ys.append(latent + sign * spec.nuisance * nuis + spec.noise * rng.standard_normal(n))
-    ys.append(spec.conflict_scale * (other - spec.conflict * latent)
-              + spec.noise * rng.standard_normal(n))
-    ids, stack = tuple(range(1, spec.k + 1)), np.stack(ys)[:, :, None]
-    ds = TabularDataset(train_x=x[:spec.n_train], train_stacks={ids: stack[:, :spec.n_train]},
-                        eval_x=x[spec.n_train:], eval_stacks={ids: stack[:, spec.n_train:]})
+        y = latent + sign * spec.nuisance * nuis + spec.noise * rng.standard_normal(n)
+        targets[tid] = y.reshape(-1, 1)
+    y = (spec.conflict_scale * (other - spec.conflict * latent)
+         + spec.noise * rng.standard_normal(n))
+    targets[spec.k] = y.reshape(-1, 1)
+    ds = TabularDataset(
+        train_x=x[:spec.n_train],
+        train_targets={tid: t[:spec.n_train] for tid, t in targets.items()},
+        eval_x=x[spec.n_train:],
+        eval_targets={tid: t[spec.n_train:] for tid, t in targets.items()},
+    )
     return ds, TaskSuite(spec.k)
 
 
@@ -294,6 +288,5 @@ def load_csv_dataset(path, input_cols: list[str],
     x = np.array([[r[c] for c in input_cols] for r in rows])
     targets = {tid: np.array([[r[c] for c in cols] for r in rows])
                for tid, cols in target_cols.items()}
-    stacks = stack_targets(targets)
-    ds = TabularDataset(train_x=x, train_stacks=stacks, eval_x=x, eval_stacks=stacks)
+    ds = TabularDataset(train_x=x, train_targets=targets, eval_x=x, eval_targets=targets)
     return ds, TaskSuite(len(target_cols))

@@ -54,12 +54,12 @@ def _setup(cfg: ExperimentConfig):
         except (OSError, BenchmarkError) as e:
             raise ConfigError(f"field 'csv.path': {e}") from None
 
-    out_dims = {tid: stack.shape[2] for ids, stack in dataset.train_stacks.items() for tid in ids}
-
     def make_model():
         return build_shared_trunk(cfg.model_width, cfg.model_depth, suite,
                                   seed=[cfg.seed, 2], in_dim=dataset.train_x.shape[1],
-                                  out_dims=out_dims, activation=cfg.model_activation)
+                                  out_dims={tid: dataset.train_targets[tid].shape[1]
+                                            for tid in suite.ids},
+                                  activation=cfg.model_activation)
 
     def batches(iters):
         return dataset.stream(cfg.batch_size, iters, cfg.seed)

@@ -67,31 +67,11 @@ class TaskSuite:
         return {tid: 1.0 for tid in self.ids}
 
 
-def stack_targets(targets: dict[int, np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
-    """The 2-d targets grouped by column count: each group's task ids, ascending,
-    map to their targets stacked as one (len(ids), rows, columns) array."""
-    widths: dict[int, list[int]] = {}
-    for tid in sorted(targets):
-        widths.setdefault(targets[tid].shape[1], []).append(tid)
-    return {tuple(ids): np.stack([as_array(targets[tid]) for tid in ids]) for ids in widths.values()}
-
-
-def target_rows(stacks: dict[tuple[int, ...], np.ndarray]) -> dict[int, np.ndarray]:
-    """Each task's target as a row view of its stack, in task id order."""
-    rows = {tid: row for ids, stack in stacks.items() for tid, row in zip(ids, stack)}
-    return rows if len(stacks) == 1 else dict(sorted(rows.items()))
-
-
 @dataclass
 class Batch:
-    """Inputs and per-task targets. ``stacks``, when given, holds the targets
-    stacked as :func:`stack_targets` stacks them; :meth:`of_stacks` builds a
-    batch whose ``targets`` are row views of its stacks."""
-
     inputs: np.ndarray | None
     targets: dict[int, np.ndarray]
     sample_id: int = 0
-    stacks: dict[tuple[int, ...], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.inputs is not None:
@@ -102,11 +82,6 @@ class Batch:
                         f"batch {self.sample_id}: target of task {tid} has {t.shape[0]} rows, inputs have {n}"
                     )
 
-    @classmethod
-    def of_stacks(cls, inputs: np.ndarray, stacks: dict[tuple[int, ...], np.ndarray],
-                  sample_id: int) -> Batch:
-        return cls(inputs, target_rows(stacks), sample_id, stacks)
-
 
 class ParamPartition:
     """Named parameter blocks, split into the shared trunk and per-task sets.
@@ -114,8 +89,12 @@ class ParamPartition:
     Every block is a view of one float64 ``buffer``: the shared blocks first,
     in order, then each task's blocks, task after task in ``per_task`` order,
     so each set is one contiguous region. Writes go through the views in
-    place and bump ``version``, which guards stale forwards.
+    place and bump ``version``, which guards stale forwards. The layouts of
+    the last ``LAYOUTS_KEPT`` groups asked for are kept; an older one is
+    built again when asked for.
     """
+
+    LAYOUTS_KEPT = 256  # every group of 8 tasks; RANDOM draws new groups each batch
 
     def __init__(self, shared: dict[str, np.ndarray], per_task: dict[int, dict[str, np.ndarray]]):
         sets = [(0, shared), *per_task.items()]  # 0 stands for the shared set
@@ -172,6 +151,8 @@ class ParamPartition:
             unknown = set(key) - set(self.per_task)
             if unknown:
                 raise ModelError(f"no parameter sets for tasks {sorted(unknown)}")
+            if len(self._layouts) >= self.LAYOUTS_KEPT:
+                del self._layouts[next(iter(self._layouts))]  # the oldest
             layout = self._layouts[group] = GradLayout(self, key)
         return layout
 
@@ -185,11 +166,12 @@ class GradLayout:
     shared blocks, then each member's blocks in ascending task id. ``blocks``
     maps a name to its (start, stop, shape) in the gradient, ``norms`` lists
     the (start, stop) of each block of the shared set (key 0) and of each
-    member, ``regions`` gives each set's (key, buffer start, buffer stop,
-    gradient start) in buffer order, and ``steps`` the same regions merged
-    where adjacent, as (buffer view, gradient start, gradient stop). It
-    keeps the partition's ``buffer``, not the partition, so a partition and
-    its cached layouts form no reference cycle and free with their model.
+    member, and ``regions`` gives each set's (key, buffer start, buffer
+    stop, gradient start) in buffer order. ``plan`` is where the model that
+    owns the partition caches what its backward derives from the layout. A
+    layout keeps the partition's ``buffer``, not the partition, so a
+    partition and its cached layouts form no reference cycle and free with
+    their model.
     """
 
     def __init__(self, partition: ParamPartition, group: tuple[int, ...]):
@@ -210,13 +192,7 @@ class GradLayout:
         self.size = pos
         self.names = tuple(partition.shared) + tuple(
             name for tid in group for name in partition.per_task[tid])
-        merged: list[list[int]] = []
-        for _, start, stop, at in self.regions:
-            if merged and merged[-1][1] == start:
-                merged[-1][1] = stop
-            else:
-                merged.append([start, stop, at])
-        self.steps = [(partition.buffer[a:b], at, at + b - a) for a, b, at in merged]
+        self.plan = None
 
 
 class Gradient(Mapping):
@@ -302,7 +278,6 @@ class MLPModel:
             rows = partition.buffer[start:start + len(tids) * (stop - start)].reshape(len(tids), -1)
             w = rows[:, :-out].reshape(len(tids), -1, out)
             self._heads.append(_Heads(tids, w, rows[:, None, -out:]))
-        self._plans: dict = {}
         self._forward_version: int | None = None
         # the last batch checked, its inputs and its targets stacked per head stack
         self._bound: tuple[Batch | None, np.ndarray | None, list[np.ndarray]] = (None, None, [])
@@ -357,17 +332,12 @@ class MLPModel:
                 raise ModelError(f"batch {batch.sample_id}: no target for task {tid}")
         x = as_array(batch.inputs)
         fits = x.ndim == 2 and x.shape[1] == self._trunk[0][0].shape[0]
-        if not (fits and all(as_array(batch.targets[tid]).shape == (len(x), heads.w.shape[2])
+        if not (fits and all(batch.targets[tid].shape == (len(x), heads.w.shape[2])
                              for heads in self._heads for tid in heads.tids)):
             self._replay(batch)
-        given = batch.stacks or {}
-        stacks = []
-        for heads in self._heads:
-            stack = given.get(heads.tids)
-            shape = (len(heads.tids), len(x), heads.w.shape[2])
-            if stack is None or stack.dtype != np.float64 or stack.shape != shape:
-                stack = np.stack([as_array(batch.targets[tid]) for tid in heads.tids])
-            stacks.append(stack)
+        # np.stack's bytes, without its per-array Python work
+        stacks = [np.concatenate([batch.targets[tid] for tid in heads.tids], dtype=np.float64)
+                  .reshape(len(heads.tids), len(x), heads.w.shape[2]) for heads in self._heads]
         self._bound = (batch, x, stacks)
         return self._bound
 
@@ -400,13 +370,13 @@ class MLPModel:
         self._forward_version = self.partition.version
         return losses
 
-    def _plan(self, group):
-        """The layout of ``group``'s gradient; per head stack with members, the
-        stack index, the members' rows (a slice where they are adjacent) and
-        ids, and where their task sets lie in the gradient; per member in
-        descending id, its (part, row, transposed weight); and per trunk
-        layer, where its weight and bias lie in the gradient."""
-        layout = self.partition.layout(group)
+    def _plan(self, layout: GradLayout):
+        """What the backward reads of ``layout``, kept as its ``plan``: per
+        head stack with members, the stack index, the members' rows (a slice
+        where they are adjacent) and ids, and where their task sets lie in
+        the gradient; per member in descending id, its (part, row, transposed
+        weight); and per trunk layer, where its weight and bias lie in the
+        gradient."""
         members = set(layout.group)
         parts, adjoint = [], {}
         for c, heads in enumerate(self._heads):
@@ -421,9 +391,8 @@ class MLPModel:
                           layout.blocks[f"head.{tids[-1]}.b"][1]))
         trunk = [(slice(*layout.blocks[f"trunk.{i}.w"][:2]), slice(*layout.blocks[f"trunk.{i}.b"][:2]))
                  for i in range(len(self._trunk))]
-        adjoint = [adjoint[tid] for tid in sorted(members, reverse=True)]
-        plan = self._plans[group] = (layout, parts, adjoint, trunk)
-        return plan
+        layout.plan = (parts, [adjoint[tid] for tid in sorted(members, reverse=True)], trunk)
+        return layout.plan
 
     def backward_group(self, group, weights: dict[int, float]) -> Gradient:
         """Gradient of sum_i w_i * L_i over shared + the group's task blocks.
@@ -434,7 +403,8 @@ class MLPModel:
         """
         if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
-        layout, parts, adjoint, trunk = self._plans.get(group) or self._plan(group)
+        layout = self.partition.layout(group)
+        parts, adjoint, trunk = layout.plan or self._plan(layout)
         acts = self._acts
         head_t = acts[-1].T
         flat = np.empty(layout.size)

@@ -127,14 +127,29 @@ def _begin_step(partition: ParamPartition, grads: Gradient):
     return layout
 
 
+def _merged(regions, counts: dict[int, int] | None = None) -> list[list[int]]:
+    """A layout's ``regions`` as [buffer start, buffer stop, gradient start,
+    count], merged where adjacent and, given each set's step count, where
+    their counts agree."""
+    runs: list[list[int]] = []
+    for key, start, stop, at in regions:
+        t = None if counts is None else counts[key]
+        if runs and runs[-1][1] == start and runs[-1][3] == t:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, at, t])
+    return runs
+
+
 class PlainSGD:
     kind = "sgd"
 
     def apply(self, partition: ParamPartition, grads: Gradient, eta: float):
         """Step each of the gradient's buffer regions, merged where adjacent."""
         g = grads.flat
-        for p, start, stop in _begin_step(partition, grads).steps:
-            p -= eta * g[start:stop]  # the same IEEE operations as set_block(name, p - eta * g)
+        for start, stop, at, _ in _merged(_begin_step(partition, grads).regions):
+            # the same IEEE operations as set_block(name, p - eta * g)
+            partition.buffer[start:stop] -= eta * g[at:at + stop - start]
 
 
 class Adam:
@@ -162,14 +177,9 @@ class Adam:
         if self.m is None:
             self.m, self.v = np.zeros(partition.buffer.size), np.zeros(partition.buffer.size)
             self.steps = dict.fromkeys([0, *partition.per_task], 0)
-        runs: list[list[int]] = []  # [buffer start, buffer stop, gradient start, count]
-        for key, start, stop, at in layout.regions:
-            t = self.steps[key] = self.steps[key] + 1
-            if runs and runs[-1][1] == start and runs[-1][3] == t:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop, at, t])
-        for start, stop, at, t in runs:
+        for key, *_ in layout.regions:
+            self.steps[key] += 1
+        for start, stop, at, t in _merged(layout.regions, self.steps):
             g = grads.flat[at:at + stop - start]
             m, v = self.m[start:stop], self.v[start:stop]
             mhat, vhat = np.empty((2, stop - start))

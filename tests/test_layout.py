@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from mtopt import optim
 from mtopt.benchmarks import (QuadraticSpec, gen_quadratic_suite, gen_regression_suite,
                               load_csv_dataset, triad_spec)
-from mtopt.models import Batch, ModelError, TaskSuite, build_shared_trunk, restore, snapshot
+from mtopt.models import (Batch, ModelError, ParamPartition, TaskSuite, build_shared_trunk,
+                          restore, snapshot)
 from mtopt.optim import Adam, PlainSGD, TrainConfig, train
 from tests.test_optim import Collector, SetBlockAdam, SetBlockSGD, as_gradient, trunk_model
 from tests.test_tensor import assert_closed_form_matches_interpreter, mlp_case
@@ -163,6 +164,26 @@ def test_writes_round_trip_and_bump_the_version(make):
         model.forward_all(batch)
 
 
+@pytest.mark.parametrize("make", [lambda: mlp_case(1, 4, "tanh", (1,) * 32, 4, 5),
+                                  lambda: gen_quadratic_suite(QuadraticSpec(k=32, seed=5))])
+def test_random_groups_keep_a_bounded_number_of_layouts(make, monkeypatch):
+    """RANDOM draws new groups every batch, so at 32 tasks nearly every
+    sub-step asks for a new layout; the partition keeps at most
+    ``LAYOUTS_KEPT``, and a run that keeps only 2 trains bit for bit alike."""
+    cfg = TrainConfig(method="RANDOM", eta=1e-3, iters=150, seed=1, random_groups=2)
+    runs = []
+    for kept in (None, 2):
+        if kept:
+            monkeypatch.setattr(ParamPartition, "LAYOUTS_KEPT", kept)
+        (model, batch), sink = make(), Collector()
+        train(model, [batch] * cfg.iters, cfg, sink)
+        groups = {g for s in sink.steps for g in s.partition.groups}
+        assert len(groups) > ParamPartition.LAYOUTS_KEPT
+        assert len(model.partition._layouts) == ParamPartition.LAYOUTS_KEPT
+        runs.append((repr([s.substeps for s in sink.steps]), model.partition.buffer.tobytes()))
+    assert runs[0] == runs[1]
+
+
 def test_a_gradient_steps_only_the_partition_it_was_laid_out_for():
     model, other = trunk_model(), trunk_model()
     grads = {n: np.ones(model.partition.block(n).shape) for n in model.partition.block_ids((1,))}
@@ -178,9 +199,8 @@ def test_csv_suite_with_two_head_widths_trains(tmp_path):
     path.write_text("x1,x2,x3,a,b1,b2,c\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n"
                                                   for row in rows))
     ds, suite = load_csv_dataset(path, ["x1", "x2", "x3"], {1: ["a"], 2: ["b1", "b2"], 3: ["c"]})
-    stacks = {ids: s.shape for ids, s in ds.train_stacks.items()}
-    assert stacks == {(1, 3): (2, 24, 1), (2,): (1, 24, 2)}
     model = build_shared_trunk(6, 2, suite, seed=1, in_dim=3, out_dims={1: 1, 2: 2, 3: 1})
+    assert [h.tids for h in model._heads] == [(1, 3), (2,)]  # one stack per head width
     cfg = TrainConfig(method="SELECTIVE", eta=0.05, beta=0.05, iters=30, seed=0)
     log = train(model, ds.stream(8, 30, 0), cfg)
     assert log.iterations == 30
