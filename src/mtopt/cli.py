@@ -189,11 +189,11 @@ def cmd_verify(args) -> int:
     suites = [s.strip() for s in args.suites.split(",")] if args.suites else list(SUITES)
     for s in suites:
         if s not in SUITES:
-            return _fail(f"unknown suite '{s}' (have {', '.join(SUITES)})", EXIT_USAGE)
+            raise ConfigError(f"unknown suite '{s}' (have {', '.join(SUITES)})")
     if args.out and os.path.isdir(args.out):
-        return _fail(f"--out {args.out} is a directory", EXIT_USAGE)
+        raise ConfigError(f"--out {args.out} is a directory")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        return _fail(f"--out {args.out}: no directory {os.path.dirname(args.out)}", EXIT_USAGE)
+        raise ConfigError(f"--out {args.out}: no directory {os.path.dirname(args.out)}")
     reports = []
     for s in suites:
         n = SUITES[s].instances if args.instances is None else args.instances

@@ -22,10 +22,11 @@ shared blocks first, then each task's blocks, and every named block is a
 view of it. The MLP also reads its heads of one output width as (k, width,
 out) and (k, 1, out) stacks, and the quadratic its task blocks as one
 (k, task_dim) array. A gradient (:class:`Gradient`) is one flat array
-holding the shared blocks and the group's task blocks as the buffer lays
-them out (:class:`GradLayout`); indexing it by block name gives a view.
-Each ``backward_group`` call returns a fresh gradient, so gradients of
-several groups can be held at once.
+laid out as the buffer: it holds the shared blocks and the group's task
+blocks at their parameter offsets and +0.0 everywhere else, and indexing
+it by one of those blocks' names gives a view. Each ``backward_group``
+call returns a fresh gradient, so gradients of several groups can be held
+at once; a group is any iterable of task ids.
 """
 
 from __future__ import annotations
@@ -89,12 +90,12 @@ class ParamPartition:
     Every block is a view of one float64 ``buffer``: the shared blocks first,
     in order, then each task's blocks, task after task in ``per_task`` order,
     so each set is one contiguous region. Writes go through the views in
-    place and bump ``version``, which guards stale forwards. The layouts of
-    the last ``LAYOUTS_KEPT`` groups asked for are kept; an older one is
-    built again when asked for.
+    place and bump ``version``, which guards stale forwards. The same
+    offsets serve the buffer, every gradient and Adam's moments: ``_spans``
+    maps a block to its (start, stop, shape, set key), ``_regions`` a set
+    key (0 for the shared set, else a task id) to its (start, stop), and
+    ``_blocks`` a set key to its blocks' (start, stop) in order.
     """
-
-    LAYOUTS_KEPT = 256  # every group of 8 tasks; RANDOM draws new groups each batch
 
     def __init__(self, shared: dict[str, np.ndarray], per_task: dict[int, dict[str, np.ndarray]]):
         sets = [(0, shared), *per_task.items()]  # 0 stands for the shared set
@@ -102,8 +103,9 @@ class ParamPartition:
                                      dtype=np.float64)
         self.version = 0
         self._index: dict[str, np.ndarray] = {}
-        self._regions: dict[int, tuple[int, int]] = {}  # each set's (start, stop) in the buffer
-        self._layouts: dict = {}
+        self._spans: dict[str, tuple[int, int, tuple[int, ...], int]] = {}
+        self._regions: dict[int, tuple[int, int]] = {}
+        self._blocks: dict[int, list[tuple[int, int]]] = {}
         views = []
         pos = 0
         for key, blocks in sets:
@@ -113,6 +115,8 @@ class ParamPartition:
                     raise ModelError(f"block '{name}' appears in more than one parameter set")
                 view = self.buffer[pos:pos + value.size]
                 out[name] = self._index[name] = view if value.ndim == 1 else view.reshape(value.shape)
+                self._spans[name] = (pos, pos + value.size, value.shape, key)
+                self._blocks.setdefault(key, []).append((pos, pos + value.size))
                 pos += value.size
             self._regions[key] = (start, pos)
             views.append(out)
@@ -143,78 +147,40 @@ class ParamPartition:
         target[...] = value
         self.version += 1
 
-    def layout(self, group) -> GradLayout:
-        """The layout of a gradient over the shared set and ``group``'s task sets."""
-        layout = self._layouts.get(group)
-        if layout is None:
-            key = tuple(sorted(group))
-            unknown = set(key) - set(self.per_task)
-            if unknown:
-                raise ModelError(f"no parameter sets for tasks {sorted(unknown)}")
-            if len(self._layouts) >= self.LAYOUTS_KEPT:
-                del self._layouts[next(iter(self._layouts))]  # the oldest
-            layout = self._layouts[group] = GradLayout(self, key)
-        return layout
-
-
-class GradLayout:
-    """Where a gradient over the shared set and ``group``'s task sets keeps
-    each block: ``size`` floats holding the buffer's regions of those sets, in
-    buffer order and back to back.
-
-    ``names`` lists the blocks in the order a gradient iterates them: the
-    shared blocks, then each member's blocks in ascending task id. ``blocks``
-    maps a name to its (start, stop, shape) in the gradient, ``norms`` lists
-    the (start, stop) of each block of the shared set (key 0) and of each
-    member, and ``regions`` gives each set's (key, buffer start, buffer
-    stop, gradient start) in buffer order. ``plan`` is where the model that
-    owns the partition caches what its backward derives from the layout. A
-    layout keeps the partition's ``buffer``, not the partition, so a
-    partition and its cached layouts form no reference cycle and free with
-    their model.
-    """
-
-    def __init__(self, partition: ParamPartition, group: tuple[int, ...]):
-        self.buffer, self.group = partition.buffer, group
-        members = set(group)
-        keys = [0] + [tid for tid in partition.per_task if tid in members]
-        self.blocks: dict[str, tuple[int, int, tuple[int, ...]]] = {}
-        self.norms: dict[int, list[tuple[int, int]]] = {}
-        self.regions: list[tuple[int, int, int, int]] = []
-        pos = 0
-        for key in keys:
-            start, stop = partition._regions[key]
-            self.regions.append((key, start, stop, pos))
-            for name, view in (partition.shared if key == 0 else partition.per_task[key]).items():
-                self.blocks[name] = (pos, pos + view.size, view.shape)
-                self.norms.setdefault(key, []).append((pos, pos + view.size))
-                pos += view.size
-        self.size = pos
-        self.names = tuple(partition.shared) + tuple(
-            name for tid in group for name in partition.per_task[tid])
-        self.plan = None
+    def members(self, group) -> tuple[int, ...]:
+        """The task ids of ``group``, any iterable of them, sorted and checked."""
+        ids = set(group)
+        unknown = ids.difference(self.per_task)
+        if unknown:
+            raise ModelError(f"no parameter sets for tasks {sorted(unknown)}")
+        return tuple(sorted(ids))
 
 
 class Gradient(Mapping):
-    """One backward's gradient. ``flat`` is a fresh array laid out by
-    ``layout``; indexing it by block name gives a view of ``flat``."""
+    """One backward's gradient over the shared set and the task sets of
+    ``group`` (sorted task ids). ``flat`` is a fresh array laid out as the
+    partition's buffer, holding +0.0 outside those sets; indexing it by the
+    name of a block in those sets gives a view of ``flat``."""
 
-    __slots__ = ("layout", "flat", "_views")
+    __slots__ = ("partition", "group", "flat")
 
-    def __init__(self, layout: GradLayout, flat: np.ndarray):
-        self.layout, self.flat, self._views = layout, flat, None
+    def __init__(self, partition: ParamPartition, group: tuple[int, ...], flat: np.ndarray):
+        self.partition, self.group, self.flat = partition, group, flat
 
     def __getitem__(self, name: str) -> np.ndarray:
-        if self._views is None:
-            self._views = {n: self.flat[a:b].reshape(shape)
-                           for n, (a, b, shape) in self.layout.blocks.items()}
-        return self._views[name]
+        start, stop, shape, key = self.partition._spans[name]
+        if key and key not in self.group:
+            raise KeyError(name)
+        return self.flat[start:stop].reshape(shape)
 
     def __iter__(self):
-        return iter(self.layout.names)
+        """The shared blocks, then each member's, in ascending task id."""
+        yield from self.partition.shared
+        for tid in self.group:
+            yield from self.partition.per_task[tid]
 
     def __len__(self) -> int:
-        return len(self.layout.names)
+        return len(self.partition.shared) + sum(len(self.partition.per_task[tid]) for tid in self.group)
 
 
 def snapshot(model, block_ids) -> dict[str, np.ndarray]:
@@ -258,6 +224,8 @@ class MLPModel:
     interpreter raises the error that names the failing op.
     """
 
+    PLANS_KEPT = 256  # every group of 8 tasks; RANDOM draws new groups each batch
+
     def __init__(self, suite: TaskSuite, partition: ParamPartition, activation: str):
         self.suite = suite
         self.partition = partition
@@ -278,6 +246,9 @@ class MLPModel:
             rows = partition.buffer[start:start + len(tids) * (stop - start)].reshape(len(tids), -1)
             w = rows[:, :-out].reshape(len(tids), -1, out)
             self._heads.append(_Heads(tids, w, rows[:, None, -out:]))
+        self._trunk_spans = [tuple(slice(*partition._spans[f"trunk.{i}.{p}"][:2]) for p in "wb")
+                             for i in range(len(self._trunk))]
+        self._plans: dict[tuple[int, ...], tuple[list, list]] = {}
         self._forward_version: int | None = None
         # the last batch checked, its inputs and its targets stacked per head stack
         self._bound: tuple[Batch | None, np.ndarray | None, list[np.ndarray]] = (None, None, [])
@@ -370,29 +341,31 @@ class MLPModel:
         self._forward_version = self.partition.version
         return losses
 
-    def _plan(self, layout: GradLayout):
-        """What the backward reads of ``layout``, kept as its ``plan``: per
-        head stack with members, the stack index, the members' rows (a slice
-        where they are adjacent) and ids, and where their task sets lie in
-        the gradient; per member in descending id, its (part, row, transposed
-        weight); and per trunk layer, where its weight and bias lie in the
-        gradient."""
-        members = set(layout.group)
-        parts, adjoint = [], {}
-        for c, heads in enumerate(self._heads):
-            rows = [i for i, tid in enumerate(heads.tids) if tid in members]
-            if not rows:
-                continue
-            for j, i in enumerate(rows):
-                adjoint[heads.tids[i]] = (len(parts), j, heads.w[i].T)
-            tids = [heads.tids[i] for i in rows]
-            sel = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows)
-            parts.append((c, sel, tids, layout.blocks[f"head.{tids[0]}.w"][0],
-                          layout.blocks[f"head.{tids[-1]}.b"][1]))
-        trunk = [(slice(*layout.blocks[f"trunk.{i}.w"][:2]), slice(*layout.blocks[f"trunk.{i}.b"][:2]))
-                 for i in range(len(self._trunk))]
-        layout.plan = (parts, [adjoint[tid] for tid in sorted(members, reverse=True)], trunk)
-        return layout.plan
+    def _plan(self, group: tuple[int, ...]) -> tuple[list, list]:
+        """What the backward of ``group`` reads: per run of adjacent member
+        rows in a head stack, the stack index, the rows (a slice), the
+        members' ids and where their task sets lie in the buffer; per member
+        in descending id, its (part, row, transposed weight). The last
+        ``PLANS_KEPT`` plans are kept."""
+        plan = self._plans.get(group)
+        if plan is None:
+            members, runs, adjoint = set(group), [], {}
+            for c, heads in enumerate(self._heads):
+                prev = None  # this stack's last member row
+                for i, tid in enumerate(heads.tids):
+                    if tid in members:
+                        if prev != i - 1:
+                            runs.append((c, i, []))
+                        adjoint[tid] = (len(runs) - 1, len(runs[-1][2]), heads.w[i].T)
+                        runs[-1][2].append(tid)
+                        prev = i
+            regions = self.partition._regions
+            parts = [(c, slice(i, i + len(tids)), tids, regions[tids[0]][0], regions[tids[-1]][1])
+                     for c, i, tids in runs]
+            if len(self._plans) >= self.PLANS_KEPT:
+                del self._plans[next(iter(self._plans))]  # the oldest
+            plan = self._plans[group] = (parts, [adjoint[tid] for tid in reversed(group)])
+        return plan
 
     def backward_group(self, group, weights: dict[int, float]) -> Gradient:
         """Gradient of sum_i w_i * L_i over shared + the group's task blocks.
@@ -403,11 +376,11 @@ class MLPModel:
         """
         if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
-        layout = self.partition.layout(group)
-        parts, adjoint, trunk = layout.plan or self._plan(layout)
+        group = self.partition.members(group)
+        parts, adjoint = self._plan(group)
         acts = self._acts
         head_t = acts[-1].T
-        flat = np.empty(layout.size)
+        flat = np.zeros(self.partition.buffer.size)
         stacked = []
         # Two arrays as wide as the trunk serve the whole backward: fewer
         # pages to fault in than one fresh array per product.
@@ -436,14 +409,14 @@ class MLPModel:
                     up, spare = spare, up
                 else:  # relu: subgradient at 0 taken as 0; h > 0 exactly where z > 0
                     up *= h > 0.0
-                w, b = trunk[layer]
+                w, b = self._trunk_spans[layer]
                 np.add.reduce(up, axis=0, out=flat[b])
                 np.matmul(acts[layer].T, up, out=flat[w].reshape(self._trunk[layer][0].shape))
                 if layer:
                     up, spare = np.matmul(up, self._trunk_t[layer], out=spare), up
         if not np.isfinite(flat).all():
             self._replay(self._bound[0], group, weights)
-        return Gradient(layout, flat)
+        return Gradient(self.partition, group, flat)
 
 
 def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
@@ -551,15 +524,15 @@ class QuadraticModel:
         """A fresh gradient of sum_i w_i * L_i over shared + the group's task blocks."""
         if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
-        layout = self.partition.layout(group)
-        flat = np.zeros(layout.size)  # the shared gradient, then each member's in id order
-        shared, at, width = flat[:self._a.shape[2]], self._a.shape[2], self._c.shape[2]
-        for tid in layout.group:
+        group = self.partition.members(group)
+        flat = np.zeros(self.partition.buffer.size)  # laid out as the buffer, as _theta is
+        shared = flat[:self._a.shape[2]]
+        task = flat[self._a.shape[2]:].reshape(self._theta.shape)
+        for tid in group:
             r = self._residuals[tid - 1]
             shared += weights[tid] * (self._a[tid - 1].T @ r)
-            np.multiply(weights[tid], self._c[tid - 1].T @ r, out=flat[at:at + width])
-            at += width
-        return Gradient(layout, flat)
+            np.multiply(weights[tid], self._c[tid - 1].T @ r, out=task[tid - 1])
+        return Gradient(self.partition, group, flat)
 
     def hessian_bound(self) -> float:
         """Largest eigenvalue of any task's full Hessian [A C]^T [A C]."""

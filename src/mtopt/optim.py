@@ -19,10 +19,11 @@ which, with the sub-step's losses, :func:`affinity.affinity_rows` derives the
 log rows when a run is written.
 
 A sub-step's gradient is the flat :class:`models.Gradient` its backward
-returned, laid out as the parameter buffer's regions of the shared set and
-the group's task sets. The optimizers step those regions of the buffer in
-place, merged where they are adjacent, and the gradient norms read the
-flat array.
+returned, laid out as the parameter buffer, with +0.0 outside the shared
+set and the group's task sets, so one offset table serves parameters,
+gradients and Adam's moments. SGD steps the whole buffer in place; Adam
+steps the group's sets, merged where adjacent with equal step counts; the
+gradient norms read each set's block spans of the flat array.
 """
 
 from __future__ import annotations
@@ -116,52 +117,38 @@ class TrainConfig:
 
 
 def _begin_step(partition: ParamPartition, grads: Gradient):
-    """The layout of ``grads``, checked to be ``partition``'s and to fit
-    ``grads``; counts the step about to write the buffer."""
-    layout = grads.layout
-    if layout.buffer is not partition.buffer:
+    """Check that ``grads`` was laid out for ``partition`` and fits its
+    buffer; counts the step about to write the buffer."""
+    if grads.partition is not partition:
         raise ModelError("the gradient was laid out for another parameter partition")
-    if grads.flat.shape != (layout.size,):
-        raise ModelError(f"gradient of shape {grads.flat.shape} for a layout of {layout.size} floats")
+    size = partition.buffer.size
+    if grads.flat.shape != (size,):
+        raise ModelError(f"gradient of shape {grads.flat.shape} for a buffer of {size} floats")
     partition.version += 1
-    return layout
-
-
-def _merged(regions, counts: dict[int, int] | None = None) -> list[list[int]]:
-    """A layout's ``regions`` as [buffer start, buffer stop, gradient start,
-    count], merged where adjacent and, given each set's step count, where
-    their counts agree."""
-    runs: list[list[int]] = []
-    for key, start, stop, at in regions:
-        t = None if counts is None else counts[key]
-        if runs and runs[-1][1] == start and runs[-1][3] == t:
-            runs[-1][1] = stop
-        else:
-            runs.append([start, stop, at, t])
-    return runs
 
 
 class PlainSGD:
     kind = "sgd"
 
     def apply(self, partition: ParamPartition, grads: Gradient, eta: float):
-        """Step each of the gradient's buffer regions, merged where adjacent."""
-        g = grads.flat
-        for start, stop, at, _ in _merged(_begin_step(partition, grads).regions):
-            # the same IEEE operations as set_block(name, p - eta * g)
-            partition.buffer[start:stop] -= eta * g[at:at + stop - start]
+        """Step the whole buffer: p - eta * (+0.0) is p for every p outside
+        the group, -0.0 and infinities included."""
+        _begin_step(partition, grads)
+        # the same IEEE operations as set_block(name, p - eta * g)
+        partition.buffer -= eta * grads.flat
 
 
 class Adam:
     """Adaptive moments over the partition's buffer.
 
-    ``m`` and ``v`` are flat, laid out as the buffer, and allocated at the
-    first step. ``steps`` counts the steps of the shared set (key 0) and of
-    each task's set. The shared count advances once per sub-step, so a batch
-    with M groups moves it M times, and a task's count advances once per
-    sub-step of a group that holds the task; that is the only
-    state-consistent reading of per-group optimizer sub-steps. Adjacent
-    regions whose counts agree step as one.
+    ``m`` and ``v`` are flat, laid out as the buffer and the gradient, and
+    allocated at the first step. ``steps`` counts the steps of the shared
+    set (key 0) and of each task's set. The shared count advances once per
+    sub-step, so a batch with M groups moves it M times, and a task's count
+    advances once per sub-step of a group that holds the task; that is the
+    only state-consistent reading of per-group optimizer sub-steps. Only the
+    group's sets step, since the moments of the others must not decay; sets
+    adjacent in the buffer whose counts agree step as one.
     """
 
     kind = "adam"
@@ -173,14 +160,21 @@ class Adam:
         self.steps: dict[int, int] = {}
 
     def apply(self, partition: ParamPartition, grads: Gradient, eta: float):
-        layout = _begin_step(partition, grads)
+        _begin_step(partition, grads)
         if self.m is None:
             self.m, self.v = np.zeros(partition.buffer.size), np.zeros(partition.buffer.size)
             self.steps = dict.fromkeys([0, *partition.per_task], 0)
-        for key, *_ in layout.regions:
+        keys = (0, *grads.group)
+        for key in keys:
             self.steps[key] += 1
-        for start, stop, at, t in _merged(layout.regions, self.steps):
-            g = grads.flat[at:at + stop - start]
+        runs: list[list[int]] = []  # [start, stop, count], in buffer order
+        for start, stop, t in sorted((*partition._regions[key], self.steps[key]) for key in keys):
+            if runs and runs[-1][1] == start and runs[-1][2] == t:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop, t])
+        for start, stop, t in runs:
+            g = grads.flat[start:stop]
             m, v = self.m[start:stop], self.v[start:stop]
             mhat, vhat = np.empty((2, stop - start))
             m *= self.beta1  # in place, the same operations as beta1 * m + (1 - beta1) * g
@@ -263,19 +257,19 @@ class RunLog:
 
 def _grad_norms(grads: Gradient) -> tuple[float, dict[int, float]]:
     """Gradient norms of the shared set and of each member's set. Each sums
-    the per-block squares in block order, each block reduced on its view of
+    the per-block squares in block order, each block reduced on its span of
     one square of the flat gradient; one sum over the concatenated gradient
     would round differently. ``np.add.reduce`` is what ``ndarray.sum`` calls,
     and ``math.sqrt`` rounds as ``np.sqrt`` does."""
     sq = grads.flat * grads.flat
+    blocks = grads.partition._blocks
 
-    def norm(bounds) -> float:
+    def norm(key: int) -> float:
         total = 0  # sum()'s start: 0 + x is exactly x
-        for start, stop in bounds:
+        for start, stop in blocks[key]:
             total += float(np.add.reduce(sq[start:stop]))
         return math.sqrt(total)
-    bounds = grads.layout.norms
-    return norm(bounds[0]), {tid: norm(bounds[tid]) for tid in grads.layout.group}
+    return norm(0), {tid: norm(tid) for tid in grads.group}
 
 
 def selective_group_step(model, batch: Batch, partition: GroupPartition, config: TrainConfig,

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from mtopt import optim
 from mtopt.benchmarks import (QuadraticSpec, gen_quadratic_suite, gen_regression_suite,
                               load_csv_dataset, triad_spec)
-from mtopt.models import (Batch, ModelError, ParamPartition, TaskSuite, build_shared_trunk,
-                          restore, snapshot)
+from mtopt.models import (Batch, MLPModel, ModelError, TaskSuite, build_shared_trunk, restore,
+                          snapshot)
 from mtopt.optim import Adam, PlainSGD, TrainConfig, train
 from tests.test_optim import Collector, SetBlockAdam, SetBlockSGD, as_gradient, trunk_model
 from tests.test_tensor import assert_closed_form_matches_interpreter, mlp_case
@@ -56,10 +56,8 @@ def test_segment_steps_equal_the_per_block_reference_bitwise(cols, groups, maske
         assert value.tobytes() == models[1].partition.block(name).tobytes(), name
     if adam:
         assert fast.steps == {0: len(groups), **members}
-        whole = models[0].partition.layout(range(1, k + 1))  # laid out as the buffer
         for name, (m, v, t) in slow.moments.items():
-            tid = 0 if name.startswith("trunk") else int(name.split(".")[1])
-            start, stop, _ = whole.blocks[name]
+            start, stop, _, tid = models[0].partition._spans[name]
             assert t == fast.steps[tid], name
             assert fast.m[start:stop].tobytes() == m.tobytes(), name
             assert fast.v[start:stop].tobytes() == v.tobytes(), name
@@ -164,24 +162,129 @@ def test_writes_round_trip_and_bump_the_version(make):
         model.forward_all(batch)
 
 
-@pytest.mark.parametrize("make", [lambda: mlp_case(1, 4, "tanh", (1,) * 32, 4, 5),
-                                  lambda: gen_quadratic_suite(QuadraticSpec(k=32, seed=5))])
-def test_random_groups_keep_a_bounded_number_of_layouts(make, monkeypatch):
-    """RANDOM draws new groups every batch, so at 32 tasks nearly every
-    sub-step asks for a new layout; the partition keeps at most
-    ``LAYOUTS_KEPT``, and a run that keeps only 2 trains bit for bit alike."""
-    cfg = TrainConfig(method="RANDOM", eta=1e-3, iters=150, seed=1, random_groups=2)
+def random_run(make, iters=150):
+    """RANDOM at 32 tasks in two groups: nearly every sub-step runs a new group."""
+    cfg = TrainConfig(method="RANDOM", eta=1e-3, iters=iters, seed=1, random_groups=2)
+    (model, batch), sink = make(), Collector()
+    train(model, [batch] * cfg.iters, cfg, sink)
+    groups = {g for s in sink.steps for g in s.partition.groups}
+    return model, groups, (repr([s.substeps for s in sink.steps]), model.partition.buffer.tobytes())
+
+
+def test_random_groups_keep_a_bounded_number_of_mlp_plans(monkeypatch):
+    """The MLP keeps at most ``PLANS_KEPT`` backward plans, and a run that
+    keeps only 2 trains bit for bit alike."""
     runs = []
     for kept in (None, 2):
         if kept:
-            monkeypatch.setattr(ParamPartition, "LAYOUTS_KEPT", kept)
-        (model, batch), sink = make(), Collector()
-        train(model, [batch] * cfg.iters, cfg, sink)
-        groups = {g for s in sink.steps for g in s.partition.groups}
-        assert len(groups) > ParamPartition.LAYOUTS_KEPT
-        assert len(model.partition._layouts) == ParamPartition.LAYOUTS_KEPT
-        runs.append((repr([s.substeps for s in sink.steps]), model.partition.buffer.tobytes()))
+            monkeypatch.setattr(MLPModel, "PLANS_KEPT", kept)
+        model, groups, run = random_run(lambda: mlp_case(1, 4, "tanh", (1,) * 32, 4, 5))
+        assert len(groups) > MLPModel.PLANS_KEPT
+        assert len(model._plans) == MLPModel.PLANS_KEPT
+        runs.append(run)
     assert runs[0] == runs[1]
+
+
+def test_the_quadratic_keeps_no_per_group_state():
+    """Nothing on the quadratic or its partition grows with the groups it ran."""
+    def sizes(model):
+        return {f"{owner}.{name}": len(value) if hasattr(value, "__len__") else None
+                for owner, obj in (("model", model), ("partition", model.partition))
+                for name, value in vars(obj).items()}
+    make = lambda: gen_quadratic_suite(QuadraticSpec(k=32, seed=5))  # noqa: E731
+    one, _, _ = random_run(make, iters=1)
+    model, groups, _ = random_run(make)
+    assert len(groups) > 100
+    assert sizes(model) == sizes(one)
+
+
+def both_families(k=4):
+    return [lambda: mixed_trunk(), lambda: gen_quadratic_suite(QuadraticSpec(k=k, seed=3, task_dim=2))]
+
+
+@pytest.mark.parametrize("make", both_families())
+def test_any_iterable_of_task_ids_is_a_group(make):
+    """A list, a set and an unsorted tuple give the sorted tuple's gradient
+    bytes and share its plan; an unknown task id is refused."""
+    model, batch = make()
+    model.forward_all(batch)
+    weights = {1: 0.5, 2: 2.0, 3: 1.0, 4: 1.5}
+    want = model.backward_group((1, 2, 4), weights)
+    for group in ([4, 1, 2], {2, 4, 1}, (4, 2, 1), iter([2, 1, 4])):
+        got = model.backward_group(group, weights)
+        assert got.group == (1, 2, 4)
+        assert got.flat.tobytes() == want.flat.tobytes(), group
+    if hasattr(model, "_plans"):
+        assert list(model._plans) == [(1, 2, 4)]
+    for bad in ([1, 5], (0,), {9}):
+        with pytest.raises(ModelError, match="no parameter sets"):
+            model.backward_group(bad, weights)
+
+
+@pytest.mark.parametrize("make", both_families())
+def test_every_gradient_is_zero_outside_its_group(make):
+    """Each gradient is laid out as the buffer and holds +0.0 outside the
+    shared set and its members' sets; a block outside them is no key."""
+    model, batch = make()
+    model.forward_all(batch)
+    spans = model.partition._spans
+    for group in [(1, 2, 3, 4), (1,), (1, 2, 3, 4), (2, 4), (1, 2, 3, 4), (3,), (1, 3)]:
+        grads = model.backward_group(group, model.suite.weights())
+        assert grads.flat.shape == model.partition.buffer.shape
+        outside = np.ones(grads.flat.size, dtype=bool)
+        for name in grads:
+            start, stop, _, key = spans[name]
+            assert key == 0 or key in group, name
+            outside[start:stop] = False
+        assert grads.flat[outside].tobytes() == np.zeros(outside.sum()).tobytes(), group
+        for tid in set(model.suite.ids) - set(group):
+            with pytest.raises(KeyError):
+                grads[next(iter(model.partition.per_task[tid]))]
+        del grads  # its memory is free for the next gradient
+
+
+@pytest.mark.parametrize("make", both_families())
+def test_sgd_leaves_parameters_outside_the_group_bitwise(make):
+    """p - eta * (+0.0) is p: a step leaves -0.0, +0.0, infinities and every
+    other parameter outside the group as it was."""
+    model, batch = make()
+    partition = model.partition
+    model.forward_all(batch)
+    grads = model.backward_group((2, 3), model.suite.weights())
+    specials = np.array([-0.0, np.inf, -np.inf, 0.0, 1e-300, -5e-324])
+    for tid in (1, 4):
+        start, stop = partition._regions[tid]
+        partition.buffer[start:stop] = np.resize(specials, stop - start)
+    before = partition.buffer.copy()
+    PlainSGD().apply(partition, grads, 0.5)
+    for tid in (1, 4):
+        start, stop = partition._regions[tid]
+        assert partition.buffer[start:stop].tobytes() == before[start:stop].tobytes(), tid
+    for tid in (0, 2, 3):
+        start, stop = partition._regions[tid]
+        assert partition.buffer[start:stop].tobytes() != before[start:stop].tobytes(), tid
+
+
+@pytest.mark.parametrize("make", both_families())
+def test_adam_leaves_the_moments_outside_the_group_alone(make):
+    """Adam steps only the group's sets: the moments, step counts and
+    parameters of every other task stay as they were."""
+    model, batch = make()
+    partition, opt, weights = model.partition, Adam(), model.suite.weights()
+    for group in [(1, 2, 3, 4), (1, 2, 3, 4)]:
+        model.forward_all(batch)
+        opt.apply(partition, model.backward_group(group, weights), 1e-2)
+    kept = partition.buffer.copy(), opt.m.copy(), opt.v.copy(), dict(opt.steps)
+    model.forward_all(batch)
+    opt.apply(partition, model.backward_group((2, 3), weights), 1e-2)
+    assert opt.steps == {**kept[3], 0: 3, 2: 3, 3: 3}
+    for tid in (1, 4):
+        start, stop = partition._regions[tid]
+        for now, then in zip((partition.buffer, opt.m, opt.v), kept):
+            assert now[start:stop].tobytes() == then[start:stop].tobytes(), tid
+    for tid in (0, 2, 3):
+        start, stop = partition._regions[tid]
+        assert opt.m[start:stop].tobytes() != kept[1][start:stop].tobytes(), tid
 
 
 def test_a_gradient_steps_only_the_partition_it_was_laid_out_for():

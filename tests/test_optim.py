@@ -338,9 +338,12 @@ class SetBlockAdam:
 
 
 def as_gradient(partition, group, grads):
-    """A gradient from one array per block, laid out as ``backward_group`` lays it out."""
-    layout = partition.layout(group)
-    return Gradient(layout, np.concatenate([grads[n].ravel() for n in layout.blocks]))
+    """A gradient from one array per block, laid out as ``backward_group``
+    lays it out: as the buffer, with +0.0 outside the group's sets."""
+    names = set(partition.block_ids(group))
+    return Gradient(partition, partition.members(group),
+                    np.concatenate([grads[n].ravel() if n in names else np.zeros(v.size)
+                                    for n, v in partition.all_blocks().items()]))
 
 
 def trunk_model():
