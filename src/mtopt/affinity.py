@@ -15,8 +15,8 @@ returns the rows it wrote. :func:`affinity_rows` derives a sub-step's log
 rows from its ratios and those rows when a run is written.
 :func:`instant_inter_group` and :func:`instant_intra_group` compute the same
 ratios and verdicts as dicts; they are the reference that fold is tested
-against. The oracles here redo the probe explicitly with snapshot/restore so
-properties can be checked against an independent reference path.
+against. The oracles here redo the probe explicitly on the parameter buffer
+and restore a copy of it, an independent reference path for property checks.
 """
 
 from __future__ import annotations
@@ -165,18 +165,21 @@ def affinity_rows(group, ratios: list[float], rows: list[list[float]]) -> list[t
 def _probe(model, batch: Batch, target: int, steps) -> float:
     """Relative loss change of ``target`` after one SGD step per
     (group, eta, shared_only), each from the state the one before left,
-    with every touched block restored afterwards."""
+    with the whole parameter buffer restored afterwards. A step updates the
+    shared set (the buffer's head) when ``shared_only``, else the whole buffer;
+    p - eta * (+0.0) is p outside the group, as in ``PlainSGD.apply``."""
     before = model.forward_all(batch)[target]
     if before < EPS_LOSS:
         raise AffinityError(f"target {target} loss {before} too small for an affinity ratio")
     weights = model.suite.weights()
-    snap = snapshot(model, model.partition.block_ids({t for group, _, _ in steps for t in group}))
+    saved = snapshot(model)
     for group, eta, shared_only in steps:
-        for name, g in model.backward_group(group, weights).items():
-            if not (shared_only and name not in model.partition.shared):
-                model.partition.set_block(name, model.partition.block(name) - eta * g)
+        flat = model.backward_group(group, weights).flat
+        stop = model.partition._regions[0][1] if shared_only else flat.size
+        model.partition.buffer[:stop] -= eta * flat[:stop]
+        model.partition.version += 1
         after = model.forward_all(batch)[target]
-    restore(model, snap)
+    restore(model, saved)
     return 1.0 - after / before
 
 

@@ -227,7 +227,7 @@ def cmd_report(args) -> int:
         try:
             dm = delta_m_from_losses(s["eval_losses"], base["eval_losses"])
         except AnalysisError as e:
-            return _fail(f"{d} against baseline {args.baseline}: {e}", EXIT_USAGE)
+            raise ConfigError(f"{d} against baseline {args.baseline}: {e}") from e
         mean_m = s.get("runs", {}).get("main", {}).get("mean_group_count")
         rows.append((d, s["method"], s["seed"], dm, mean_m))
 

@@ -83,7 +83,7 @@ def everything(k: int) -> GroupPartition:
     return make_partition([tuple(range(1, k + 1))])
 
 
-def partition_tasks(tracker: AffinityTracker, rule: str = "components") -> GroupPartition:
+def partition_tasks(tracker: AffinityTracker, rule: str = GROUPING_RULES[0]) -> GroupPartition:
     """Derive the next partition from the tracked affinity matrix.
 
     An (undirected) edge joins i and j iff both tracked directions are

@@ -12,10 +12,10 @@ Each keeps a tape for reference: ``MLPModel.graph`` is its objective as the
 tape interpreter runs it, bitwise equal to the closed form, and
 ``QuadraticModel.tape_graph`` restates the quadratic's losses.
 
-Both expose ``forward_all`` / ``backward_group`` and support exact
-snapshot/restore of selected parameter blocks, which the slow affinity
-oracles rely on. Each family fixes its task loss: the MLP's heads are all
-scored by squared error, and the quadratic's losses are its closed form.
+Both expose ``forward_all`` / ``backward_group`` and keep no state per
+group; :func:`snapshot` / :func:`restore` copy the whole parameter buffer
+exactly, for the slow affinity oracles. Each family fixes its task loss: the
+MLP's heads are all scored by squared error, the quadratic's by its closed form.
 
 Parameters live in one float64 buffer (:class:`ParamPartition`): the
 shared blocks first, then each task's blocks, and every named block is a
@@ -35,6 +35,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -183,13 +184,17 @@ class Gradient(Mapping):
         return len(self.partition.shared) + sum(len(self.partition.per_task[tid]) for tid in self.group)
 
 
-def snapshot(model, block_ids) -> dict[str, np.ndarray]:
-    return {name: model.partition.block(name).copy() for name in block_ids}
+def snapshot(model) -> np.ndarray:
+    return model.partition.buffer.copy()
 
 
-def restore(model, snap: dict[str, np.ndarray]):
-    for name, value in snap.items():
-        model.partition.set_block(name, value)
+def restore(model, saved: np.ndarray):
+    """Copy a whole-buffer :func:`snapshot` back, bumping ``version``."""
+    buffer = model.partition.buffer
+    if saved.shape != buffer.shape:
+        raise ModelError(f"snapshot of shape {saved.shape}, the buffer's is {buffer.shape}")
+    buffer[...] = saved
+    model.partition.version += 1
 
 
 class _Heads(NamedTuple):
@@ -210,10 +215,11 @@ class MLPModel:
     interpreter would allocate a new array for a bias add, a squared error or
     a ``tanh`` adjoint, they write into the array just allocated (``z = h @ w;
     z += b``), and the activation overwrites its pre-activation; that gives
-    the same bits. The heads of one output width run as one stack: a batched
-    ``np.matmul`` runs one product per head, and a row-wise reduce sums each
-    head's squares as the interpreter's full reduce does. The backward
-    computes no adjoint toward the input.
+    the same bits. The forward runs the heads of one output width as one
+    stack: a batched ``np.matmul`` runs one product per head, and a row-wise
+    reduce sums each head's squares as the interpreter's full reduce does.
+    The backward takes a group's heads one at a time and computes no adjoint
+    toward the input.
 
     They check only what could go unseen: the pre-activations (``tanh`` and
     ``relu`` can hide an infinity; every other op carries it to a loss), the
@@ -224,8 +230,6 @@ class MLPModel:
     interpreter raises the error that names the failing op.
     """
 
-    PLANS_KEPT = 256  # every group of 8 tasks; RANDOM draws new groups each batch
-
     def __init__(self, suite: TaskSuite, partition: ParamPartition, activation: str):
         self.suite = suite
         self.partition = partition
@@ -233,22 +237,19 @@ class MLPModel:
         shared = partition.shared
         self._trunk = [(shared[f"trunk.{i}.w"], shared[f"trunk.{i}.b"]) for i in range(len(shared) // 2)]
         self._trunk_t = [w.T for w, _ in self._trunk]
-        runs: list[tuple[tuple[int, ...], int]] = []  # tasks of one width whose regions follow each other
-        for tid, blocks in partition.per_task.items():
-            out = next(iter(blocks.values())).shape[1]  # the head weight's
-            if runs and runs[-1][1] == out:
-                runs[-1] = (runs[-1][0] + (tid,), out)
-            else:
-                runs.append(((tid,), out))
         self._heads: list[_Heads] = []
-        for tids, out in runs:
+        for out, run in groupby(partition.per_task,  # adjacent tasks of one head width: one stack
+                                lambda tid: partition.block(f"head.{tid}.w").shape[1]):
+            tids = tuple(run)
             start, stop = partition._regions[tids[0]]
             rows = partition.buffer[start:start + len(tids) * (stop - start)].reshape(len(tids), -1)
             w = rows[:, :-out].reshape(len(tids), -1, out)
             self._heads.append(_Heads(tids, w, rows[:, None, -out:]))
         self._trunk_spans = [tuple(slice(*partition._spans[f"trunk.{i}.{p}"][:2]) for p in "wb")
                              for i in range(len(self._trunk))]
-        self._plans: dict[tuple[int, ...], tuple[list, list]] = {}
+        # per task: its head stack, its row there and its transposed head weight
+        self._head_of = {tid: (c, i, heads.w[i].T) for c, heads in enumerate(self._heads)
+                         for i, tid in enumerate(heads.tids)}
         self._forward_version: int | None = None
         # the last batch checked, its inputs and its targets stacked per head stack
         self._bound: tuple[Batch | None, np.ndarray | None, list[np.ndarray]] = (None, None, [])
@@ -341,65 +342,38 @@ class MLPModel:
         self._forward_version = self.partition.version
         return losses
 
-    def _plan(self, group: tuple[int, ...]) -> tuple[list, list]:
-        """What the backward of ``group`` reads: per run of adjacent member
-        rows in a head stack, the stack index, the rows (a slice), the
-        members' ids and where their task sets lie in the buffer; per member
-        in descending id, its (part, row, transposed weight). The last
-        ``PLANS_KEPT`` plans are kept."""
-        plan = self._plans.get(group)
-        if plan is None:
-            members, runs, adjoint = set(group), [], {}
-            for c, heads in enumerate(self._heads):
-                prev = None  # this stack's last member row
-                for i, tid in enumerate(heads.tids):
-                    if tid in members:
-                        if prev != i - 1:
-                            runs.append((c, i, []))
-                        adjoint[tid] = (len(runs) - 1, len(runs[-1][2]), heads.w[i].T)
-                        runs[-1][2].append(tid)
-                        prev = i
-            regions = self.partition._regions
-            parts = [(c, slice(i, i + len(tids)), tids, regions[tids[0]][0], regions[tids[-1]][1])
-                     for c, i, tids in runs]
-            if len(self._plans) >= self.PLANS_KEPT:
-                del self._plans[next(iter(self._plans))]  # the oldest
-            plan = self._plans[group] = (parts, [adjoint[tid] for tid in reversed(group)])
-        return plan
-
     def backward_group(self, group, weights: dict[int, float]) -> Gradient:
         """Gradient of sum_i w_i * L_i over shared + the group's task blocks.
 
         Uses the cached forward; parameters must not have changed since. Each
-        call writes a fresh gradient. The heads' adjoints to the trunk are
-        summed in descending task id, the interpreter's reverse node order.
+        call writes a fresh gradient. Members go in descending task id, the
+        interpreter's reverse node order: each writes its head gradient into
+        its own task set and adds its adjoint into the trunk's.
         """
         if self._forward_version != self.partition.version:
             raise ModelError("backward_group without a fresh forward")
         group = self.partition.members(group)
-        parts, adjoint = self._plan(group)
         acts = self._acts
         head_t = acts[-1].T
         flat = np.zeros(self.partition.buffer.size)
-        stacked = []
+        up = None  # the adjoint of the current layer's activation
         # Two arrays as wide as the trunk serve the whole backward: fewer
         # pages to fault in than one fresh array per product.
         with np.errstate(all="ignore"):
-            for c, sel, tids, start, stop in parts:
+            for tid in reversed(group):
+                c, i, w_t = self._head_of[tid]
                 d = self._residuals[c]
-                g = d[sel] * (2.0 / (d.size // len(d)))
-                g *= (weights[tids[0]] if len(tids) == 1
-                      else np.array([weights[t] for t in tids])[:, None, None])
-                out = d.shape[2]
-                rows = flat[start:stop].reshape(len(tids), -1)  # the members' task sets
-                np.matmul(head_t, g, out=rows[:, :-out].reshape(len(tids), -1, out))
-                np.add.reduce(g, axis=1, out=rows[:, -out:])
-                stacked.append(g)
-            part, row, w_t = adjoint[0]
-            up = stacked[part][row] @ w_t  # the adjoint of the current layer's activation
-            spare = np.empty_like(up)  # takes turns with up to hold each later (n, width) result
-            for part, row, w_t in adjoint[1:]:
-                up += np.matmul(stacked[part][row], w_t, out=spare)
+                g = d[i] * (2.0 / (d.size // len(d)))
+                g *= weights[tid]
+                start, stop = self.partition._regions[tid]  # the head weight, then its bias
+                bias = stop - d.shape[2]
+                np.matmul(head_t, g, out=flat[start:bias].reshape(len(head_t), -1))
+                np.add.reduce(g, axis=0, out=flat[bias:stop])
+                if up is None:
+                    up = g @ w_t
+                    spare = np.empty_like(up)  # takes turns with up to hold each later (n, width) result
+                else:
+                    up += np.matmul(g, w_t, out=spare)
             for layer in reversed(range(len(self._trunk))):
                 h = acts[layer + 1]
                 if self.activation == "tanh":  # up * (1 - h * h), written into h * h
@@ -421,7 +395,7 @@ class MLPModel:
 
 def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
                        in_dim: int | None = None, out_dims: dict[int, int] | None = None,
-                       activation: str = "tanh") -> MLPModel:
+                       activation: str = ACTIVATIONS[0]) -> MLPModel:
     """Deterministically initialized trunk of `depth` affine+activation layers.
 
     Heads are single affine layers, each scored by the squared error against

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from mtopt import optim
 from mtopt.benchmarks import (QuadraticSpec, gen_quadratic_suite, gen_regression_suite,
                               load_csv_dataset, triad_spec)
-from mtopt.models import (Batch, MLPModel, ModelError, TaskSuite, build_shared_trunk, restore,
-                          snapshot)
+from mtopt.models import Batch, ModelError, TaskSuite, build_shared_trunk, restore, snapshot
 from mtopt.optim import Adam, PlainSGD, TrainConfig, train
 from tests.test_optim import Collector, SetBlockAdam, SetBlockSGD, as_gradient, trunk_model
 from tests.test_tensor import assert_closed_form_matches_interpreter, mlp_case
@@ -131,16 +130,16 @@ def test_every_block_is_a_view_of_the_partition_buffer(make):
 @pytest.mark.parametrize("make", [lambda: mixed_trunk(),
                                   lambda: gen_quadratic_suite(QuadraticSpec(k=3, seed=4))])
 def test_writes_round_trip_and_bump_the_version(make):
-    """``set_block``, ``restore`` and every optimizer step write through the
-    views and bump ``version``: the quadratic's memoized forward and the
-    MLP's stale-forward guard depend on it."""
+    """``set_block``, ``restore`` of a whole-buffer ``snapshot`` and every
+    optimizer step write through the views and bump ``version``: the
+    quadratic's memoized forward and the MLP's stale-forward guard depend
+    on it."""
     model, batch = make()
     partition = model.partition
     before = partition.buffer.copy()
     losses = model.forward_all(batch)
-    names = partition.block_ids(model.suite.ids)
-    snap = snapshot(model, names)
-    for name in names:
+    snap = snapshot(model)
+    for name in partition.block_ids(model.suite.ids):
         version = partition.version
         partition.set_block(name, partition.block(name) + 0.25)
         assert partition.version == version + 1, name
@@ -149,7 +148,7 @@ def test_writes_round_trip_and_bump_the_version(make):
     assert model.forward_all(batch) != losses
     version = partition.version
     restore(model, snap)
-    assert partition.version == version + len(names)
+    assert partition.version == version + 1
     assert partition.buffer.tobytes() == before.tobytes()
     assert model.forward_all(batch) == losses
     for opt in (PlainSGD(), Adam()):
@@ -171,27 +170,15 @@ def random_run(make, iters=150):
     return model, groups, (repr([s.substeps for s in sink.steps]), model.partition.buffer.tobytes())
 
 
-def test_random_groups_keep_a_bounded_number_of_mlp_plans(monkeypatch):
-    """The MLP keeps at most ``PLANS_KEPT`` backward plans, and a run that
-    keeps only 2 trains bit for bit alike."""
-    runs = []
-    for kept in (None, 2):
-        if kept:
-            monkeypatch.setattr(MLPModel, "PLANS_KEPT", kept)
-        model, groups, run = random_run(lambda: mlp_case(1, 4, "tanh", (1,) * 32, 4, 5))
-        assert len(groups) > MLPModel.PLANS_KEPT
-        assert len(model._plans) == MLPModel.PLANS_KEPT
-        runs.append(run)
-    assert runs[0] == runs[1]
-
-
-def test_the_quadratic_keeps_no_per_group_state():
-    """Nothing on the quadratic or its partition grows with the groups it ran."""
+@pytest.mark.parametrize("make", [lambda: mlp_case(1, 4, "tanh", (1,) * 32, 4, 5),
+                                  lambda: gen_quadratic_suite(QuadraticSpec(k=32, seed=5))],
+                         ids=["mlp", "quadratic"])
+def test_no_model_keeps_per_group_state(make):
+    """Nothing on the model or its partition grows with the groups it ran."""
     def sizes(model):
         return {f"{owner}.{name}": len(value) if hasattr(value, "__len__") else None
                 for owner, obj in (("model", model), ("partition", model.partition))
                 for name, value in vars(obj).items()}
-    make = lambda: gen_quadratic_suite(QuadraticSpec(k=32, seed=5))  # noqa: E731
     one, _, _ = random_run(make, iters=1)
     model, groups, _ = random_run(make)
     assert len(groups) > 100
@@ -205,7 +192,7 @@ def both_families(k=4):
 @pytest.mark.parametrize("make", both_families())
 def test_any_iterable_of_task_ids_is_a_group(make):
     """A list, a set and an unsorted tuple give the sorted tuple's gradient
-    bytes and share its plan; an unknown task id is refused."""
+    bytes; an unknown task id is refused."""
     model, batch = make()
     model.forward_all(batch)
     weights = {1: 0.5, 2: 2.0, 3: 1.0, 4: 1.5}
@@ -214,8 +201,6 @@ def test_any_iterable_of_task_ids_is_a_group(make):
         got = model.backward_group(group, weights)
         assert got.group == (1, 2, 4)
         assert got.flat.tobytes() == want.flat.tobytes(), group
-    if hasattr(model, "_plans"):
-        assert list(model._plans) == [(1, 2, 4)]
     for bad in ([1, 5], (0,), {9}):
         with pytest.raises(ModelError, match="no parameter sets"):
             model.backward_group(bad, weights)
