@@ -22,8 +22,10 @@ A sub-step's gradient is the flat :class:`models.Gradient` its backward
 returned, laid out as the parameter buffer, with +0.0 outside the shared
 set and the group's task sets, so one offset table serves parameters,
 gradients and Adam's moments. SGD steps the whole buffer in place; Adam
-steps the group's sets, merged where adjacent with equal step counts; the
-gradient norms read each set's block spans of the flat array.
+steps the group's sets, merged where adjacent with equal step counts. The
+sub-step's record keeps that gradient, and the logged gradient norms are
+derived from it by :func:`grad_norms` when a run is written, so a run
+without a sink computes none.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ class NumericAbort(ArithmeticError):
     @classmethod
     def after(cls, log: RunLog, detail: str) -> NumericAbort:
         """A failure in a forward at the state the last sub-step left."""
-        last = log.last
-        return cls(last.iteration, len(last.substeps), last.substeps[-1].group, detail)
+        return cls(*log.last, detail)
 
 
 @dataclass(frozen=True)
@@ -196,13 +197,15 @@ OPTIMIZERS = {PlainSGD.kind: PlainSGD, Adam.kind: Adam}
 @dataclass
 class SubstepRecord:
     """One group's sub-step. ``losses_after`` is None for JOINT, which skips
-    the trailing forward; ``rows`` holds the members' tracker rows as
-    :func:`decay_update` left them, in ``group`` order, or None untracked."""
+    the trailing forward; ``grads`` is the gradient the step applied, from
+    which a run log derives the gradient norms at write time; ``rows`` holds
+    the members' tracker rows as :func:`decay_update` left them, in
+    ``group`` order, or None untracked. ``grads`` takes no part in equality
+    or the repr: compare :func:`grad_norms` of it."""
 
     group: tuple[int, ...]
     losses_after: dict[int, float] | None
-    grad_norm_shared: float
-    grad_norm_task: dict[int, float]
+    grads: Gradient = field(repr=False, compare=False)
     rows: list[list[float]] | None
 
 
@@ -229,8 +232,8 @@ class RunLog:
     The per-iteration reports go to the sink given to :func:`train`; the
     log keeps the counts summaries need, the number of iterations each
     distinct grouping ran (``analysis`` derives the mean group count and the
-    pair counts from them), and the last report, which
-    :meth:`NumericAbort.after` names.
+    pair counts from them), and the last report's (iteration, sub-step
+    count, last group), which :meth:`NumericAbort.after` names.
     """
 
     method: str
@@ -241,7 +244,7 @@ class RunLog:
     backwards: int = 0
     opt_steps: int = 0
     grouping_counts: dict[tuple[tuple[int, ...], ...], int] = field(default_factory=dict)
-    last: StepReport | None = None
+    last: tuple[int, int, tuple[int, ...]] | None = None
     final_losses: dict[int, float] = field(default_factory=dict)
     eval_losses: dict[int, float] | None = None
 
@@ -252,10 +255,10 @@ class RunLog:
         self.opt_steps += report.opt_steps
         groups = report.partition.groups
         self.grouping_counts[groups] = self.grouping_counts.get(groups, 0) + 1
-        self.last = report
+        self.last = report.iteration, len(report.substeps), report.substeps[-1].group
 
 
-def _grad_norms(grads: Gradient) -> tuple[float, dict[int, float]]:
+def grad_norms(grads: Gradient) -> tuple[float, dict[int, float]]:
     """Gradient norms of the shared set and of each member's set. Each sums
     the per-block squares in block order, each block reduced on its span of
     one square of the flat gradient; one sum over the concatenated gradient
@@ -297,9 +300,8 @@ def selective_group_step(model, batch: Batch, partition: GroupPartition, config:
             if not joint:
                 after = model.forward_all(batch)
                 forwards += 1
-            norm_shared, norm_task = _grad_norms(grads)
             rows = None if tracker is None else decay_update(tracker, group, current, after)
-            substeps.append(SubstepRecord(group, after, norm_shared, norm_task, rows))
+            substeps.append(SubstepRecord(group, after, grads, rows))
             current = after
     except NonFiniteValue as e:
         raise NumericAbort(iteration, idx, group, str(e)) from e
@@ -330,7 +332,8 @@ def train(model, batches, config: TrainConfig, sink: Sink | None = None) -> RunL
     Each iteration redraws RANDOM's partition, shuffles the update order,
     steps, and re-derives SELECTIVE's partition when ``repartition_stride``
     is due. Each finished iteration's report goes to ``sink(report)``, in
-    iteration order, and is not kept; an iteration cut short by a
+    iteration order, and is released once the sink returns, so no
+    sub-step's gradient outlives its iteration; an iteration cut short by a
     :class:`NumericAbort` reaches no sink.
 
     The stream must yield batches deterministically; the update-order rng is
@@ -371,6 +374,7 @@ def train(model, batches, config: TrainConfig, sink: Sink | None = None) -> RunL
             log.add(report)
             if sink is not None:
                 sink(report)
+            del report  # no gradient outlives its iteration
         try:
             log.final_losses = model.forward_all(batch)
         except NonFiniteValue as e:

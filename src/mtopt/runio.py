@@ -20,6 +20,7 @@ from .affinity import affinity_rows, loss_ratios
 from .analysis import summarize_run
 from .experiments import RunResult
 from .grouping import serialize_partition
+from .optim import grad_norms
 
 STEPS_SCHEMA = "# schema=mtopt.steps.v1"
 STEPS_HEADER = "iter,substep,group,task,loss,grad_norm_shared,grad_norm_task,forwards,backwards"
@@ -40,13 +41,16 @@ def fmt(x: float) -> str:
 
 
 def _steps_lines(report) -> list[str]:
-    """Each sub-step's loss rows; a sub-step's shared gradient norm is formatted once."""
+    """Each sub-step's loss rows. Its gradient norms are derived here, once
+    per sub-step, from the gradient its record keeps; training computes
+    none. A sub-step's shared gradient norm is formatted once."""
     it, counts = str(report.iteration), f"{report.forwards},{report.backwards}"
     initial = report.initial_losses
     lines = [f"{it},0,,{tid},{fmt(initial[tid])},,,{counts}" for tid in sorted(initial)]
     for idx, sub in enumerate(report.substeps, start=1):
         head = f"{it},{idx},{' '.join(map(str, sub.group))}"
-        shared, after, norms = fmt(sub.grad_norm_shared), sub.losses_after, sub.grad_norm_task
+        shared, norms = grad_norms(sub.grads)
+        shared, after = fmt(shared), sub.losses_after
         for tid in sorted(initial):
             loss = fmt(after[tid]) if after else ""
             gtask = fmt(norms[tid]) if tid in norms else ""

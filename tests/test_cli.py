@@ -14,7 +14,7 @@ from mtopt.benchmarks import BenchmarkError
 from mtopt.cli import main
 from mtopt.config import parse_kv_text, validate_config
 from mtopt.models import Batch
-from mtopt.optim import NumericAbort
+from mtopt.optim import NumericAbort, grad_norms
 from mtopt.experiments import run_experiment
 from mtopt.runio import read_summary
 from tests.test_optim import Collector
@@ -405,6 +405,9 @@ def test_single_keeps_the_trained_tasks_own_weight():
     assert single.logs["task1"] == joint.logs["main"]
     assert len(single_sinks["task1"].steps) == 5
     assert single_sinks["task1"].steps == joint_sinks["main"].steps
+    norms = [[grad_norms(r.grads) for s in sink.steps for r in s.substeps]
+             for sink in (single_sinks["task1"], joint_sinks["main"])]
+    assert norms[0] == norms[1]  # the records' equality leaves their gradients out
     assert single_sinks["task1"].affinity_rows == joint_sinks["main"].affinity_rows
 
 

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from mtopt import optim, runio
 from mtopt.affinity import affinity_rows, loss_ratios
 from mtopt.analysis import descent_eta_bound, descent_substeps
 from mtopt.benchmarks import QuadraticSpec, gen_quadratic_suite, gen_regression_suite, triad_spec
@@ -8,7 +11,7 @@ from mtopt.grouping import everything, make_partition, singletons
 from mtopt.models import Batch, Gradient, ModelError, TaskSuite, build_shared_trunk
 from mtopt.optim import (Adam, METHOD_FIXED, METHOD_JOINT, METHOD_RANDOM,
                          METHOD_SELECTIVE, METHOD_SEPARATE, METHODS, NumericAbort,
-                         PlainSGD, TrainConfig, TrainError, _grad_norms, joint_step,
+                         PlainSGD, TrainConfig, TrainError, grad_norms, joint_step,
                          selective_group_step, train)
 from tests.test_models import scalar_pair
 
@@ -166,6 +169,57 @@ def test_non_finite_final_forward_names_the_last_substep():
     assert (info.value.iteration, info.value.substep) == (1, 1)
 
 
+def family_run(family, iters):
+    """A model of the family and a stream of ``iters`` batches for it."""
+    if family == "quadratic":
+        return fresh_quadratic()[0], quad_batches(iters)
+    ds, _ = gen_regression_suite(triad_spec(seed=0))
+    return trunk_model(), ds.stream(16, iters, 0)
+
+
+FAMILIES = ("quadratic", "mlp")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_no_gradient_outlives_its_iteration(family, monkeypatch):
+    """The sink keeps only weak references to each sub-step's gradient; by
+    the next iteration's first backward every one of them is dead."""
+    model, batches = family_run(family, 6)
+    refs, checked = [], []
+    backward = model.backward_group
+
+    def check(group, weights):
+        checked.append(all(ref() is None for ref in refs))
+        return backward(group, weights)
+
+    def sink(report):
+        checked.append(all(ref() is None for ref in refs))
+        refs[:] = [weakref.ref(sub.grads.flat) for sub in report.substeps]
+    monkeypatch.setattr(model, "backward_group", check)
+    log = train(model, batches, TrainConfig(method=METHOD_SELECTIVE, iters=6), sink)
+    assert log.last[:2] == (6, len(refs)) and refs
+    assert len(checked) == log.backwards + log.iterations and all(checked)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gradient_norms_are_taken_by_the_run_log_writer_only(family, tmp_path, monkeypatch):
+    """Training without a sink computes no gradient norm, and writing a run
+    computes one per sub-step."""
+    original, calls = optim.grad_norms, []
+
+    def counted(grads):
+        calls.append(grads.group)
+        return original(grads)
+    for module in (optim, runio):
+        monkeypatch.setattr(module, "grad_norms", counted)
+    cfg = TrainConfig(method=METHOD_SELECTIVE, iters=8)
+    train(*family_run(family, 8), cfg)
+    assert calls == []
+    with runio.RunWriter(str(tmp_path)) as writer:
+        log = train(*family_run(family, 8), cfg, writer.sink("main"))
+    assert len(calls) == log.opt_steps > log.iterations
+
+
 def test_batch_stream_ending_early_is_a_train_error():
     model, _ = fresh_quadratic()
     sink = Collector()
@@ -279,8 +333,8 @@ def test_unit_weights_are_the_default():
         cfg = TrainConfig(method=METHOD_SELECTIVE, eta=0.05, beta=0.01, iters=30, weights=weights)
         sink = Collector()
         log = train(model, ds.stream(16, 30, 0), cfg, sink)
-        runs.append(repr([(s.initial_losses, [(r.group, r.losses_after, r.grad_norm_shared,
-                                                r.grad_norm_task) for r in s.substeps])
+        runs.append(repr([(s.initial_losses, [(r.group, r.losses_after, grad_norms(r.grads))
+                                               for r in s.substeps])
                           for s in sink.steps] + [log.final_losses] + sink.affinity_rows))
     assert runs[0] == runs[1]  # repr keeps every bit of a float and compares NaN equal
 
@@ -389,7 +443,7 @@ def test_grad_norms_equal_the_ndarray_sum_form_bitwise():
 
     def norm(names):
         return float(np.sqrt(sum(float((grads[n] * grads[n]).sum()) for n in names)))
-    shared, task = _grad_norms(as_gradient(model.partition, group, grads))
+    shared, task = grad_norms(as_gradient(model.partition, group, grads))
     assert repr(shared) == repr(norm(model.partition.shared))
     assert repr(task) == repr({tid: norm(model.partition.per_task[tid]) for tid in group})
 
