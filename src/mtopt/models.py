@@ -6,7 +6,9 @@ Two model families share one interface, and both train in closed form:
   head per task, for synthetic regression experiments.
 * ``QuadraticModel`` — convex losses 0.5*||A_i s + C_i t_i - b_i||^2, the
   workhorse for every analytic property check. Its tasks share one shape,
-  so it stores them stacked and computes every task's loss in one forward.
+  so it stores them stacked, and one forward per parameter version computes
+  every task's loss and keeps its gradient products; the backward only
+  scales and sums those in group order.
 
 Each keeps a tape for reference: ``MLPModel.graph`` is its objective as the
 tape interpreter runs it, bitwise equal to the closed form, and
@@ -447,8 +449,10 @@ class QuadraticModel:
     ignored. So ``forward_all`` is memoized on ``partition.version``: a
     forward at the version of the last one (a batch's first forward after
     the previous sub-step's trailing one) returns its losses again, in a
-    fresh dict. The tape route is available through :meth:`tape_graph` for
-    cross-checking gradients.
+    fresh dict. Each recompute also keeps every task's A_i^T r_i and
+    C_i^T r_i (r_i its residual), so ``backward_group`` only scales them by
+    the weights and sums them in group order. The tape route is available
+    through :meth:`tape_graph` for cross-checking gradients.
     """
 
     def __init__(self, suite: TaskSuite, a: dict[int, np.ndarray], c: dict[int, np.ndarray],
@@ -478,21 +482,24 @@ class QuadraticModel:
         self.partition = ParamPartition(shared={"shared.theta": np.zeros(first[1])},
                                         per_task={tid: {self._names[tid]: zeros} for tid in ids})
         self._theta = self.partition.buffer[first[1]:].reshape(len(ids), first[2])
-        self._residuals: np.ndarray | None = None
-        self._losses: list[float] = []
+        # each task's A_i^T r_i and C_i^T r_i, as (k, shared_dim) and (k, task_dim)
+        self._products: tuple[np.ndarray, np.ndarray] | None = None
+        self._losses: dict[int, float] = {}
         self._forward_version: int | None = None
 
     def forward_all(self, batch: Batch | None = None) -> dict[int, float]:
         if self._forward_version != self.partition.version:
             s = self.partition.shared["shared.theta"]
-            res = self._a @ s + (self._c @ self._theta[:, :, None])[:, :, 0] - self._b
-            losses = 0.5 * np.vecdot(res, res)
-            finite = np.isfinite(losses)
-            if not finite.all():
-                raise NonFiniteValue(f"task {self._ids[int(finite.argmin())]} quadratic loss is non-finite")
-            self._residuals, self._losses = res, losses.tolist()
+            res = self._a @ s + np.matvec(self._c, self._theta) - self._b
+            losses = (0.5 * np.vecdot(res, res)).tolist()
+            if not all(map(math.isfinite, losses)):
+                bad = next(tid for tid, v in zip(self._ids, losses) if not math.isfinite(v))
+                raise NonFiniteValue(f"task {bad} quadratic loss is non-finite")
+            # np.vecmat runs A[i].T @ r[i]'s product per slice: the same bytes
+            self._products = (np.vecmat(res, self._a), np.vecmat(res, self._c))
+            self._losses = dict(zip(self._ids, losses))
             self._forward_version = self.partition.version
-        return dict(zip(self._ids, self._losses))
+        return self._losses.copy()
 
     def backward_group(self, group, weights: dict[int, float]) -> Gradient:
         """A fresh gradient of sum_i w_i * L_i over shared + the group's task blocks."""
@@ -502,10 +509,10 @@ class QuadraticModel:
         flat = np.zeros(self.partition.buffer.size)  # laid out as the buffer, as _theta is
         shared = flat[:self._a.shape[2]]
         task = flat[self._a.shape[2]:].reshape(self._theta.shape)
+        shared_terms, task_terms = self._products
         for tid in group:
-            r = self._residuals[tid - 1]
-            shared += weights[tid] * (self._a[tid - 1].T @ r)
-            np.multiply(weights[tid], self._c[tid - 1].T @ r, out=task[tid - 1])
+            shared += weights[tid] * shared_terms[tid - 1]
+            np.multiply(weights[tid], task_terms[tid - 1], out=task[tid - 1])
         return Gradient(self.partition, group, flat)
 
     def hessian_bound(self) -> float:

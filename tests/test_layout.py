@@ -166,9 +166,7 @@ def random_run(make, iters=150):
     cfg = TrainConfig(method="RANDOM", eta=1e-3, iters=iters, seed=1, random_groups=2)
     (model, batch), sink = make(), Collector()
     train(model, [batch] * cfg.iters, cfg, sink)
-    groups = {g for s in sink.steps for g in s.partition.groups}
-    logged = [[(r, optim.grad_norms(r.grads)) for r in s.substeps] for s in sink.steps]
-    return model, groups, (repr(logged), model.partition.buffer.tobytes())
+    return model, {g for s in sink.steps for g in s.partition.groups}
 
 
 @pytest.mark.parametrize("make", [lambda: mlp_case(1, 4, "tanh", (1,) * 32, 4, 5),
@@ -180,8 +178,8 @@ def test_no_model_keeps_per_group_state(make):
         return {f"{owner}.{name}": len(value) if hasattr(value, "__len__") else None
                 for owner, obj in (("model", model), ("partition", model.partition))
                 for name, value in vars(obj).items()}
-    one, _, _ = random_run(make, iters=1)
-    model, groups, _ = random_run(make)
+    one, _ = random_run(make, iters=1)
+    model, groups = random_run(make)
     assert len(groups) > 100
     assert sizes(model) == sizes(one)
 

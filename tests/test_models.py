@@ -162,7 +162,8 @@ def test_writing_into_quadratic_data_raises():
 
 def test_every_parameter_write_makes_the_quadratic_forward_recompute():
     """The forward is memoized on ``partition.version``, so each mutation
-    path must bump it: a stale memo would return the losses before the write."""
+    path must bump it: a stale memo would return the losses before the write,
+    or the gradient products the backward scales and sums."""
     def fresh():
         model, _ = scalar_pair(a1=2.0, a2=-1.0, with_task_params=True)
         return model, model.forward_all(None)
@@ -193,6 +194,11 @@ def test_every_parameter_write_makes_the_quadratic_forward_recompute():
             assert want == before, name
         else:
             assert want != before, name
+        grads = model.backward_group((1, 2), {1: 0.5, 2: 2.0})
+        same, _ = scalar_pair(a1=2.0, a2=-1.0, with_task_params=True)
+        restore(same, snapshot(model))
+        assert same.forward_all(None) == want, name
+        assert grads.flat.tobytes() == same.backward_group((1, 2), {1: 0.5, 2: 2.0}).flat.tobytes(), name
 
 
 def test_quadratic_backward_needs_a_fresh_forward():
@@ -207,10 +213,11 @@ def test_quadratic_backward_needs_a_fresh_forward():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 6), st.integers(1, 9), st.integers(1, 5), st.integers(0, 4),
+@given(st.integers(2, 32), st.integers(1, 16), st.integers(1, 16), st.integers(0, 16),
        st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
 def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, seed, log_scale):
-    """Losses and gradients are bitwise those of one task at a time."""
+    """Losses and gradients are bitwise those of one task at a time, for a
+    random group and for all tasks, with some weights 0.0 (SINGLE's mask)."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
     suite = TaskSuite(k)
@@ -226,15 +233,15 @@ def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, se
     losses = model.forward_all(None)
     assert losses == {t: 0.5 * float(r @ r) for t, r in res.items()}
 
-    group = tuple(t for t in suite.ids if rng.random() < 0.6) or (1,)
-    weights = {t: float(rng.uniform(0.1, 2.0)) for t in suite.ids}
-    grads = model.backward_group(group, weights)
-    gs = np.zeros(d)
-    for t in group:
-        gs = gs + weights[t] * (model.a[t].T @ res[t])
-        assert grads[f"task.{t}.theta"].tobytes() == (weights[t] * (model.c[t].T @ res[t])).tobytes()
-    assert grads["shared.theta"].tobytes() == gs.tobytes()
-    assert sorted(grads) == sorted(["shared.theta"] + [f"task.{t}.theta" for t in group])
+    weights = {t: float(rng.uniform(0.1, 2.0)) if rng.random() < 0.75 else 0.0 for t in suite.ids}
+    for group in (tuple(t for t in suite.ids if rng.random() < 0.6) or (1,), suite.ids):
+        grads = model.backward_group(group, weights)
+        gs = np.zeros(d)
+        for t in group:
+            gs = gs + weights[t] * (model.a[t].T @ res[t])
+            assert grads[f"task.{t}.theta"].tobytes() == (weights[t] * (model.c[t].T @ res[t])).tobytes()
+        assert grads["shared.theta"].tobytes() == gs.tobytes()
+        assert sorted(grads) == sorted(["shared.theta"] + [f"task.{t}.theta" for t in group])
 
     bad = int(rng.integers(1, k + 1))
     b = dict(model.b)
