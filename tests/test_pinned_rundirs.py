@@ -5,7 +5,11 @@ affinity.csv, groups.csv and summary.json. The digests in
 ``pinned_rundirs.json`` cover every method on a triad and a 4-task quadratic
 config plus the optimizer, order, tracking, repartition and preset variants,
 so a change to the training loop, the set-up path or a config default that
-moves one byte of a run directory fails here. The JSON report and stdout of
+moves one byte of a run directory fails here. Two 11-task regression cases
+pin the places where label order (``task1, task10, task11, task2, ...``) and
+task-id order differ: SINGLE's log order, the summary's loss maps and every
+per-task walk. A csv case whose three tasks have target widths 1, 2 and 1
+pins the order of the MLP's losses where its head widths interleave. The JSON report and stdout of
 ``mtopt verify`` at its default instances are pinned the same way, and so are
 the JSON reports of two runs whose tightened margins make suites fail, which
 pin the violation counts and residuals of T3, T4 and T5. Re-pin only for an
@@ -23,6 +27,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from mtopt.cli import main
@@ -49,6 +54,11 @@ FAILING_VERIFY_REPORTS = {
 TRIAD = {"benchmark.kind": "regression", "regression.preset": "triad",
          "model.width": "8", "model.depth": "2", "batch.size": "16",
          "iters": "30", "eta": "0.05", "beta": "0.01", "seed": "1", "log.verbosity": "0"}
+CSV_COLUMNS = ("x1", "x2", "x3", "a", "b1", "b2", "c")
+CSV_WIDTHS_121 = {"benchmark.kind": "csv", "csv.inputs": "x1,x2,x3", "csv.targets.1": "a",
+                  "csv.targets.2": "b1,b2", "csv.targets.3": "c", "model.width": "6",
+                  "model.depth": "2", "batch.size": "8", "iters": "30", "eta": "0.05",
+                  "beta": "0.05", "seed": "0", "log.verbosity": "0"}
 QUAD4 = {"benchmark.kind": "quadratic", "quadratic.k": "4",
          "iters": "40", "eta": "0.05", "beta": "0.01", "seed": "2", "log.verbosity": "0"}
 
@@ -85,14 +95,30 @@ def _cases() -> dict[str, dict[str, str]]:
         **{"repartition.stride": "3", "grouping.rule": "cliques"})
     no_preset = {k: v for k, v in TRIAD.items() if k != "regression.preset"}
     cases["triad-no-preset-SELECTIVE"] = dict(no_preset, method="SELECTIVE")
+    for method in ("SELECTIVE", "SINGLE"):
+        cases[f"regression-k11-{method}"] = dict(no_preset, method=method, **{"regression.k": "11"})
+    cases["csv-widths-1-2-1-SELECTIVE"] = dict(CSV_WIDTHS_121, method="SELECTIVE")
     return cases
 
 
 CASES = _cases()
 
 
+def write_seeded_csv(path):
+    """24 rows of seeded normal draws under ``CSV_COLUMNS``, at 17 digits."""
+    rows = np.random.default_rng(11).standard_normal((24, len(CSV_COLUMNS)))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+
+
 def rundir_digests(config: dict[str, str], workdir) -> dict[str, str]:
-    """Run one config through the CLI and hash its byte-compared files."""
+    """Run one config through the CLI and hash its byte-compared files. A
+    csv config reads a seeded file written into ``workdir``; config.json,
+    which echoes its path, is not hashed."""
+    if config.get("benchmark.kind") == "csv":
+        config = dict(config, **{"csv.path": os.path.join(workdir, "data.csv")})
+        write_seeded_csv(config["csv.path"])
     cfg = os.path.join(workdir, "run.cfg")
     with open(cfg, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{key} = {value}\n" for key, value in config.items()))
