@@ -57,11 +57,11 @@ class AffinityTracker:
         self.decayed = np.zeros((self.k, self.k))
 
 
-def _ratio(before: dict[int, float], after: dict[int, float], j: int) -> float:
-    return float("nan") if before[j] < EPS_LOSS else 1.0 - after[j] / before[j]
+def _ratio(before: tuple[float, ...], after: tuple[float, ...], j: int) -> float:
+    return float("nan") if before[j - 1] < EPS_LOSS else 1.0 - after[j - 1] / before[j - 1]
 
 
-def instant_inter_group(before: dict[int, float], after: dict[int, float],
+def instant_inter_group(before: tuple[float, ...], after: tuple[float, ...],
                         group, targets) -> dict[int, float]:
     """Ratio of each task outside the updated group (its head untouched).
 
@@ -74,7 +74,7 @@ def instant_inter_group(before: dict[int, float], after: dict[int, float],
     return {j: _ratio(before, after, j) for j in sorted(targets)}
 
 
-def instant_intra_group(before: dict[int, float], after: dict[int, float],
+def instant_intra_group(before: tuple[float, ...], after: tuple[float, ...],
                         group) -> tuple[dict[int, float], dict[tuple, str]]:
     """Ratio of each member of the updated group, with sign verdicts.
 
@@ -91,18 +91,19 @@ def instant_intra_group(before: dict[int, float], after: dict[int, float],
     return ratios, verdicts
 
 
-def loss_ratios(before: dict[int, float], after: dict[int, float], k: int) -> list[float]:
-    """The ratio of each task 1..k (task t at index t - 1) over one sub-step;
-    NaN where the loss before is below ``EPS_LOSS``."""
+def loss_ratios(before: tuple[float, ...], after: tuple[float, ...]) -> list[float]:
+    """The ratio of each task over one sub-step, from two tuples of k losses
+    in task-id order (task t at index t - 1); NaN where the loss before is
+    below ``EPS_LOSS``."""
     nan = float("nan")
-    return [nan if before[j] < EPS_LOSS else 1.0 - after[j] / before[j] for j in range(1, k + 1)]
+    return [nan if b < EPS_LOSS else 1.0 - a / b for b, a in zip(before, after, strict=True)]
 
 
-def decay_update(tracker: AffinityTracker, group, before: dict[int, float],
-                 after: dict[int, float]) -> list[list[float]]:
-    """Fold one sub-step's losses on tasks 1..k into the tracker, member by
-    member, and return each member's tracker row as the fold left it, in
-    ``group`` order.
+def decay_update(tracker: AffinityTracker, group, before: tuple[float, ...],
+                 after: tuple[float, ...]) -> list[list[float]]:
+    """Fold one sub-step's losses, two tuples of k losses in task-id order,
+    into the tracker, member by member, and return each member's tracker row
+    as the fold left it, in ``group`` order.
 
     Each pair (member -> other task) takes the target's ratio. Pairs toward
     outside targets and member pairs whose two ratios are both >= 0
@@ -113,7 +114,7 @@ def decay_update(tracker: AffinityTracker, group, before: dict[int, float],
     members' rows change, so the order they are folded in does not matter.
     """
     beta, decayed, isnan = tracker.beta, tracker.decayed, math.isnan
-    ratios = loss_ratios(before, after, tracker.k)
+    ratios = loss_ratios(before, after)
     rows = []
     for s in group:
         rs = ratios[s - 1]
@@ -168,7 +169,7 @@ def _probe(model, batch: Batch, target: int, steps) -> float:
     with the whole parameter buffer restored afterwards. A step updates the
     shared set (the buffer's head) when ``shared_only``, else the whole buffer;
     p - eta * (+0.0) is p outside the group, as in ``PlainSGD.apply``."""
-    before = model.forward_all(batch)[target]
+    before = model.forward_all(batch)[target - 1]
     if before < EPS_LOSS:
         raise AffinityError(f"target {target} loss {before} too small for an affinity ratio")
     weights = model.suite.weights()
@@ -178,7 +179,7 @@ def _probe(model, batch: Batch, target: int, steps) -> float:
         stop = model.partition._regions[0][1] if shared_only else flat.size
         model.partition.buffer[:stop] -= eta * flat[:stop]
         model.partition.version += 1
-        after = model.forward_all(batch)[target]
+        after = model.forward_all(batch)[target - 1]
     restore(model, saved)
     return 1.0 - after / before
 

@@ -87,6 +87,11 @@ def grouping_frequency(log: RunLog) -> np.ndarray:
     return np.array(counts, dtype=float) / max(1, log.iterations)
 
 
+def task_keyed(losses: tuple[float, ...]) -> dict[str, float]:
+    """A tuple of k losses in task-id order as summary.json keeps it: ``{"1": loss, ...}``."""
+    return {str(t): v for t, v in enumerate(losses, start=1)}
+
+
 def summarize_run(log: RunLog) -> dict:
     """Pure summary of one run log."""
     return {
@@ -94,9 +99,8 @@ def summarize_run(log: RunLog) -> dict:
         "seed": log.seed,
         "k": log.k,
         "iterations": log.iterations,
-        "final_losses": {str(t): v for t, v in sorted(log.final_losses.items())},
-        "eval_losses": ({str(t): v for t, v in sorted(log.eval_losses.items())}
-                        if log.eval_losses else None),
+        "final_losses": task_keyed(log.final_losses),
+        "eval_losses": task_keyed(log.eval_losses) if log.eval_losses else None,
         "mean_group_count": mean_group_count(log),
         "grouping_frequency": grouping_frequency(log).tolist(),
         "counts": {
@@ -154,7 +158,7 @@ def _suite_t3(instances: int, eta: float, seed: int, margin_scale: float) -> Che
         g = shared_grads(model)
         gap = (group_shared_affinity(model, batch, (1, 2), 2, eta)
                - inter_task_affinity(model, batch, 1, 2, eta))
-        predicted = eta * float(g[2] @ g[2]) / losses[2]
+        predicted = eta * float(g[2] @ g[2]) / losses[1]
         rel = abs(gap - predicted) / predicted
         checks.append((rel >= tol, rel))
     return {"eta": eta, "rel_tol": tol}, checks
@@ -178,7 +182,7 @@ def descent_substeps(model, partition: GroupPartition, eta: float, steps: int, b
     losses = model.forward_all(batch)
     for _ in range(steps):
         for group in partition.ordered_groups():
-            total_before = sum(weights[t] * losses[t] for t in model.suite.ids)
+            total_before = sum(weights[t] * losses[t - 1] for t in model.suite.ids)
             all_grads = {g: model.backward_group(g, weights) for g in partition.groups}
             shared_grads = {g: np.concatenate([gr[n].ravel() for n in shared])
                             for g, gr in all_grads.items()}
@@ -189,7 +193,7 @@ def descent_substeps(model, partition: GroupPartition, eta: float, steps: int, b
             gts_sq = float(sum(np.sum(v * v) for v in ts))
             optimizer.apply(model.partition, grads, eta)
             losses = model.forward_all(batch)
-            lhs = sum(weights[t] * losses[t] for t in model.suite.ids)
+            lhs = sum(weights[t] * losses[t - 1] for t in model.suite.ids)
             cross = -eta * float(gs @ (gsum - gs))
             yield (lhs, total_before + cross - 0.5 * eta * gts_sq,
                    1e-12 * max(1.0, abs(total_before)), cross)
@@ -213,7 +217,7 @@ def _suite_t5(instances: int, eta: float, seed: int, margin_scale: float) -> Che
     checks = []
     for n in range(instances):
         model, batch = property_instance(3, seed + n, align=(1, -1))
-        scale = max(1.0, 1.0 / model.forward_all(batch)[3])
+        scale = max(1.0, 1.0 / model.forward_all(batch)[2])
         joint = group_update_affinity(model, batch, (1, 2, 3), 3, eta)
         pair_first = two_step_affinity(model, batch, (1, 3), (2,), 3, eta)
         pair_last = two_step_affinity(model, batch, (2,), (1, 3), 3, eta)

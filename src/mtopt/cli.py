@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
     cfg = validate_config(raw)
     result, paths = _train_into(cfg, args.out)
     if cfg.verbosity:
-        losses = " ".join(f"{t}={fmt(v)}" for t, v in sorted(result.eval_losses.items()))
+        losses = " ".join(f"{t}={fmt(v)}" for t, v in enumerate(result.eval_losses, start=1))
         print(f"run {cfg.method} seed={cfg.seed}: eval losses {losses}")
         print(f"wrote {paths['summary']}")
     return EXIT_OK

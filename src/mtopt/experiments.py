@@ -6,7 +6,8 @@ trained with all other loss weights masked to zero, which reduces exactly to
 training that task alone. The task keeps its own weight (1.0 when the config
 sets no weights). Its trainings run in sorted label order (``task1, task10,
 task11, task2, ...``), the order a run directory lists them in, so a writer
-that appends each iteration as it finishes writes them in that order.
+that appends each iteration as it finishes writes them in that order; its
+final and eval losses, like every run's, are tuples in task-id order.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class RunResult:
     seed: int
     k: int
     logs: dict[str, RunLog]
-    final_losses: dict[int, float]
-    eval_losses: dict[int, float]
+    final_losses: tuple[float, ...]
+    eval_losses: tuple[float, ...]
 
 
 def _setup(cfg: ExperimentConfig):
@@ -78,8 +79,7 @@ def _train(cfg: ExperimentConfig, setup, method: str, weights, sink: Sink | None
                      grouping_rule=cfg.grouping_rule, track_affinity=cfg.track_affinity)
     log = train(model, batches(cfg.iters), tc, sink)
     try:
-        log.eval_losses = (dict(log.final_losses) if eval_batch is None
-                           else model.forward_all(eval_batch))
+        log.eval_losses = log.final_losses if eval_batch is None else model.forward_all(eval_batch)
     except NonFiniteValue as e:
         raise NumericAbort.after(log, f"eval {e}") from e
     return log
@@ -101,11 +101,11 @@ def run_experiment(cfg: ExperimentConfig, sinks: Callable[[str], Sink]) -> RunRe
         log = run("main", cfg.method, cfg.weights)
         return RunResult(cfg.method, cfg.seed, k, {"main": log},
                          log.final_losses, log.eval_losses)
-    own = cfg.weights or {t: 1.0 for t in range(1, k + 1)}
-    logs = {tid: run(f"task{tid}", METHOD_JOINT,
-                     {t: (own[t] if t == tid else 0.0) for t in range(1, k + 1)})
-            for tid in sorted(range(1, k + 1), key=lambda t: f"task{t}")}
+    ids = range(1, k + 1)
+    own = cfg.weights or {t: 1.0 for t in ids}
+    logs = {tid: run(f"task{tid}", METHOD_JOINT, {t: (own[t] if t == tid else 0.0) for t in ids})
+            for tid in sorted(ids, key=lambda t: f"task{t}")}
     return RunResult(METHOD_SINGLE, cfg.seed, k,
                      {f"task{tid}": log for tid, log in logs.items()},
-                     {tid: log.final_losses[tid] for tid, log in logs.items()},
-                     {tid: log.eval_losses[tid] for tid, log in logs.items()})
+                     tuple(logs[t].final_losses[t - 1] for t in ids),
+                     tuple(logs[t].eval_losses[t - 1] for t in ids))

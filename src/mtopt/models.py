@@ -14,21 +14,22 @@ Each keeps a tape for reference: ``MLPModel.graph`` is its objective as the
 tape interpreter runs it, bitwise equal to the closed form, and
 ``QuadraticModel.tape_graph`` restates the quadratic's losses.
 
-Both expose ``forward_all`` / ``backward_group`` and keep no state per
-group; :func:`snapshot` / :func:`restore` copy the whole parameter buffer
-exactly, for the slow affinity oracles. Each family fixes its task loss: the
-MLP's heads are all scored by squared error, the quadratic's by its closed form.
+Both expose ``forward_all``, a tuple of k losses in task-id order (task t at
+index t - 1), and ``backward_group``, and keep no state per group;
+:func:`snapshot` / :func:`restore` copy the whole buffer exactly, for the slow
+affinity oracles. Each family fixes its task loss: the MLP's heads are all
+scored by squared error, the quadratic's by its closed form.
 
 Parameters live in one float64 buffer (:class:`ParamPartition`): the
-shared blocks first, then each task's blocks, and every named block is a
-view of it. The MLP also reads its heads of one output width as (k, width,
-out) and (k, 1, out) stacks, and the quadratic its task blocks as one
-(k, task_dim) array. A gradient (:class:`Gradient`) is one flat array
-laid out as the buffer: it holds the shared blocks and the group's task
-blocks at their parameter offsets and +0.0 everywhere else, and indexing
-it by one of those blocks' names gives a view. Each ``backward_group``
-call returns a fresh gradient, so gradients of several groups can be held
-at once; a group is any iterable of task ids.
+shared blocks first, then each task's blocks in task-id order, and every
+named block is a view of it. The MLP also reads each run of adjacent heads
+of one output width as (n, width, out) and (n, 1, out) stacks, and the
+quadratic its task blocks as one (k, task_dim) array. A gradient
+(:class:`Gradient`) is one flat array laid out as the buffer: it holds the
+shared blocks and the group's task blocks at their parameter offsets and
++0.0 everywhere else, and indexing it by one of those blocks' names gives a
+view. Each ``backward_group`` call returns a fresh gradient, so gradients
+of several groups can be held at once; a group is any iterable of task ids.
 """
 
 from __future__ import annotations
@@ -315,10 +316,10 @@ class MLPModel:
         self._bound = (batch, x, stacks)
         return self._bound
 
-    def forward_all(self, batch: Batch) -> dict[int, float]:
+    def forward_all(self, batch: Batch) -> tuple[float, ...]:
         self._forward_version = None  # a failed forward leaves nothing to differentiate
         _, x, stacks = self._bound if self._bound[0] is batch else self._bind(batch)
-        acts, residuals, losses = [x], [], {}
+        acts, residuals, losses = [x], [], []
         with np.errstate(all="ignore"):  # failures are checked
             for w, b in self._trunk:
                 z = acts[-1] @ w
@@ -335,14 +336,12 @@ class MLPModel:
                 means = np.add.reduce(sq.reshape(len(d), size), axis=1)
                 means /= size
                 residuals.append(d)
-                losses.update(zip(heads.tids, means.tolist()))
-        if not all(map(math.isfinite, losses.values())):
+                losses += means.tolist()  # the stacks follow task-id order
+        if not all(map(math.isfinite, losses)):
             self._replay(batch)
-        if len(self._heads) > 1:
-            losses = {tid: losses[tid] for tid in self.suite.ids}
         self._acts, self._residuals = acts, residuals
         self._forward_version = self.partition.version
-        return losses
+        return tuple(losses)
 
     def backward_group(self, group, weights: dict[int, float]) -> Gradient:
         """Gradient of sum_i w_i * L_i over shared + the group's task blocks.
@@ -403,6 +402,8 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
     Heads are single affine layers, each scored by the squared error against
     its task's target; initialization is uniform in
     [-1/sqrt(fan_in), 1/sqrt(fan_in)] from a generator seeded with ``seed``.
+    Task blocks lie in task-id order, so each head stack is a run of adjacent
+    tasks of one width, and the stacks' losses join up in task-id order.
     """
     if width < 1 or depth < 1:
         raise ModelError("width and depth must be >= 1")
@@ -421,16 +422,9 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
     for layer in range(depth):
         shared[f"trunk.{layer}.w"] = init(dims[layer], (dims[layer], dims[layer + 1]))
         shared[f"trunk.{layer}.b"] = init(dims[layer], (dims[layer + 1],))
-    per_task: dict[int, dict[str, np.ndarray]] = {}
-    for tid in suite.ids:
-        per_task[tid] = {
-            f"head.{tid}.w": init(width, (width, out_dims[tid])),
-            f"head.{tid}.b": init(width, (out_dims[tid],)),
-        }
-    # heads of one width side by side, so each width's heads stack in the buffer
-    order = sorted(suite.ids, key=lambda tid: (out_dims[tid], tid))
-    partition = ParamPartition(shared=shared, per_task={tid: per_task[tid] for tid in order})
-    return MLPModel(suite, partition, activation)
+    per_task = {tid: {f"head.{tid}.w": init(width, (width, out_dims[tid])),
+                      f"head.{tid}.b": init(width, (out_dims[tid],))} for tid in suite.ids}
+    return MLPModel(suite, ParamPartition(shared=shared, per_task=per_task), activation)
 
 
 class QuadraticModel:
@@ -448,8 +442,8 @@ class QuadraticModel:
     Data-free: the batch argument is accepted for interface compatibility and
     ignored. So ``forward_all`` is memoized on ``partition.version``: a
     forward at the version of the last one (a batch's first forward after
-    the previous sub-step's trailing one) returns its losses again, in a
-    fresh dict. Each recompute also keeps every task's A_i^T r_i and
+    the previous sub-step's trailing one) returns the same tuple of k losses
+    in task-id order again. Each recompute also keeps every task's A_i^T r_i and
     C_i^T r_i (r_i its residual), so ``backward_group`` only scales them by
     the weights and sums them in group order. The tape route is available
     through :meth:`tape_graph` for cross-checking gradients.
@@ -476,7 +470,6 @@ class QuadraticModel:
         for stack in (self._a, self._c, self._b):
             stack.flags.writeable = False
         self.a, self.c, self.b = (MappingProxyType(dict(zip(ids, m))) for m in (self._a, self._c, self._b))
-        self._ids = ids
         self._names = {tid: f"task.{tid}.theta" for tid in ids}
         zeros = np.zeros(first[2])  # copied into the buffer once per task
         self.partition = ParamPartition(shared={"shared.theta": np.zeros(first[1])},
@@ -484,22 +477,22 @@ class QuadraticModel:
         self._theta = self.partition.buffer[first[1]:].reshape(len(ids), first[2])
         # each task's A_i^T r_i and C_i^T r_i, as (k, shared_dim) and (k, task_dim)
         self._products: tuple[np.ndarray, np.ndarray] | None = None
-        self._losses: dict[int, float] = {}
+        self._losses: tuple[float, ...] = ()
         self._forward_version: int | None = None
 
-    def forward_all(self, batch: Batch | None = None) -> dict[int, float]:
+    def forward_all(self, batch: Batch | None = None) -> tuple[float, ...]:
         if self._forward_version != self.partition.version:
             s = self.partition.shared["shared.theta"]
             res = self._a @ s + np.matvec(self._c, self._theta) - self._b
-            losses = (0.5 * np.vecdot(res, res)).tolist()
+            losses = tuple((0.5 * np.vecdot(res, res)).tolist())
             if not all(map(math.isfinite, losses)):
-                bad = next(tid for tid, v in zip(self._ids, losses) if not math.isfinite(v))
+                bad = next(tid for tid, v in enumerate(losses, start=1) if not math.isfinite(v))
                 raise NonFiniteValue(f"task {bad} quadratic loss is non-finite")
             # np.vecmat runs A[i].T @ r[i]'s product per slice: the same bytes
             self._products = (np.vecmat(res, self._a), np.vecmat(res, self._c))
-            self._losses = dict(zip(self._ids, losses))
+            self._losses = losses
             self._forward_version = self.partition.version
-        return self._losses.copy()
+        return self._losses
 
     def backward_group(self, group, weights: dict[int, float]) -> Gradient:
         """A fresh gradient of sum_i w_i * L_i over shared + the group's task blocks."""

@@ -196,26 +196,26 @@ OPTIMIZERS = {PlainSGD.kind: PlainSGD, Adam.kind: Adam}
 
 @dataclass
 class SubstepRecord:
-    """One group's sub-step. ``losses_after`` is None for JOINT, which skips
-    the trailing forward; ``grads`` is the gradient the step applied, from
-    which a run log derives the gradient norms at write time; ``rows`` holds
-    the members' tracker rows as :func:`decay_update` left them, in
-    ``group`` order, or None untracked. ``grads`` takes no part in equality
-    or the repr: compare :func:`grad_norms` of it."""
+    """One group's sub-step. ``losses_after`` is the trailing forward's tuple
+    of k losses in task-id order, or None for JOINT, which skips it; ``grads``
+    is the gradient the step applied, from which a run log derives the
+    gradient norms at write time; ``rows`` holds the members' tracker rows as
+    :func:`decay_update` left them, in ``group`` order, or None untracked.
+    ``grads`` takes no part in equality or the repr: compare :func:`grad_norms`."""
 
     group: tuple[int, ...]
-    losses_after: dict[int, float] | None
+    losses_after: tuple[float, ...] | None
     grads: Gradient = field(repr=False, compare=False)
     rows: list[list[float]] | None
 
 
 @dataclass
 class StepReport:
-    """One batch: the losses before its first sub-step, then each sub-step."""
+    """One batch: its first forward's tuple of k losses in task-id order, then each sub-step."""
 
     iteration: int
     partition: GroupPartition
-    initial_losses: dict[int, float]
+    initial_losses: tuple[float, ...]
     substeps: list[SubstepRecord]
     forwards: int
     backwards: int
@@ -232,9 +232,9 @@ class RunLog:
     The per-iteration reports go to the sink given to :func:`train`; the
     log keeps the counts summaries need, the number of iterations each
     distinct grouping ran (``analysis`` derives the mean group count and the
-    pair counts from them), and the last report's (iteration, sub-step
-    count, last group), which :meth:`NumericAbort.after` names.
-    """
+    pair counts from them), the last report's (iteration, sub-step count,
+    last group), which :meth:`NumericAbort.after` names, and the final and
+    eval losses as tuples of k losses in task-id order."""
 
     method: str
     seed: int
@@ -245,8 +245,8 @@ class RunLog:
     opt_steps: int = 0
     grouping_counts: dict[tuple[tuple[int, ...], ...], int] = field(default_factory=dict)
     last: tuple[int, int, tuple[int, ...]] | None = None
-    final_losses: dict[int, float] = field(default_factory=dict)
-    eval_losses: dict[int, float] | None = None
+    final_losses: tuple[float, ...] = ()
+    eval_losses: tuple[float, ...] | None = None
 
     def add(self, report: StepReport):
         self.iterations += 1

@@ -17,7 +17,7 @@ import os
 from typing import TextIO
 
 from .affinity import affinity_rows, loss_ratios
-from .analysis import summarize_run
+from .analysis import summarize_run, task_keyed
 from .experiments import RunResult
 from .grouping import serialize_partition
 from .optim import grad_norms
@@ -41,18 +41,18 @@ def fmt(x: float) -> str:
 
 
 def _steps_lines(report) -> list[str]:
-    """Each sub-step's loss rows. Its gradient norms are derived here, once
-    per sub-step, from the gradient its record keeps; training computes
-    none. A sub-step's shared gradient norm is formatted once."""
+    """Each sub-step's loss rows, from its tuple of k losses in task-id order.
+    Its gradient norms are derived here, once per sub-step, from the gradient
+    its record keeps; training computes none. The shared norm is formatted once."""
     it, counts = str(report.iteration), f"{report.forwards},{report.backwards}"
     initial = report.initial_losses
-    lines = [f"{it},0,,{tid},{fmt(initial[tid])},,,{counts}" for tid in sorted(initial)]
+    lines = [f"{it},0,,{tid},{fmt(loss)},,,{counts}" for tid, loss in enumerate(initial, start=1)]
     for idx, sub in enumerate(report.substeps, start=1):
         head = f"{it},{idx},{' '.join(map(str, sub.group))}"
         shared, norms = grad_norms(sub.grads)
-        shared, after = fmt(shared), sub.losses_after
-        for tid in sorted(initial):
-            loss = fmt(after[tid]) if after else ""
+        shared = fmt(shared)
+        losses = map(fmt, sub.losses_after) if sub.losses_after else [""] * len(initial)
+        for tid, loss in enumerate(losses, start=1):
             gtask = fmt(norms[tid]) if tid in norms else ""
             lines.append(f"{head},{tid},{loss},{shared},{gtask},{counts}")
     return lines
@@ -67,7 +67,7 @@ def _affinity_lines(report) -> list[str]:
     for idx, sub in enumerate(report.substeps, start=1):
         if sub.rows is None:
             break
-        ratios = loss_ratios(before, sub.losses_after, len(before))
+        ratios = loss_ratios(before, sub.losses_after)
         before = sub.losses_after
         head, texts = f"{report.iteration},{idx}", [fmt(r) for r in ratios]
         for src, tgt, _, dec, verdict, skipped in affinity_rows(sub.group, ratios, sub.rows):
@@ -148,8 +148,8 @@ def write_run(writer: RunWriter, result: RunResult, echo: dict) -> dict[str, str
         "method": result.method,
         "seed": result.seed,
         "k": result.k,
-        "final_losses": {str(t): v for t, v in sorted(result.final_losses.items())},
-        "eval_losses": {str(t): v for t, v in sorted(result.eval_losses.items())},
+        "final_losses": task_keyed(result.final_losses),
+        "eval_losses": task_keyed(result.eval_losses),
         "runs": {label: summarize_run(result.logs[label]) for label in sorted(result.logs)},
     }
     paths = dict(writer.paths, summary=os.path.join(writer.outdir, "summary.json"),

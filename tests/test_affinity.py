@@ -17,54 +17,54 @@ from tests.test_models import scalar_pair
 def fold(tracker, group, before, after):
     """One sub-step: ``decay_update``, then the log rows derived from its
     ratios and the tracker rows it wrote."""
-    return affinity_rows(group, loss_ratios(before, after, tracker.k),
+    return affinity_rows(group, loss_ratios(before, after),
                          decay_update(tracker, group, before, after))
 
 
 def test_inter_group_hand_value():
-    ratios = instant_inter_group({3: 0.5}, {3: 0.405}, group=(1, 2), targets=(3,))
+    ratios = instant_inter_group((0.5, 0.5, 0.5), (0.4, 0.4, 0.405), group=(1, 2), targets=(3,))
     assert ratios[3] == pytest.approx(0.19)
     rows = fold(AffinityTracker(3, beta=0.5), (1, 2),
-                {1: 0.5, 2: 0.5, 3: 0.5}, {1: 0.4, 2: 0.4, 3: 0.405})
+                (0.5, 0.5, 0.5), (0.4, 0.4, 0.405))
     assert [(r[0], r[1]) for r in rows] == [(1, 2), (1, 3), (2, 1), (2, 3)]
     assert rows[1][2] == rows[3][2] == ratios[3]
 
 
 def test_inter_group_unchanged_and_eliminated():
-    ratios = instant_inter_group({2: 0.5, 3: 0.4}, {2: 0.5, 3: 0.0}, (1,), (2, 3))
+    ratios = instant_inter_group((0.5, 0.5, 0.4), (0.4, 0.5, 0.0), (1,), (2, 3))
     assert ratios[2] == 0.0
     assert ratios[3] == 1.0
 
 
 def test_inter_group_tiny_denominator_is_skipped():
-    ratios = instant_inter_group({2: 1e-15}, {2: 0.0}, (1,), (2,))
+    ratios = instant_inter_group((0.5, 1e-15), (0.4, 0.0), (1,), (2,))
     assert math.isnan(ratios[2])
 
 
 def test_inter_group_rejects_member_target():
     with pytest.raises(AffinityError, match="inside the updated group"):
-        instant_inter_group({1: 0.5, 2: 0.5}, {1: 0.4, 2: 0.4}, (1, 2), (2,))
+        instant_inter_group((0.5, 0.5), (0.4, 0.4), (1, 2), (2,))
 
 
 def test_intra_group_verdicts():
     # losses: task 1 improves (0.5 -> 0.35), task 2 worsens (0.5 -> 0.7)
-    ratios, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.35, 2: 0.7}, (1, 2))
+    ratios, verdicts = instant_intra_group((0.5, 0.5), (0.35, 0.7), (1, 2))
     assert ratios[2] == pytest.approx(1 - 0.7 / 0.5)  # pair 1 -> 2
     assert ratios[1] == pytest.approx(1 - 0.35 / 0.5)  # pair 2 -> 1
     assert verdicts[1, 2] == verdicts[2, 1] == CONFLICT
-    ratios, verdicts = instant_intra_group({1: 0.5, 2: 0.5}, {1: 0.35, 2: 0.45}, (1, 2))
+    ratios, verdicts = instant_intra_group((0.5, 0.5), (0.35, 0.45), (1, 2))
     assert verdicts[1, 2] == verdicts[2, 1] == POSITIVE
 
 
 def test_intra_singleton_emits_no_pairs():
-    ratios, verdicts = instant_intra_group({1: 0.5}, {1: 0.4}, (1,))
+    ratios, verdicts = instant_intra_group((0.5,), (0.4,), (1,))
     assert verdicts == {}
-    assert fold(AffinityTracker(1, beta=0.5), (1,), {1: 0.5}, {1: 0.4}) == []
+    assert fold(AffinityTracker(1, beta=0.5), (1,), (0.5,), (0.4,)) == []
 
 
 def test_decay_hand_values():
     tracker = AffinityTracker(2, beta=0.001)
-    decay_update(tracker, (1,), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})  # B = 0.5
+    decay_update(tracker, (1,), (0.5, 0.5), (0.5, 0.25))  # B = 0.5
     assert tracker.decayed[0, 1] == pytest.approx(0.0005)
 
 
@@ -72,7 +72,7 @@ def test_decay_conflict_hand_value():
     tracker = AffinityTracker(2, beta=0.1)
     tracker.decayed[:] = 0.2
     # intra ratios with B(1->2)=0.3, B(2->1)=-0.4
-    before, after = {1: 0.5, 2: 0.5}, {1: 0.7, 2: 0.35}
+    before, after = (0.5, 0.5), (0.7, 0.35)
     ratios, verdicts = instant_intra_group(before, after, (1, 2))
     assert ratios[2] == pytest.approx(0.3)
     assert ratios[1] == pytest.approx(-0.4)
@@ -85,14 +85,14 @@ def test_decay_conflict_hand_value():
 def test_skipped_pairs_keep_previous_value():
     tracker = AffinityTracker(2, beta=0.5)
     tracker.decayed[0, 1] = 0.3
-    rows = fold(tracker, (1,), {1: 0.5, 2: 1e-16}, {1: 0.5, 2: 0.0})
+    rows = fold(tracker, (1,), (0.5, 1e-16), (0.5, 0.0))
     assert tracker.decayed[0, 1] == 0.3
     assert rows[0][5] is True
 
 
 def test_intra_pair_with_tiny_member_loss_is_skipped_both_ways():
     tracker = AffinityTracker(3, beta=0.5)
-    before, after = {1: 1e-15, 2: 0.5, 3: 0.5}, {1: 0.0, 2: 0.25, 3: 0.25}
+    before, after = (1e-15, 0.5, 0.5), (0.0, 0.25, 0.25)
     rows = fold(tracker, (1, 2), before, after)
     assert [(r[0], r[1], r[5]) for r in rows] == [(1, 2, True), (1, 3, False),
                                                   (2, 1, True), (2, 3, False)]
@@ -104,7 +104,7 @@ def test_intra_pair_with_tiny_member_loss_is_skipped_both_ways():
 def test_decay_matches_geometric_closed_form(beta, c, n):
     tracker = AffinityTracker(2, beta=beta)
     for step in range(n):
-        decay_update(tracker, (1,), {1: 1.0, 2: 1.0}, {1: 1.0, 2: 1.0 - c})
+        decay_update(tracker, (1,), (1.0, 1.0), (1.0, 1.0 - c))
     expected = c * (1.0 - (1.0 - beta) ** n)
     assert tracker.decayed[0, 1] == pytest.approx(expected, abs=1e-12)
 
@@ -149,9 +149,8 @@ def substeps(draw):
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         group = tuple(sorted(draw(st.sets(st.integers(1, k), min_size=1, max_size=k))))
-        before = {j: draw(LOSS) for j in range(1, k + 1)}
-        after = {j: before[j] if a is None else a
-                 for j, a in ((j, draw(AFTER)) for j in range(1, k + 1))}
+        before = tuple(draw(LOSS) for _ in range(k))
+        after = tuple(b if a is None else a for b, a in ((b, draw(AFTER)) for b in before))
         steps.append((group, before, after))
     start = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k))
     return k, draw(st.sampled_from([0.01, 0.3, 0.9])), start, steps
@@ -159,10 +158,10 @@ def substeps(draw):
 
 @given(substeps())
 # a CONFLICT pair, then a pair whose one ratio is exactly 0 (POSITIVE)
-@example((2, 0.5, [0.0] * 4, [((1, 2), {1: 0.5, 2: 0.5}, {1: 0.7, 2: 0.35}),
-                              ((1, 2), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})]))
+@example((2, 0.5, [0.0] * 4, [((1, 2), (0.5, 0.5), (0.7, 0.35)),
+                              ((1, 2), (0.5, 0.5), (0.5, 0.25))]))
 # a member below EPS_LOSS: its pairs with the other member are skipped
-@example((3, 0.5, [0.1] * 9, [((1, 2), {1: 1e-15, 2: 0.5, 3: 0.5}, {1: 0.0, 2: 0.25, 3: 0.6})]))
+@example((3, 0.5, [0.1] * 9, [((1, 2), (1e-15, 0.5, 0.5), (0.0, 0.25, 0.6))]))
 @settings(max_examples=300, deadline=None)
 def test_one_pass_fold_equals_the_instant_function_composition(case):
     k, beta, start, steps = case
@@ -177,7 +176,7 @@ def test_one_pass_fold_equals_the_instant_function_composition(case):
 
 def test_a_zero_ratio_is_positive():
     tracker = AffinityTracker(2, beta=0.5)
-    rows = fold(tracker, (1, 2), {1: 0.5, 2: 0.5}, {1: 0.5, 2: 0.25})
+    rows = fold(tracker, (1, 2), (0.5, 0.5), (0.5, 0.25))
     assert [r[4] for r in rows] == [POSITIVE, POSITIVE]
     assert tracker.decayed[0, 1] == 0.25 and tracker.decayed[1, 0] == 0.0
 
@@ -282,5 +281,5 @@ def test_affinity_gap_identity_on_quadratics():
             g = model.backward_group((2,), model.suite.weights())["shared.theta"]
             gap = (group_shared_affinity(model, batch, (1, 2), 2, eta)
                    - inter_task_affinity(model, batch, 1, 2, eta))
-            predicted = eta * float(g @ g) / losses[2]
+            predicted = eta * float(g @ g) / losses[1]
             assert abs(gap - predicted) / predicted < tol

@@ -63,7 +63,7 @@ def quad_log(method, **kw):
     cfg = TrainConfig(method=method, eta=0.01, iters=20, seed=0, **kw)
     batches = (Batch(None, {}, it) for it in range(1, 21))
     log = train(model, batches, cfg)
-    log.eval_losses = dict(log.final_losses)
+    log.eval_losses = log.final_losses
     return log
 
 

@@ -14,7 +14,7 @@ from mtopt.benchmarks import (QuadraticSpec, gen_quadratic_suite, gen_regression
 from mtopt.models import Batch, ModelError, TaskSuite, build_shared_trunk, restore, snapshot
 from mtopt.optim import Adam, PlainSGD, TrainConfig, train
 from tests.test_optim import Collector, SetBlockAdam, SetBlockSGD, as_gradient, trunk_model
-from tests.test_tensor import assert_closed_form_matches_interpreter, mlp_case
+from tests.test_tensor import assert_closed_form_matches_interpreter, interpreter_losses, mlp_case
 
 
 def mixed_trunk(cols=(2, 1, 2, 1), seed=0):
@@ -124,7 +124,16 @@ def test_every_block_is_a_view_of_the_partition_buffer(make):
             for tid, w, b in zip(heads.tids, heads.w, heads.b):
                 assert w.tobytes() == partition.block(f"head.{tid}.w").tobytes()
                 assert b.ravel().tobytes() == partition.block(f"head.{tid}.b").tobytes()
-        assert [h.tids for h in model._heads] == [(2, 4), (1, 3)]  # one stack per head width
+        # the heads lie in task-id order: one stack per run of adjacent tasks of one width
+        assert [h.tids for h in model._heads] == [(1,), (2,), (3,), (4,)]
+
+
+def test_head_stacks_are_runs_of_adjacent_tasks_of_one_width():
+    """The heads lie in task-id order, so adjacent heads of one width share a
+    stack, and the stacks' losses join up in task-id order."""
+    model, batch = mixed_trunk(cols=(1, 1, 2, 2, 1))
+    assert [h.tids for h in model._heads] == [(1, 2), (3, 4), (5,)]
+    assert model.forward_all(batch) == interpreter_losses(model, batch)
 
 
 @pytest.mark.parametrize("make", [lambda: mixed_trunk(),
@@ -287,11 +296,12 @@ def test_csv_suite_with_two_head_widths_trains(tmp_path):
                                                   for row in rows))
     ds, suite = load_csv_dataset(path, ["x1", "x2", "x3"], {1: ["a"], 2: ["b1", "b2"], 3: ["c"]})
     model = build_shared_trunk(6, 2, suite, seed=1, in_dim=3, out_dims={1: 1, 2: 2, 3: 1})
-    assert [h.tids for h in model._heads] == [(1, 3), (2,)]  # one stack per head width
+    assert [h.tids for h in model._heads] == [(1,), (2,), (3,)]  # the stacks follow task-id order
     cfg = TrainConfig(method="SELECTIVE", eta=0.05, beta=0.05, iters=30, seed=0)
-    log = train(model, ds.stream(8, 30, 0), cfg)
+    batches = list(ds.stream(8, 30, 0))
+    log = train(model, batches, cfg)
     assert log.iterations == 30
-    assert list(log.final_losses) == [1, 2, 3]
+    assert log.final_losses == interpreter_losses(model, batches[-1])
     assert_closed_form_matches_interpreter(model, ds.eval_batch(), {1: 1.0, 2: 0.5, 3: 2.0})
 
 
@@ -337,7 +347,7 @@ def test_batched_head_products_equal_the_per_head_loop(n, w, k, od):
         d += p.block(f"head.{tid}.b")
         d -= targets[tid]
         sq = d * d
-        assert losses[tid] == float(sq.sum() / sq.size), f"loss of head {tid}"
+        assert losses[tid - 1] == float(sq.sum() / sq.size), f"loss of head {tid}"
         gt = d * (2.0 / d.size)
         gt *= 1.0  # the unit loss weight, applied as the closed form applies it
         assert grads[f"head.{tid}.w"].tobytes() == (top.T @ gt).tobytes(), f"weight gradient, head {tid}"

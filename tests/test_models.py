@@ -49,8 +49,8 @@ def test_trunk_zero_input_zero_heads_gives_zero_prediction_loss():
     batch = Batch(np.zeros((5, 3)), {1: np.ones((5, 1)), 2: np.zeros((5, 1))}, 0)
     losses = model.forward_all(batch)
     # heads emit exactly 0, so each loss is the loss of the zero prediction
-    assert losses[1] == pytest.approx(1.0)
-    assert losses[2] == 0.0
+    assert losses[0] == pytest.approx(1.0)
+    assert losses[1] == 0.0
 
 
 def test_forward_does_not_mutate_parameters():
@@ -72,13 +72,13 @@ def test_duplicated_rows_leave_mean_losses_unchanged():
     one = model.forward_all(Batch(x, t, 0))
     two = model.forward_all(Batch(np.vstack([x, x]), {k: np.vstack([v, v]) for k, v in t.items()}, 1))
     for tid in suite.ids:
-        assert one[tid] == pytest.approx(two[tid], rel=1e-12)
+        assert one[tid - 1] == pytest.approx(two[tid - 1], rel=1e-12)
 
 
 def test_quadratic_hand_values_and_stationarity():
     model, batch = scalar_pair()
     losses = model.forward_all(batch)
-    assert losses == {1: 0.5, 2: 0.5}
+    assert losses == (0.5, 0.5)
     grads = model.backward_group((1,), {1: 1.0, 2: 1.0})
     assert grads["shared.theta"] == pytest.approx(np.array([-1.0]))
     # joint least-squares solution: theta_s = 1 -> summed shared gradient is 0
@@ -102,7 +102,7 @@ def test_quadratic_loss_matches_direct_formula():
         s = model.partition.shared["shared.theta"]
         ti = model.partition.per_task[t][f"task.{t}.theta"]
         direct = 0.5 * np.sum((a[t] @ s + c[t] @ ti - b[t]) ** 2)
-        assert abs(losses[t] - direct) < 1e-12
+        assert abs(losses[t - 1] - direct) < 1e-12
 
 
 def test_quadratic_analytic_gradient_matches_tape():
@@ -143,11 +143,11 @@ def test_quadratic_inputs_are_read_only_maps_of_live_rows():
     model, batch = scalar_pair(a1=2.0, with_task_params=True)
     with pytest.raises(TypeError):
         model.b[1] = np.array([5.0])
-    assert model.forward_all(batch)[1] == 2.0
+    assert model.forward_all(batch)[0] == 2.0
     model = QuadraticModel(model.suite, dict(model.a), dict(model.c), {1: -model.b[1], 2: model.b[2]})
-    assert model.forward_all(batch)[1] == 2.0  # 0.5 * (0 + 2)^2
+    assert model.forward_all(batch)[0] == 2.0  # 0.5 * (0 + 2)^2
     model.partition.set_block("task.1.theta", np.array([-2.0]))
-    assert model.forward_all(batch) == {1: 0.0, 2: 0.5}
+    assert model.forward_all(batch) == (0.0, 0.5)
 
 
 def test_writing_into_quadratic_data_raises():
@@ -157,7 +157,7 @@ def test_writing_into_quadratic_data_raises():
             data[1][0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             np.negative(data[2], out=data[2])
-    assert model.forward_all(batch) == {1: 2.0, 2: 0.5}
+    assert model.forward_all(batch) == (2.0, 0.5)
 
 
 def test_every_parameter_write_makes_the_quadratic_forward_recompute():
@@ -188,7 +188,7 @@ def test_every_parameter_write_makes_the_quadratic_forward_recompute():
         write(model)
         s = float(model.partition.shared["shared.theta"][0])
         t = {tid: float(model.partition.per_task[tid][f"task.{tid}.theta"][0]) for tid in (1, 2)}
-        want = {1: 0.5 * (s + t[1] - 2.0) ** 2, 2: 0.5 * (s + t[2] + 1.0) ** 2}
+        want = (0.5 * (s + t[1] - 2.0) ** 2, 0.5 * (s + t[2] + 1.0) ** 2)
         assert model.forward_all(None) == want, name
         if name in ("restore", "an oracle call"):  # both leave the state as it was
             assert want == before, name
@@ -231,7 +231,7 @@ def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, se
     res = {t: model.a[t] @ s + model.c[t] @ model.partition.per_task[t][f"task.{t}.theta"] - model.b[t]
            for t in suite.ids}
     losses = model.forward_all(None)
-    assert losses == {t: 0.5 * float(r @ r) for t, r in res.items()}
+    assert losses == tuple(0.5 * float(r @ r) for r in res.values())
 
     weights = {t: float(rng.uniform(0.1, 2.0)) if rng.random() < 0.75 else 0.0 for t in suite.ids}
     for group in (tuple(t for t in suite.ids if rng.random() < 0.6) or (1,), suite.ids):
@@ -266,7 +266,7 @@ def test_snapshot_restore_round_trip_bitwise():
     assert model.forward_all(batch) != base
     restore(model, snap)
     again = model.forward_all(batch)
-    assert all(again[t] == base[t] for t in suite.ids)
+    assert again == base
 
 
 def test_restore_onto_mismatched_blocks_fails():

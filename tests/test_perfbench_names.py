@@ -44,7 +44,7 @@ def test_quadratic_loss_check_agrees_with_a_trained_model(monkeypatch):
     params = {name: model.partition.block(name) for name in model.partition.block_ids(model.suite.ids)}
     assert any(params[f"task.{tid}.theta"].any() for tid in model.suite.ids)
     recomputed = checks.quadratic_losses(model, params)
-    for tid, loss in model.forward_all(None).items():
+    for tid, loss in enumerate(model.forward_all(None), start=1):
         assert recomputed[tid] == pytest.approx(loss, rel=checks.LOSS_REL_TOL)
 
 

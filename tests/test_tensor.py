@@ -302,11 +302,17 @@ def every_group(ids):
     return [g for r in range(1, len(ids) + 1) for g in itertools.combinations(ids, r)]
 
 
-def assert_closed_form_matches_interpreter(model, batch, weights):
-    """The losses and every group's gradients (names, order and bits) equal
-    the interpreter's, and the closed form never runs the interpreter."""
+def interpreter_losses(model, batch) -> tuple[float, ...]:
+    """The interpreter's losses of ``model`` on ``batch``, listed in task-id order."""
     outs = evaluate(model.graph, tape_bindings(model, batch))
-    want_losses = {tid: float(outs[nid]) for tid, nid in model.loss_nodes.items()}
+    return tuple(float(outs[model.loss_nodes[tid]]) for tid in model.suite.ids)
+
+
+def assert_closed_form_matches_interpreter(model, batch, weights):
+    """The losses (a tuple in task-id order) and every group's gradients
+    (names, order and bits) equal the interpreter's, and the closed form
+    never runs the interpreter."""
+    want_losses = interpreter_losses(model, batch)
     groups = every_group(model.suite.ids)
     want = [backward(model.graph, tape_seeds(model, g, weights), set(model.partition.block_ids(g)))
             for g in groups]
