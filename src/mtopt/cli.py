@@ -1,7 +1,8 @@
 """Experiment runner: run / sweep / verify / report.
 
 ``run`` and every sweep cell train through one function, and a sweep checks
-every cell's config before any cell runs.
+every cell's config before any cell runs. ``report`` scores a run only
+against a baseline that trained on the same data.
 
 Exit codes: 0 success, 1 property violation (verify), 2 usage or validation
 error, 3 numeric failure during training. Commands raise; :func:`main` alone
@@ -20,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from urllib.parse import quote
 
 from .analysis import SUITES, AnalysisError, delta_m_from_losses, run_property_suite
-from .config import (ConfigError, ExperimentConfig, echo_dict, parse_kv_text, read_kv_file,
-                     validate_config)
+from .config import (ConfigError, ExperimentConfig, echo_dict, echo_keys, generator_spec,
+                     parse_kv_text, read_kv_file, validate_config)
 from .experiments import RunResult, run_experiment
 from .optim import NumericAbort
 from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunWriter, fmt, read_group_series, read_summary,
@@ -214,6 +215,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
+def _trained_on(rundir: str) -> tuple:
+    """The data a run trained on, from its checked config.json: the benchmark
+    kind and generator spec (the data seed included), or the csv file, inputs
+    and target columns."""
+    try:
+        with open(os.path.join(rundir, "config.json"), encoding="utf-8") as fh:
+            cfg = validate_config(echo_keys(json.load(fh)["config"]))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise ConfigError(f"{rundir}: unreadable config.json: {e}") from None
+    if cfg.benchmark_kind == "csv":
+        return cfg.benchmark_kind, cfg.csv_path, cfg.csv_inputs, cfg.csv_targets
+    return cfg.benchmark_kind, generator_spec(cfg)
+
+
 def cmd_report(args) -> int:
     _check_out(args.out)
     base = read_summary(args.baseline)
@@ -226,7 +241,9 @@ def cmd_report(args) -> int:
     for d, s in summaries:
         try:
             dm = delta_m_from_losses(s["eval_losses"], base["eval_losses"])
-        except AnalysisError as e:
+            if _trained_on(d) != _trained_on(args.baseline):
+                raise ConfigError("the runs trained on other data")
+        except (AnalysisError, ConfigError) as e:
             raise ConfigError(f"{d} against baseline {args.baseline}: {e}") from e
         mean_m = s.get("runs", {}).get("main", {}).get("mean_group_count")
         rows.append((d, s["method"], s["seed"], dm, mean_m))

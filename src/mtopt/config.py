@@ -295,3 +295,12 @@ def echo_dict(cfg: ExperimentConfig) -> dict:
             node = node.setdefault(part, {})
         node[parts[-1]] = value
     return nested
+
+
+def echo_keys(echo: dict, prefix: str = "") -> dict[str, str]:
+    """The raw keys of an :func:`echo_dict`, levels joined by dots again."""
+    raw = {}
+    for key, value in echo.items():
+        raw.update(echo_keys(value, f"{prefix}{key}.") if isinstance(value, dict)
+                   else {prefix + key: value})
+    return raw

@@ -300,6 +300,69 @@ def test_report_summary_with_bad_eval_losses_exits_2(tmp_path, capsys, keys, val
     assert "mtopt.summary.v1" in err and base in err
 
 
+def config_run(tmp_path, name, text):
+    """Train config ``text`` into run directory ``name``; returns its path."""
+    out = str(tmp_path / name)
+    assert main(["run", "--config", write_cfg(tmp_path, text, f"{name}.cfg"), "--out", out]) == 0
+    return out
+
+
+def test_report_refuses_a_baseline_trained_on_other_data(tmp_path, capsys):
+    """A 3-task quadratic run against a 3-task regression SINGLE baseline:
+    the task sets agree, the data do not."""
+    run = quad_run(tmp_path, "quad", 3)
+    base = config_run(tmp_path, "single", TRIAD_CFG.replace("method = SELECTIVE", "method = SINGLE"))
+    err = report_error(capsys, run, base)
+    assert "trained on other data" in err and run in err and base in err
+
+
+@pytest.mark.parametrize("base_keys, run_keys, same", [
+    ("seed = 1", "seed = 2", False),  # the data seed defaults to the run seed
+    ("seed = 1", "seed = 2\nquadratic.seed = 1", True),
+    ("quadratic.rho = 0.5", "quadratic.rho = 0.4", False),
+    ("quadratic.rows = 8", "quadratic.rows = 9", False),
+    ("method = SEPARATE", "method = JOINT\noptimizer = adam", True),
+], ids=["data-seed", "same-data-seed", "rho", "rows", "method-and-optimizer"])
+def test_report_compares_the_generator_spec_of_both_runs(tmp_path, capsys, base_keys, run_keys, same):
+    base, run = (config_run(tmp_path, name, f"{QUAD_CFG}quadratic.k = 3\n{keys}\n")
+                 for name, keys in (("base", base_keys), ("run", run_keys)))
+    if same:
+        assert main(["report", run, "--baseline", base]) == 0
+    else:
+        assert "trained on other data" in report_error(capsys, run, base)
+
+
+def test_report_compares_the_csv_file_inputs_and_targets(tmp_path, capsys):
+    data, copy = tmp_path / "data.csv", tmp_path / "copy.csv"
+    for path in (data, copy):
+        path.write_text("x,y,a,b,c\n" + "".join(f"{i},{i % 2},{i % 3},{i % 5},{i % 7}\n"
+                                                for i in range(12)))
+    text = (f"benchmark.kind = csv\ncsv.path = {data}\ncsv.inputs = x\n"
+            "csv.targets.1 = a\ncsv.targets.2 = b\niters = 3\n")
+    base = config_run(tmp_path, "base", text)
+    assert main(["report", config_run(tmp_path, "seed", text + "seed = 3\n"), "--baseline", base]) == 0
+    for name, other in [("path", text.replace(str(data), str(copy))),
+                        ("inputs", text.replace("inputs = x", "inputs = x,y")),
+                        ("targets", text.replace("targets.2 = b", "targets.2 = c"))]:
+        assert "trained on other data" in report_error(capsys, config_run(tmp_path, name, other), base)
+
+
+@pytest.mark.parametrize("which", ["run", "baseline"])
+@pytest.mark.parametrize("config", [None, "{not json", '{"config": [1]}',
+                                    '{"config": {"method": "NOPE"}}'],
+                         ids=["missing", "not-json", "not-an-echo", "invalid"])
+def test_report_needs_the_config_of_both_runs(tmp_path, capsys, which, config):
+    """Without a checked config.json there is no telling what a run trained on."""
+    base, run = quad_run(tmp_path, "base", 2), quad_run(tmp_path, "run", 2)
+    path = os.path.join(run if which == "run" else base, "config.json")
+    os.remove(path)
+    if config is not None:
+        with open(path, "w") as fh:
+            fh.write(config)
+    err = report_error(capsys, run, base)
+    assert "unreadable config.json" in err and run in err and base in err
+
+
 def test_verify_small_instances_pass(tmp_path, capsys):
     rep = str(tmp_path / "verify.json")
     code = main(["verify", "--suites", "T1,T3,A1", "--instances", "10",

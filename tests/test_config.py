@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtopt.config import KNOWN_KEYS, ConfigError, ExperimentConfig, parse_kv_text, validate_config
+from mtopt.config import (KNOWN_KEYS, ConfigError, ExperimentConfig, echo_dict, echo_keys,
+                          parse_kv_text, validate_config)
 
 KEYS = st.sampled_from(sorted(KNOWN_KEYS) + [f"csv.targets.{tid}" for tid in range(-1, 5)])
 VALUES = st.one_of(
@@ -41,6 +42,7 @@ def test_parse_then_validate_returns_a_config_or_raises_config_error(pairs, junk
         tasks = [t for group in cfg.fixed_partition.groups for t in group]
         assert len(tasks) == len(set(tasks)), tasks
     assert all(cfg.csv_targets.values()), cfg.csv_targets
+    assert echo_keys(echo_dict(cfg)) == cfg.raw  # what config.json echoes reads back
 
 
 CSV = "benchmark.kind = csv\ncsv.path = data.csv\n"
