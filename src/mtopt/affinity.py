@@ -96,7 +96,7 @@ def loss_ratios(before: tuple[float, ...], after: tuple[float, ...]) -> list[flo
     in task-id order (task t at index t - 1); NaN where the loss before is
     below ``EPS_LOSS``."""
     nan = float("nan")
-    return [nan if b < EPS_LOSS else 1.0 - a / b for b, a in zip(before, after, strict=True)]
+    return [nan if b < EPS_LOSS else 1.0 - a / b for b, a in zip(before, after)]
 
 
 def decay_update(tracker: AffinityTracker, group, before: tuple[float, ...],
