@@ -92,9 +92,8 @@ def instant_intra_group(before: tuple[float, ...], after: tuple[float, ...],
 
 
 def loss_ratios(before: tuple[float, ...], after: tuple[float, ...]) -> list[float]:
-    """The ratio of each task over one sub-step, from two tuples of k losses
-    in task-id order (task t at index t - 1); NaN where the loss before is
-    below ``EPS_LOSS``."""
+    """Each task's ratio over one sub-step, from two tuples of k losses in
+    task-id order; NaN where the loss before is below ``EPS_LOSS``."""
     nan = float("nan")
     return [nan if b < EPS_LOSS else 1.0 - a / b for b, a in zip(before, after)]
 

@@ -14,11 +14,11 @@ Each keeps a tape for reference: ``MLPModel.graph`` is its objective as the
 tape interpreter runs it, bitwise equal to the closed form, and
 ``QuadraticModel.tape_graph`` restates the quadratic's losses.
 
-Both expose ``forward_all``, a tuple of k losses in task-id order (task t at
-index t - 1), and ``backward_group``, and keep no state per group;
-:func:`snapshot` / :func:`restore` copy the whole buffer exactly, for the slow
-affinity oracles. Each family fixes its task loss: the MLP's heads are all
-scored by squared error, the quadratic's by its closed form.
+Both expose ``forward_all``, which returns a tuple of k losses in task-id
+order (task t at index t - 1), and ``backward_group``, and keep no state per
+group; :func:`snapshot` / :func:`restore` copy the whole buffer exactly, for
+the slow affinity oracles. Each family fixes its task loss: the MLP's heads
+are all scored by squared error, the quadratic's by its closed form.
 
 Parameters live in one float64 buffer (:class:`ParamPartition`): the
 shared blocks first, then each task's blocks in task-id order, and every
@@ -443,9 +443,9 @@ class QuadraticModel:
     ignored. So ``forward_all`` is memoized on ``partition.version``: a
     forward at the version of the last one (a batch's first forward after
     the previous sub-step's trailing one) returns the same tuple of k losses
-    in task-id order again. Each recompute also keeps every task's A_i^T r_i and
-    C_i^T r_i (r_i its residual), so ``backward_group`` only scales them by
-    the weights and sums them in group order. The tape route is available
+    in task-id order again. Each recompute also keeps every task's A_i^T r_i
+    and C_i^T r_i (r_i its residual), so ``backward_group`` only scales them
+    by the weights and sums them in group order. The tape route is available
     through :meth:`tape_graph` for cross-checking gradients.
     """
 
