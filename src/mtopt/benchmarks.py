@@ -25,8 +25,19 @@ class BenchmarkError(ValueError):
 
 
 def _unit_spectral(m: np.ndarray) -> np.ndarray:
-    top = float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
-    return m / top if top > 0 else m
+    """Each matrix of ``m`` (one matrix, or a stack of them) over its top
+    singular value, from one stacked SVD. LAPACK runs the same routine on
+    each slice, so this equals the per-matrix call bit for bit. An empty
+    matrix, or one whose top singular value is 0, keeps its entries."""
+    if not m.size:
+        return m
+    top = np.linalg.svd(m, compute_uv=False)[..., :1, None]
+    return m / np.where(top > 0, top, 1.0)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d real vector, by the same arithmetic."""
+    return math.sqrt(v @ v)
 
 
 def _aligned_targets(k: int, rows: int, rho: float, rng: np.random.Generator) -> list[np.ndarray]:
@@ -75,39 +86,39 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
     Design matrices are normalized to unit spectral norm, and each target is
     scaled so its task's initial shared gradient has norm 1, so the analytic
     property margins (stated in multiples of eta^2 at unit scale) apply.
+    Each task draws A_i and then C_i (the rho path draws its one shared A
+    first), and each family is normalized as one stack by one stacked SVD,
+    which equals the per-matrix call bit for bit.
     """
     rng = np.random.default_rng([spec.seed, 0])
-    k = spec.k
+    k, rows, sd, td = spec.k, spec.rows, spec.shared_dim, spec.task_dim
     suite = TaskSuite(k)
-    shared_a = None
     if spec.rho is not None:
-        shared_a = _unit_spectral(rng.standard_normal((spec.rows, spec.shared_dim)))
-    a, c, b = {}, {}, {}
-    for tid in suite.ids:
-        a[tid] = shared_a if shared_a is not None else _unit_spectral(
-            rng.standard_normal((spec.rows, spec.shared_dim)))
-        c[tid] = _unit_spectral(rng.standard_normal((spec.rows, spec.task_dim)))
-    if spec.rho is not None:
-        raw = _aligned_targets(k, spec.rows, spec.rho, rng)
+        a = [_unit_spectral(rng.standard_normal((rows, sd)))] * k
+        c = _unit_spectral(rng.standard_normal((k, rows, td)))
+        raw = [(v, _norm(a[0].T @ v)) for v in _aligned_targets(k, rows, spec.rho, rng)]
     else:
+        draws = rng.standard_normal((k, rows * (sd + td)))  # task by task: A's entries, then C's
+        a = _unit_spectral(draws[:, :rows * sd].reshape(k, rows, sd))
+        c = _unit_spectral(draws[:, rows * sd:].reshape(k, rows, td))
         raw = []
         for tid in suite.ids:
             for _ in range(64):
-                v = rng.standard_normal(spec.rows)
-                v /= np.linalg.norm(v)
-                sg = np.linalg.norm(a[tid].T @ v)
-                tg = np.linalg.norm(c[tid].T @ v) if spec.task_dim else MIN_TASK_GRAD
+                v = rng.standard_normal(rows)
+                v /= _norm(v)
+                sg = _norm(a[tid - 1].T @ v)
+                tg = _norm(c[tid - 1].T @ v) if td else MIN_TASK_GRAD
                 if sg >= 0.2 and tg >= MIN_TASK_GRAD * sg:
                     break
             else:
                 raise BenchmarkError(f"could not draw a non-degenerate target for task {tid}")
-            raw.append(v)
-    for tid, v in zip(suite.ids, raw):
-        sg = np.linalg.norm(a[tid].T @ v)
+            raw.append((v, sg))  # keeps the accepted draw's shared-gradient norm
+    b = {}
+    for tid, (v, sg) in zip(suite.ids, raw):
         if sg < 1e-9:
             raise BenchmarkError(f"task {tid}: target is orthogonal to the design range")
         b[tid] = v / sg
-    model = QuadraticModel(suite, a, c, b)
+    model = QuadraticModel(suite, dict(zip(suite.ids, a)), dict(zip(suite.ids, c)), b)
     return model, Batch(inputs=None, targets={}, sample_id=0)
 
 

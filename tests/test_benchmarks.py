@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtopt.benchmarks import (BenchmarkError, QuadraticSpec, RegressionSuiteSpec,
-                              gen_quadratic_suite, gen_regression_suite,
+from mtopt.benchmarks import (MIN_TASK_GRAD, BenchmarkError, QuadraticSpec, RegressionSuiteSpec,
+                              _aligned_targets, gen_quadratic_suite, gen_regression_suite,
                               load_csv_dataset, property_instance, triad_spec)
-from mtopt.models import build_shared_trunk
+from mtopt.models import QuadraticModel, TaskSuite, build_shared_trunk
 from mtopt.optim import TrainConfig, train
 from mtopt.tensor import backward, evaluate
 from tests.test_optim import Collector
@@ -56,6 +58,86 @@ def test_quadratic_generator_is_bitwise_reproducible():
     for tid in a.suite.ids:
         assert a.a[tid].tobytes() == b.a[tid].tobytes()
         assert a.b[tid].tobytes() == b.b[tid].tobytes()
+
+
+def reference_quadratic_suite(spec):
+    """The per-matrix generator: one SVD per design matrix, one norm per
+    vector, and each accepted target's shared-gradient norm taken again."""
+    def unit_spectral(m):
+        top = float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+        return m / top if top > 0 else m
+
+    rng = np.random.default_rng([spec.seed, 0])
+    ids = TaskSuite(spec.k).ids
+    shared_a = None
+    if spec.rho is not None:
+        shared_a = unit_spectral(rng.standard_normal((spec.rows, spec.shared_dim)))
+    a, c, b = {}, {}, {}
+    for tid in ids:
+        a[tid] = shared_a if shared_a is not None else unit_spectral(
+            rng.standard_normal((spec.rows, spec.shared_dim)))
+        c[tid] = unit_spectral(rng.standard_normal((spec.rows, spec.task_dim)))
+    if spec.rho is not None:
+        raw = _aligned_targets(spec.k, spec.rows, spec.rho, rng)
+    else:
+        raw = []
+        for tid in ids:
+            for _ in range(64):
+                v = rng.standard_normal(spec.rows)
+                v /= np.linalg.norm(v)
+                sg = np.linalg.norm(a[tid].T @ v)
+                tg = np.linalg.norm(c[tid].T @ v) if spec.task_dim else MIN_TASK_GRAD
+                if sg >= 0.2 and tg >= MIN_TASK_GRAD * sg:
+                    break
+            else:
+                raise BenchmarkError(f"could not draw a non-degenerate target for task {tid}")
+            raw.append(v)
+    for tid, v in zip(ids, raw):
+        sg = np.linalg.norm(a[tid].T @ v)
+        if sg < 1e-9:
+            raise BenchmarkError(f"task {tid}: target is orthogonal to the design range")
+        b[tid] = v / sg
+    return QuadraticModel(TaskSuite(spec.k), a, c, b)
+
+
+@st.composite
+def quadratic_specs(draw):
+    k, rows = draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    rho = None
+    if rows >= k and draw(st.booleans()):
+        rho = draw(st.floats(-1.0 / (k - 1), 1.0))
+    return QuadraticSpec(k=k, rows=rows, shared_dim=draw(st.integers(1, 8)),
+                         task_dim=draw(st.integers(0, 4)), seed=draw(st.integers(0, 2**32 - 1)),
+                         rho=rho)
+
+
+def suite_bytes(spec, gen):
+    try:
+        model = gen(spec)
+    except BenchmarkError as e:
+        return str(e)
+    return [(m.shape, m.tobytes()) for m in (model._a, model._c, model._b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_specs())
+def test_stacked_generator_matches_the_per_matrix_reference_bitwise(spec):
+    assert suite_bytes(spec, lambda s: gen_quadratic_suite(s)[0]) == \
+        suite_bytes(spec, reference_quadratic_suite)
+
+
+@pytest.mark.parametrize("k,rho,task_dim", [(2, None, 2), (8, None, 2), (12, None, 0),
+                                            (8, 0.5, 2), (12, -0.05, 3)])
+def test_a_quadratic_suite_makes_at_most_two_svd_calls(k, rho, task_dim, monkeypatch):
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    gen_quadratic_suite(QuadraticSpec(k=k, rows=12, task_dim=task_dim, seed=3, rho=rho))
+    assert 1 <= len(calls) <= 2
 
 
 def test_generated_suite_analytic_gradients_match_tape():
