@@ -140,9 +140,9 @@ def property_instance(k: int, seed: int,
     """
     for attempt in range(32):
         model, batch = gen_quadratic_suite(QuadraticSpec(k=k, seed=seed * 1000 + attempt))
-        grads = shared_grads(model)
         if align is None:
             return model, batch
+        grads = shared_grads(model)
         anchor = grads[k]
         dots = [float(grads[pos] @ anchor) for pos in range(1, len(align) + 1)]
         if all(abs(dot) >= 1e-6 for dot in dots):
