@@ -21,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from urllib.parse import quote
 
 from .analysis import SUITES, AnalysisError, delta_m_from_losses, run_property_suite
-from .config import (ConfigError, ExperimentConfig, echo_dict, echo_keys, generator_spec,
-                     parse_kv_text, read_kv_file, validate_config)
+from .config import (LIST_KEYS, ConfigError, ExperimentConfig, echo_dict, echo_keys,
+                     generator_spec, parse_kv_text, read_kv_file, validate_config)
 from .experiments import RunResult, run_experiment
 from .optim import NumericAbort
 from .runio import (INDEX_HEADER, INDEX_SCHEMA, RunWriter, fmt, read_group_series, read_summary,
@@ -127,6 +127,10 @@ def _expand_grid(raw: dict[str, str]) -> tuple[dict[str, str], list[dict[str, st
     if not axes:
         raise ConfigError("sweep config has no sweep.* axes")
     keys = sorted(axes)
+    for key in keys:
+        if key in LIST_KEYS or key.startswith("csv.targets."):
+            raise ConfigError(f"sweep.{key}: '{key}' holds a list, so it cannot be a sweep axis "
+                              "(an axis splits its values on commas)")
     cells = [dict(zip(keys, combo)) for combo in itertools.product(*(axes[k] for k in keys))]
     return base, cells
 

@@ -174,6 +174,7 @@ KNOWN_KEYS = {
     "csv.inputs": "comma-separated input columns",
 }
 # csv.targets.<task id> carries that task's target columns; validated separately.
+LIST_KEYS = ("weights", "fixed.partition", "csv.inputs")  # and every csv.targets.<task id>
 
 
 def _section(raw, name: str) -> dict:

@@ -629,6 +629,29 @@ def test_sweep_rejects_bad_cell_before_any_cell_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["sweep.weights = 1,1,2", "sweep.fixed.partition = 1,2|3",
+                                  "sweep.csv.inputs = x,z", "sweep.csv.targets.2 = y1,y2"])
+def test_sweep_refuses_a_list_valued_axis_naming_it(tmp_path, monkeypatch, capsys, axis):
+    cells = stub_cells(monkeypatch)
+    base = (csv_cfg(tmp_path, "x,z,y1,y2\n1,2,3,4\n") if "csv" in axis else
+            QUAD_CFG + "quadratic.k = 3\nmethod = FIXED\nfixed.partition = 1|2|3\n")
+    cfg = write_cfg(tmp_path, base + axis + "\n", "sweep.cfg")
+    out = tmp_path / "sweep"
+    err = cli_error(capsys, ["sweep", "--config", cfg, "--out", str(out)])
+    key = axis.split(" = ")[0]
+    assert key in err and "holds a list" in err
+    assert cells == [] and not out.exists()
+
+
+def test_sweep_with_scalar_axes_runs_every_cell(tmp_path, monkeypatch):
+    cells = stub_cells(monkeypatch)
+    cfg = write_cfg(tmp_path, QUAD_CFG + "sweep.method = SELECTIVE,JOINT\n"
+                    "sweep.quadratic.rows = 4, 6\n", "sweep.cfg")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert sorted((c["method"], c["quadratic.rows"]) for c in cells) == [
+        ("JOINT", "4"), ("JOINT", "6"), ("SELECTIVE", "4"), ("SELECTIVE", "6")]
+
+
 def csv_cfg(tmp_path, body):
     data = tmp_path / "data.csv"
     if body is not None:
