@@ -112,7 +112,7 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
                     break
             else:
                 raise BenchmarkError(f"could not draw a non-degenerate target for task {tid}")
-            raw.append((v, sg))  # keeps the accepted draw's shared-gradient norm
+            raw.append((v, sg))
     b = {}
     for tid, (v, sg) in zip(suite.ids, raw):
         if sg < 1e-9:

@@ -119,7 +119,7 @@ def suite_bytes(spec, gen):
     return [(m.shape, m.tobytes()) for m in (model._a, model._c, model._b)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(quadratic_specs())
 def test_stacked_generator_matches_the_per_matrix_reference_bitwise(spec):
     assert suite_bytes(spec, lambda s: gen_quadratic_suite(s)[0]) == \
