@@ -92,9 +92,8 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
     """
     rng = np.random.default_rng([spec.seed, 0])
     k, rows, sd, td = spec.k, spec.rows, spec.shared_dim, spec.task_dim
-    suite = TaskSuite(k)
     if spec.rho is not None:
-        a = [_unit_spectral(rng.standard_normal((rows, sd)))] * k
+        a = np.stack([_unit_spectral(rng.standard_normal((rows, sd)))] * k)
         c = _unit_spectral(rng.standard_normal((k, rows, td)))
         raw = [(v, _norm(a[0].T @ v)) for v in _aligned_targets(k, rows, spec.rho, rng)]
     else:
@@ -102,7 +101,7 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
         a = _unit_spectral(draws[:, :rows * sd].reshape(k, rows, sd))
         c = _unit_spectral(draws[:, rows * sd:].reshape(k, rows, td))
         raw = []
-        for tid in suite.ids:
+        for tid in range(1, k + 1):
             for _ in range(64):
                 v = rng.standard_normal(rows)
                 v /= _norm(v)
@@ -113,13 +112,12 @@ def gen_quadratic_suite(spec: QuadraticSpec) -> tuple[QuadraticModel, Batch]:
             else:
                 raise BenchmarkError(f"could not draw a non-degenerate target for task {tid}")
             raw.append((v, sg))
-    b = {}
-    for tid, (v, sg) in zip(suite.ids, raw):
+    b = []
+    for tid, (v, sg) in enumerate(raw, start=1):
         if sg < 1e-9:
             raise BenchmarkError(f"task {tid}: target is orthogonal to the design range")
-        b[tid] = v / sg
-    model = QuadraticModel(suite, dict(zip(suite.ids, a)), dict(zip(suite.ids, c)), b)
-    return model, Batch(inputs=None, targets={}, sample_id=0)
+        b.append(v / sg)
+    return QuadraticModel(a, c, np.stack(b)), Batch(inputs=None, targets={}, sample_id=0)
 
 
 def shared_grads(model: QuadraticModel) -> dict[int, np.ndarray]:
@@ -135,8 +133,8 @@ def property_instance(k: int, seed: int,
 
     ``align`` gives required signs of each leading task's shared-gradient dot
     product with the last task (the probe target); the instance is built
-    again with those targets sign-flipped to enforce it, resampling the rare
-    exactly-orthogonal draw.
+    again on the same A and C stacks, with those targets' rows of b negated
+    to enforce it, resampling the rare exactly-orthogonal draw.
     """
     for attempt in range(32):
         model, batch = gen_quadratic_suite(QuadraticSpec(k=k, seed=seed * 1000 + attempt))
@@ -146,11 +144,11 @@ def property_instance(k: int, seed: int,
         anchor = grads[k]
         dots = [float(grads[pos] @ anchor) for pos in range(1, len(align) + 1)]
         if all(abs(dot) >= 1e-6 for dot in dots):
-            b = dict(model.b)
-            for pos, (dot, want) in enumerate(zip(dots, align), start=1):
+            b = model._b.copy()
+            for pos, (dot, want) in enumerate(zip(dots, align)):
                 if np.sign(dot) != np.sign(want):
                     b[pos] = -b[pos]
-            model = QuadraticModel(model.suite, dict(model.a), dict(model.c), b)
+            model = QuadraticModel(model._a, model._c, b)
             model.forward_all(batch)
             return model, batch
     raise BenchmarkError(f"could not build an aligned instance for seed {seed}")
@@ -268,9 +266,12 @@ def load_csv_dataset(path, input_cols: list[str],
                      target_cols: dict[int, list[str]]) -> tuple[TabularDataset, TaskSuite]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            lines = list(reader)
     except UnicodeDecodeError as e:
         raise BenchmarkError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    except csv.Error as e:
+        raise BenchmarkError(f"{path}: line {reader.line_num}: {e}") from None
     if not lines:
         raise BenchmarkError(f"{path}: empty file")
     header = lines[0]

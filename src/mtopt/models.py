@@ -5,10 +5,11 @@ Two model families share one interface, and both train in closed form:
 * ``MLPModel`` — a trunk of affine layers (tanh or relu) with one affine
   head per task, for synthetic regression experiments.
 * ``QuadraticModel`` — convex losses 0.5*||A_i s + C_i t_i - b_i||^2, the
-  workhorse for every analytic property check. Its tasks share one shape,
-  so it stores them stacked, and one forward per parameter version computes
-  every task's loss and keeps its gradient products; the backward only
-  scales and sums those in group order.
+  workhorse for every analytic property check. It is built from the
+  (k, rows, ·) stacks of A, C and b, which it owns read-only from then on,
+  and takes k from them. One forward per parameter version computes every
+  task's loss and keeps its gradient products; the backward only scales
+  and sums those in group order.
 
 Each keeps a tape for reference: ``MLPModel.graph`` is its objective as the
 tape interpreter runs it, bitwise equal to the closed form, and
@@ -430,12 +431,14 @@ def build_shared_trunk(width: int, depth: int, suite: TaskSuite, seed: int,
 class QuadraticModel:
     """Tasks L_i = 0.5*||A_i s + C_i t_i - b_i||^2 with closed-form gradients.
 
-    A, C and b are stacked (k, rows, ·) arrays, so all tasks share one row
-    count and one task dim, and one forward serves every task. The stacks
-    are read-only: ``a``, ``c`` and ``b`` are read-only maps from a task id
-    to its row, and another target means another model. The blocks
-    ``task.{tid}.theta`` are the rows of the buffer's task region, which the
-    forward reads as one (k, task_dim) array; the optimizers and
+    The caller hands over A as a (k, rows, shared_dim) stack, C as
+    (k, rows, task_dim) and b as (k, rows); the task count k is their
+    length, and one forward serves every task. The model keeps the stacks
+    without a copy and marks them read-only, so a write through the
+    caller's arrays raises too. ``a``, ``c`` and ``b`` are read-only maps
+    from a task id to its row, and another target means another model. The
+    blocks ``task.{tid}.theta`` are the rows of the buffer's task region,
+    which the forward reads as one (k, task_dim) array; the optimizers and
     ``ParamPartition.set_block`` write them in place and bump
     ``partition.version``.
 
@@ -449,32 +452,20 @@ class QuadraticModel:
     through :meth:`tape_graph` for cross-checking gradients.
     """
 
-    def __init__(self, suite: TaskSuite, a: dict[int, np.ndarray], c: dict[int, np.ndarray],
-                 b: dict[int, np.ndarray]):
-        self.suite = suite
-        ids = suite.ids
-        first = None
-        for tid in ids:
-            ai, ci, bi = a[tid], c[tid], b[tid]
-            if ai.ndim != 2 or ci.ndim != 2 or bi.ndim != 1:
-                raise ModelError(f"task {tid}: A must be 2-d, C 2-d, b 1-d")
-            if ai.shape[0] != bi.shape[0] or ci.shape[0] != bi.shape[0]:
-                raise ModelError(
-                    f"task {tid}: row counts differ (A {ai.shape}, C {ci.shape}, b {bi.shape})")
-            dims = (bi.shape[0], ai.shape[1], ci.shape[1])
-            first = first or dims
-            if dims != first:
-                raise ModelError(
-                    f"task {tid}: (rows, shared dim, task dim) {dims} != {first} of task {ids[0]}")
-        self._a, self._c, self._b = (np.stack([m[tid] for tid in ids]) for m in (a, c, b))
-        for stack in (self._a, self._c, self._b):
+    def __init__(self, a: np.ndarray, c: np.ndarray, b: np.ndarray):
+        if (a.ndim, c.ndim, b.ndim) != (3, 3, 2) or not a.shape[:2] == c.shape[:2] == b.shape:
+            raise ModelError(f"A, C and b must be (k, rows, shared_dim), (k, rows, task_dim) and "
+                             f"(k, rows) stacks, got {a.shape}, {c.shape} and {b.shape}")
+        self.suite = TaskSuite(len(a))
+        for stack in (a, c, b):
             stack.flags.writeable = False
-        self.a, self.c, self.b = (MappingProxyType(dict(zip(ids, m))) for m in (self._a, self._c, self._b))
-        self._names = {tid: f"task.{tid}.theta" for tid in ids}
-        zeros = np.zeros(first[2])  # copied into the buffer once per task
-        self.partition = ParamPartition(shared={"shared.theta": np.zeros(first[1])},
-                                        per_task={tid: {self._names[tid]: zeros} for tid in ids})
-        self._theta = self.partition.buffer[first[1]:].reshape(len(ids), first[2])
+        self._a, self._c, self._b = a, c, b
+        ids, sd, td = self.suite.ids, a.shape[2], c.shape[2]
+        self.a, self.c, self.b = (MappingProxyType(dict(zip(ids, m))) for m in (a, c, b))
+        zeros = np.zeros(td)  # copied into the buffer once per task
+        self.partition = ParamPartition(shared={"shared.theta": np.zeros(sd)},
+                                        per_task={tid: {f"task.{tid}.theta": zeros} for tid in ids})
+        self._theta = self.partition.buffer[sd:].reshape(len(ids), td)
         # each task's A_i^T r_i and C_i^T r_i, as (k, shared_dim) and (k, task_dim)
         self._products: tuple[np.ndarray, np.ndarray] | None = None
         self._losses: tuple[float, ...] = ()

@@ -97,7 +97,7 @@ def reference_quadratic_suite(spec):
         if sg < 1e-9:
             raise BenchmarkError(f"task {tid}: target is orthogonal to the design range")
         b[tid] = v / sg
-    return QuadraticModel(TaskSuite(spec.k), a, c, b)
+    return QuadraticModel(*(np.stack([m[tid] for tid in ids]) for m in (a, c, b)))
 
 
 @st.composite
@@ -161,6 +161,21 @@ def test_property_instance_normalization_and_sign_control():
             assert np.linalg.norm(g[tid]) == pytest.approx(1.0, rel=1e-9)
         assert g[1] @ g[3] > 0
         assert g[2] @ g[3] < 0
+
+
+def test_aligned_instance_negates_only_the_disagreeing_targets():
+    """For align=(1, -1), seeds 3 and 4 draw targets that need task 2's
+    row of b negated; seed 21 draws targets that already agree."""
+    for seed in (3, 4, 21):
+        model, _ = property_instance(3, seed=seed, align=(1, -1))
+        drawn, _ = gen_quadratic_suite(QuadraticSpec(k=3, seed=seed * 1000))
+        grads = {tid: shared_grad(drawn, tid) for tid in (1, 2, 3)}
+        flip = [grads[1] @ grads[3] < 0, grads[2] @ grads[3] > 0, False]
+        assert flip == [False, seed != 21, False]
+        for got, want in ((model._a, drawn._a), (model._c, drawn._c)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        want_b = np.stack([-row if f else row for row, f in zip(drawn._b, flip)])
+        assert model._b.tobytes() == want_b.tobytes()
 
 
 def test_regression_generator_is_bitwise_reproducible():
@@ -270,6 +285,13 @@ def test_csv_header_repeating_a_named_column_is_refused(tmp_path):
     with pytest.raises(BenchmarkError, match="column 'x' appears 2 times in the header"):
         load_csv_dataset(p, ["x"], {1: ["y1"], 2: ["y2"]})
     load_csv_dataset(p, ["y1"], {1: ["y2"], 2: ["y1"]})  # a repeated column no one names is ignored
+
+
+def test_csv_field_past_the_reader_limit_names_path_and_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x,y1,y2\n1,2,3\n4," + "9" * 200_000 + ",6\n7,8,9\n")
+    with pytest.raises(BenchmarkError, match=r"d\.csv: line 3: field larger than field limit"):
+        load_csv_dataset(p, ["x"], {1: ["y1"], 2: ["y2"]})
 
 
 def test_csv_non_numeric_cell_names_row_and_column(tmp_path):

@@ -694,6 +694,18 @@ def test_csv_header_repeating_a_named_column_is_usage_error(tmp_path, capsys):
     assert "field 'csv.path'" in err and "column 'x' appears 2 times" in err
 
 
+def test_csv_field_past_the_reader_limit_is_usage_error(tmp_path, capsys):
+    text = csv_cfg(tmp_path, "x,y1,y2\n1,2,3\n4," + "9" * 200_000 + ",6\n")
+    err = usage_error(tmp_path, capsys, text)
+    assert "field 'csv.path'" in err and "data.csv: line 3" in err and "field limit" in err
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, text + "sweep.seed = 1,2\n", "sweep.cfg"),
+                 "--out", str(out)]) == 2
+    with open(out / "index.csv") as fh:
+        lines = fh.read().splitlines()[2:]
+    assert len(lines) == 2 and all(",error:field 'csv.path'" in line for line in lines), lines
+
+
 def test_non_utf8_csv_is_usage_error(tmp_path, capsys):
     text = csv_cfg(tmp_path, None)
     (tmp_path / "data.csv").write_bytes(b"x,y1,y2\n1,2,3\n4,\xff,6\n")

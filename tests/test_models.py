@@ -12,12 +12,9 @@ from mtopt.tensor import NonFiniteValue, backward, evaluate
 
 def scalar_pair(a1=1.0, a2=1.0, with_task_params=False):
     """Two scalar tasks L_i = 0.5*(theta_s [+ theta_i] - a_i)^2."""
-    suite = TaskSuite(2)
     width = 1 if with_task_params else 0
-    a = {1: np.array([[1.0]]), 2: np.array([[1.0]])}
-    c = {1: np.ones((1, width)), 2: np.ones((1, width))}
-    b = {1: np.array([a1]), 2: np.array([a2])}
-    return QuadraticModel(suite, a, c, b), Batch(None, {}, 0)
+    a, c, b = np.ones((2, 1, 1)), np.ones((2, 1, width)), np.array([[a1], [a2]])
+    return QuadraticModel(a, c, b), Batch(None, {}, 0)
 
 
 def test_suite_validation():
@@ -90,28 +87,22 @@ def test_quadratic_hand_values_and_stationarity():
 
 def test_quadratic_loss_matches_direct_formula():
     rng = np.random.default_rng(3)
-    suite = TaskSuite(2)
-    a = {t: rng.standard_normal((5, 3)) for t in (1, 2)}
-    c = {t: rng.standard_normal((5, 2)) for t in (1, 2)}
-    b = {t: rng.standard_normal(5) for t in (1, 2)}
-    model = QuadraticModel(suite, a, c, b)
+    a, c, b = rng.standard_normal((2, 5, 3)), rng.standard_normal((2, 5, 2)), rng.standard_normal((2, 5))
+    model = QuadraticModel(a, c, b)
     model.partition.set_block("shared.theta", rng.standard_normal(3))
     model.partition.set_block("task.1.theta", rng.standard_normal(2))
     losses = model.forward_all(None)
     for t in (1, 2):
         s = model.partition.shared["shared.theta"]
         ti = model.partition.per_task[t][f"task.{t}.theta"]
-        direct = 0.5 * np.sum((a[t] @ s + c[t] @ ti - b[t]) ** 2)
+        direct = 0.5 * np.sum((a[t - 1] @ s + c[t - 1] @ ti - b[t - 1]) ** 2)
         assert abs(losses[t - 1] - direct) < 1e-12
 
 
 def test_quadratic_analytic_gradient_matches_tape():
     rng = np.random.default_rng(4)
-    suite = TaskSuite(3)
-    a = {t: rng.standard_normal((6, 4)) for t in suite.ids}
-    c = {t: rng.standard_normal((6, 2)) for t in suite.ids}
-    b = {t: rng.standard_normal(6) for t in suite.ids}
-    model = QuadraticModel(suite, a, c, b)
+    model = QuadraticModel(rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 6, 2)),
+                           rng.standard_normal((3, 6)))
     model.partition.set_block("shared.theta", rng.standard_normal(4))
     model.forward_all(None)
     analytic = model.backward_group((1, 2, 3), {1: 1.0, 2: 1.0, 3: 1.0})
@@ -121,22 +112,30 @@ def test_quadratic_analytic_gradient_matches_tape():
     tape = backward(graph, {nid: 1.0 for nid in loss_nodes.values()},
                     set(bindings))
     assert np.max(np.abs(tape["shared.theta2d"].ravel() - analytic["shared.theta"])) < 1e-10
-    for t in suite.ids:
+    for t in model.suite.ids:
         assert np.max(np.abs(tape[f"task.{t}.theta2d"].ravel()
                              - analytic[f"task.{t}.theta"])) < 1e-10
 
 
 def test_dimension_mismatch_rejected():
-    suite = TaskSuite(2)
-    for tid, shapes in [(1, ((3, 2), (4, 1), (3,))),   # task 1 rows disagree
-                        (2, ((4, 2), (4, 1), (4,))),   # more rows than task 1
-                        (2, ((3, 2), (3, 0), (3,)))]:  # smaller task dim than task 1
-        a = {1: np.ones((3, 2)), 2: np.ones((3, 2))}
-        c = {1: np.ones((3, 1)), 2: np.ones((3, 1))}
-        b = {1: np.ones(3), 2: np.ones(3)}
-        a[tid], c[tid], b[tid] = (np.ones(shape) for shape in shapes)
-        with pytest.raises(ModelError, match=f"task {tid}"):
-            QuadraticModel(suite, a, c, b)
+    """Every bad set of stacks gives one ``ModelError`` naming the shapes,
+    never a numpy error from the forward or the buffer's reshape."""
+    for shapes in [((3, 2), (2, 3, 1), (2, 3)),           # A not rank 3
+                   ((2, 3, 2), (2, 3), (2, 3)),           # C not rank 3
+                   ((2, 3, 2), (2, 3, 1), (6,)),          # b rank 1
+                   ((2, 3, 2), (2, 3, 1), (2, 3, 1)),     # b rank 3
+                   ((3, 3, 2), (2, 3, 1), (2, 3)),        # A has another k
+                   ((2, 3, 2), (3, 3, 1), (2, 3)),        # C has another k
+                   ((2, 3, 2), (2, 3, 1), (3, 3)),        # b has another k
+                   ((2, 4, 2), (2, 3, 1), (2, 3)),        # A has other rows
+                   ((2, 3, 2), (2, 4, 1), (2, 3)),        # C has other rows
+                   ((2, 3, 2), (2, 3, 1), (2, 4))]:       # b has other rows
+        with pytest.raises(ModelError, match="stacks, got") as info:
+            QuadraticModel(*(np.ones(shape) for shape in shapes))
+        assert all(str(shape) in str(info.value) for shape in shapes), info.value
+    for k in (1, 0):
+        with pytest.raises(ModelError, match="at least 2 tasks"):
+            QuadraticModel(np.ones((k, 3, 2)), np.ones((k, 3, 1)), np.ones((k, 3)))
 
 
 def test_quadratic_inputs_are_read_only_maps_of_live_rows():
@@ -144,7 +143,7 @@ def test_quadratic_inputs_are_read_only_maps_of_live_rows():
     with pytest.raises(TypeError):
         model.b[1] = np.array([5.0])
     assert model.forward_all(batch)[0] == 2.0
-    model = QuadraticModel(model.suite, dict(model.a), dict(model.c), {1: -model.b[1], 2: model.b[2]})
+    model = QuadraticModel(model._a, model._c, np.stack([-model.b[1], model.b[2]]))
     assert model.forward_all(batch)[0] == 2.0  # 0.5 * (0 + 2)^2
     model.partition.set_block("task.1.theta", np.array([-2.0]))
     assert model.forward_all(batch) == (0.0, 0.5)
@@ -157,6 +156,15 @@ def test_writing_into_quadratic_data_raises():
             data[1][0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
             np.negative(data[2], out=data[2])
+    assert model.forward_all(batch) == (2.0, 0.5)
+    # the model keeps the caller's own stacks without a copy, so they are read-only too
+    a, c, b = np.ones((2, 1, 1)), np.ones((2, 1, 1)), np.array([[2.0], [1.0]])
+    model = QuadraticModel(a, c, b)
+    for stack in (a, c, b):
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.negative(stack, out=stack)
     assert model.forward_all(batch) == (2.0, 0.5)
 
 
@@ -220,10 +228,9 @@ def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, se
     random group and for all tasks, with some weights 0.0 (SINGLE's mask)."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** log_scale
-    suite = TaskSuite(k)
-    model = QuadraticModel(suite, {t: scale * rng.standard_normal((rows, d)) for t in suite.ids},
-                           {t: rng.standard_normal((rows, p)) for t in suite.ids},
-                           {t: rng.standard_normal(rows) for t in suite.ids})
+    model = QuadraticModel(scale * rng.standard_normal((k, rows, d)),
+                           rng.standard_normal((k, rows, p)), rng.standard_normal((k, rows)))
+    suite = model.suite
     model.partition.set_block("shared.theta", rng.standard_normal(d))
     for t in suite.ids:
         model.partition.set_block(f"task.{t}.theta", scale * rng.standard_normal(p))
@@ -244,11 +251,10 @@ def test_stacked_forward_and_backward_equal_per_task_reference(k, rows, d, p, se
         assert sorted(grads) == sorted(["shared.theta"] + [f"task.{t}.theta" for t in group])
 
     bad = int(rng.integers(1, k + 1))
-    b = dict(model.b)
+    b = model._b.copy()
     for t in range(bad, k + 1):  # the error names the first non-finite task
-        b[t] = b[t].copy()
-        b[t][int(rng.integers(rows))] = float(rng.choice([np.inf, -np.inf, np.nan]))
-    broken = QuadraticModel(suite, dict(model.a), dict(model.c), b)
+        b[t - 1, int(rng.integers(rows))] = float(rng.choice([np.inf, -np.inf, np.nan]))
+    broken = QuadraticModel(model._a, model._c, b)
     for name, value in model.partition.all_blocks().items():
         broken.partition.set_block(name, value)
     with pytest.raises(NonFiniteValue, match=f"task {bad} quadratic loss"):
